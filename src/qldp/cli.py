@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,19 +23,7 @@ from . import exponents, frames, mechanisms, metrics, optimal, suites
 from .errors import ValidationError
 from .linalg import matrix_from_json
 
-SWEEP_COLUMNS = (
-    "n",
-    "epsilon",
-    "eta",
-    "s_classical",
-    "a_classical",
-    "s_qstar",
-    "a_qstar",
-    "s_ratio",
-    "a_ratio",
-    "s_qalt",
-    "a_qalt",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(exponents.SweepRecord))
 
 
 class _UsageError(Exception):
@@ -60,25 +48,37 @@ def _default_seed() -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept "4", "3,6,10", or an inclusive range "3..12"."""
+    """Accept "4", "3,6,10", or a non-empty inclusive range "3..12"."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValidationError(f"empty range {text!r}")
+        return values
     return [int(part) for part in text.split(",")]
 
 
 def _parse_float_grid(text: str) -> list[float]:
-    """Accept a single value, a comma list, or "start:stop:step" inclusive."""
+    """Accept a single value, a comma list, or a non-empty "start:stop:step" inclusive."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        if step == 0 or not math.isfinite((stop - start) / step):
+            raise ValidationError(f"grid {text!r} needs finite ends and a nonzero step")
         count = int(round((stop - start) / step)) + 1
+        if count < 1:
+            raise ValidationError(f"empty grid {text!r}")
         return [round(start + i * step, 12) for i in range(count)]
     return [float(part) for part in text.split(",")]
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_json(path: str, parse):
+    """Read a JSON file and ``parse`` it; a missing or mistyped field is a ValidationError."""
     with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -96,22 +96,7 @@ def _sidecar(path: str, target: str, params: dict, rows: int) -> None:
 
 
 def _sweep_rows(records) -> list[list[str]]:
-    return [
-        [
-            str(r.n),
-            _fmt(r.epsilon),
-            _fmt(r.eta),
-            _fmt(r.s_classical),
-            _fmt(r.a_classical),
-            _fmt(r.s_qstar),
-            _fmt(r.a_qstar),
-            _fmt(r.s_ratio),
-            _fmt(r.a_ratio),
-            _fmt(r.s_qalt),
-            _fmt(r.a_qalt),
-        ]
-        for r in records
-    ]
+    return [[_fmt(value) for value in dataclasses.astuple(r)] for r in records]
 
 
 def build_parser() -> _Parser:
@@ -165,7 +150,6 @@ def build_parser() -> _Parser:
     sw.add_argument("--eps", required=True, help="e.g. 0.05:2.0:0.05")
     sw.add_argument("--eta", type=float, default=1.0)
     sw.add_argument("--alt-u", type=float, default=None)
-    sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", required=True)
     th = esub.add_parser("thresholds")
     th.add_argument("--n", required=True, help="e.g. 3..12")
@@ -189,7 +173,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run verification suites")
     vsub = p.add_subparsers(dest="action", required=True)
     ta = vsub.add_parser("taylor")
-    ta.add_argument("--suite", default="all", choices=["all"])
     ta.add_argument("--seed", type=int, default=None)
     ta.add_argument("--out", default=None)
     al = vsub.add_parser("all")
@@ -199,7 +182,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce", help="emit figure and table data as CSV")
     p.add_argument("target", choices=["fig1", "fig2", "thresholds", "ratios"])
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 
@@ -211,8 +193,7 @@ def _cmd_frame(args) -> int:
             json.dump(frames.frame_to_json(frame), fh, indent=1)
         print(f"wrote frame d={frame.d} r={frame.r} n={frame.n} c={_fmt(frame.c)} to {args.out}")
         return 0
-    with open(args.path, encoding="utf-8") as fh:
-        frame = frames.frame_from_json(json.load(fh))
+    frame = _load_json(args.path, frames.frame_from_json)
     cert = frames.verify_eitff(frame.projections, tol=args.tol)
     print(
         f"tight={cert.is_tight} ectff={cert.is_ectff} eitff={cert.is_eitff} "
@@ -223,7 +204,7 @@ def _cmd_frame(args) -> int:
 
 def _cmd_mech(args) -> int:
     if args.action == "audit":
-        mech = mechanisms.load_mechanism(args.path)
+        mech = _load_json(args.path, mechanisms.mechanism_from_json)
         if isinstance(mech, mechanisms.QldpMechanism):
             level = mechanisms.qldp_level(mech.states)
             print(f"qldp mechanism n={mech.n} dim={mech.dim} declared={_fmt(mech.epsilon)} level={_fmt(level)}")
@@ -256,11 +237,12 @@ def _parse_kind(text: str) -> metrics.MetricKind:
 
 def _cmd_metric(args) -> int:
     if args.action == "chernoff":
-        value = metrics.chernoff_information(_load_matrix(args.a), _load_matrix(args.b))
+        a, b = (_load_json(path, matrix_from_json) for path in (args.a, args.b))
+        value = metrics.chernoff_information(a, b)
         print(_fmt(value))
         return 0
     if args.action == "holevo":
-        mech = mechanisms.load_mechanism(args.mech)
+        mech = _load_json(args.mech, mechanisms.mechanism_from_json)
         if isinstance(mech, mechanisms.LdpMechanism):
             states = [np.diag(mech.column(x).astype(complex)) for x in range(mech.n_inputs)]
             n = mech.n_inputs
@@ -270,8 +252,8 @@ def _cmd_metric(args) -> int:
         value = metrics.holevo_information(np.full(n, 1.0 / n), states)
         print(_fmt(value))
         return 0
-    x = _load_matrix(args.x)
-    value = metrics.petz_metric(_load_matrix(args.rho), x, x, _parse_kind(args.kind))
+    x = _load_json(args.x, matrix_from_json)
+    value = metrics.petz_metric(_load_json(args.rho, matrix_from_json), x, x, _parse_kind(args.kind))
     print(_fmt(value))
     return 0
 
@@ -280,13 +262,14 @@ def _cmd_exp(args) -> int:
     if args.action == "sweep":
         ns = _parse_int_list(args.n)
         eps = _parse_float_grid(args.eps)
-        records = _parallel_sweep(ns, eps, args.eta, args.alt_u, args.jobs)
+        records = _sweep(ns, eps, args.eta, args.alt_u)
         _write_csv(args.out, SWEEP_COLUMNS, _sweep_rows(records))
         print(f"wrote {len(records)} records to {args.out}")
         return 0
     if args.action == "thresholds":
+        ns = _parse_int_list(args.n)
         print("n,sym_threshold,asym_threshold")
-        for n in _parse_int_list(args.n):
+        for n in ns:
             print(
                 f"{n},{_fmt(exponents.advantage_threshold_sym(n))},"
                 f"{_fmt(exponents.advantage_threshold_asym(n))}"
@@ -297,16 +280,8 @@ def _cmd_exp(args) -> int:
     return 0
 
 
-def _parallel_sweep(ns, eps, eta, alt_u, jobs):
-    def one(n):
-        return exponents.ratio_sweep(n, eps, eta, alt_u)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, ns))
-    else:
-        chunks = [one(n) for n in ns]
-    return [record for chunk in chunks for record in chunk]
+def _sweep(ns, eps, eta, alt_u):
+    return [record for n in ns for record in exponents.ratio_sweep(n, eps, eta, alt_u)]
 
 
 def _cmd_opt(args) -> int:
@@ -373,7 +348,7 @@ def _cmd_reproduce(args) -> int:
     if args.target == "fig1":
         ns = [3, 6, 10]
         eps = _parse_float_grid("0.05:2.0:0.05")
-        records = _parallel_sweep(ns, eps, 1.0, None, args.jobs)
+        records = _sweep(ns, eps, 1.0, None)
         _write_csv(out, SWEEP_COLUMNS, _sweep_rows(records))
         _sidecar(out, "fig1", {"n": ns, "eps": "0.05:2.0:0.05", "eta": 1.0}, len(records))
     elif args.target == "fig2":

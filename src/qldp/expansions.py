@@ -30,6 +30,7 @@ from .metrics import (
     petz_metric,
     von_neumann_entropy,
     wyd,
+    xlogx,
 )
 
 DEFAULT_T_GRID = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
@@ -230,10 +231,6 @@ class ScalarSelftestReport:
         return sum(c.instances for c in self.checks)
 
 
-def _xlogx(t: float) -> float:
-    return t * math.log(t) if t > 0 else 0.0
-
-
 def scalar_selftests() -> ScalarSelftestReport:
     """Grid checks of the scalar inequalities and the posterior ordering.
 
@@ -249,7 +246,7 @@ def scalar_selftests() -> ScalarSelftestReport:
     for i in range(1, 1000):
         t = i / 1000.0
         for tt in (t, -t):
-            margin = _xlogx(1.0 + tt) + _xlogx(1.0 - tt) - tt * tt
+            margin = xlogx(1.0 + tt) + xlogx(1.0 - tt) - tt * tt
             count += 1
             worst = min(worst, margin)
             if margin <= 0:
@@ -259,7 +256,7 @@ def scalar_selftests() -> ScalarSelftestReport:
     count, bad, worst = 0, 0, math.inf
     grid = [10.0 ** (k / 100.0) for k in range(-300, 201)]  # 1e-3 .. 1e2
     for t in grid:
-        big_t = _xlogx(t + 1.0) / t
+        big_t = xlogx(t + 1.0) / t
         margin = t * t / 8.0 - (big_t - 1.0 - math.log(big_t))
         count += 1
         worst = min(worst, margin)

@@ -24,12 +24,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-from .mechanisms import QldpMechanism, tilde_family
+from .mechanisms import QldpMechanism, require_epsilon, tilde_family
 from .metrics import (
     chernoff_information,
     classical_chernoff,
     classical_relative_entropy,
+    golden_min,
     relative_entropy,
+    xlogx,
 )
 
 
@@ -60,10 +62,6 @@ class SweepRecord:
     a_ratio: float | None
     s_qalt: float | None = None
     a_qalt: float | None = None
-
-
-def _xlogx(t: float) -> float:
-    return t * math.log(t) if t > 0.0 else 0.0
 
 
 def sym_exponent(mech, eta: float = 1.0) -> float:
@@ -120,8 +118,8 @@ def asym_divergence(t: float, u: float) -> float:
     At u = 1/2 this is (L(2-t) + L(t))/2 with L(t) = t ln t.
     """
     if u == 0.5:
-        return 0.5 * (_xlogx(2.0 - t) + _xlogx(t))
-    return u * _xlogx(t + (1.0 - t) / u) + (1.0 - u) * _xlogx(t)
+        return 0.5 * (xlogx(2.0 - t) + xlogx(t))
+    return u * xlogx(t + (1.0 - t) / u) + (1.0 - u) * xlogx(t)
 
 
 def closed_form_exponents(n: int, u: float, epsilon: float, eta: float = 1.0, mu: float | None = None) -> ExponentPair:
@@ -135,8 +133,7 @@ def closed_form_exponents(n: int, u: float, epsilon: float, eta: float = 1.0, mu
         raise ValidationError("eta must lie in (0, 1]")
     c = isoclinic_constant(n, u)
     if mu is None:
-        if epsilon <= 0:
-            raise ValidationError("privacy level must be positive")
+        require_epsilon(epsilon)
         mu = boundary_mu(u, c, epsilon)
     t = eta * mu + 1.0 - eta
     if not 0.0 < t < 1.0 / (1.0 - u):
@@ -163,8 +160,7 @@ def classical_sym_term(n: int, k: int, epsilon: float) -> float:
 
 def classical_opt_sym(n: int, epsilon: float) -> float:
     """Exact optimum of the symmetric exponent over eps-LDP mechanisms."""
-    if epsilon <= 0:
-        raise ValidationError("privacy level must be positive")
+    require_epsilon(epsilon)
     return max(classical_sym_term(n, k, epsilon) for k in range(n + 1))
 
 
@@ -176,8 +172,7 @@ def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
     """Upper bound on the symmetric optimum for eta-tilted priors; tight at eta = 1."""
     if not 0.0 < eta <= 1.0:
         raise ValidationError("eta must lie in (0, 1]")
-    if epsilon <= 0:
-        raise ValidationError("privacy level must be positive")
+    require_epsilon(epsilon)
     xi = math.exp(epsilon / 2.0)
     best = max(k * (n - k) / stretch_factor(n, k, epsilon) for k in range(n + 1))
     return -math.log(1.0 - (n + eta * eta - 1.0) * (xi - 1.0) ** 2 / (n * n * (n - 1.0)) * best)
@@ -190,7 +185,7 @@ def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> flo
     f = stretch_factor(n, k, epsilon)
     d1 = eta * math.exp(epsilon) + (1.0 - eta) * f
     d2 = eta + (1.0 - eta) * f
-    big_f = k * _xlogx(d1) + (n - k) * _xlogx(d2) - n * _xlogx(f)
+    big_f = k * xlogx(d1) + (n - k) * xlogx(d2) - n * xlogx(f)
     return big_f / (n * f)
 
 
@@ -198,13 +193,8 @@ def classical_opt_asym(n: int, epsilon: float, eta: float = 1.0) -> float:
     """Exact optimum of the asymmetric exponent over eps-LDP mechanisms."""
     if not 0.0 < eta <= 1.0:
         raise ValidationError("eta must lie in (0, 1]")
-    if epsilon <= 0:
-        raise ValidationError("privacy level must be positive")
+    require_epsilon(epsilon)
     return max(classical_asym_term(n, k, epsilon, eta) for k in range(n + 1))
-
-
-def classical_asym_argmax(n: int, epsilon: float, eta: float = 1.0) -> int:
-    return max(range(n + 1), key=lambda k: classical_asym_term(n, k, epsilon, eta))
 
 
 # Advantage thresholds and crossover search.
@@ -296,25 +286,10 @@ def _refine_max(fn, grid: list[float], tol: float = 1e-10) -> tuple[float, float
     best = max(range(len(grid)), key=values.__getitem__)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    u = 0.5 * (a + b)
-    fu = fn(u)
-    if values[best] >= fu:
+    u, neg_fu = golden_min(lambda v: -fn(v), lo, hi, tol)
+    if values[best] >= -neg_fu:
         return grid[best], values[best]
-    return u, fu
+    return u, -neg_fu
 
 
 def ratio_sweep(n: int, eps_grid, eta: float = 1.0, alt_u: float | None = None) -> list[SweepRecord]:
@@ -326,8 +301,7 @@ def ratio_sweep(n: int, eps_grid, eta: float = 1.0, alt_u: float | None = None) 
     """
     records = []
     for epsilon in eps_grid:
-        if epsilon <= 0:
-            raise ValidationError("epsilon grid must be positive")
+        require_epsilon(epsilon)
         s_c = classical_opt_sym(n, epsilon) if eta == 1.0 else classical_opt_sym_bound(n, epsilon, eta)
         a_c = classical_opt_asym(n, epsilon, eta)
         star = closed_form_exponents(n, 0.5, epsilon, eta)

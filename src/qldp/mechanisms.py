@@ -36,6 +36,12 @@ COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
 
 
+def require_epsilon(epsilon: float) -> None:
+    """Reject a privacy level that is not finite and positive (NaN included)."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValidationError(f"privacy level must be finite and positive, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class LdpMechanism:
     """Column-stochastic matrix of shape (n_outputs, n_inputs) with a declared level."""
@@ -47,6 +53,8 @@ class LdpMechanism:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] < 2 or q.shape[1] < 2:
             raise ValidationError("mechanism needs at least 2 outputs and 2 inputs")
+        if not np.all(np.isfinite(q)):
+            raise ValidationError("non-finite conditional probability")
         if np.any(q < 0):
             raise ValidationError("negative conditional probability")
         if np.max(np.abs(q.sum(axis=0) - 1.0)) > COLUMN_SUM_TOL:
@@ -179,8 +187,7 @@ def isoclinic_mechanism(frame: FusionFrame, epsilon: float, mu: float | None = N
     admissible interval, saturating the privacy constraint.  An explicit
     ``mu`` outside the interval raises :class:`PrivacyViolationError`.
     """
-    if epsilon <= 0:
-        raise ValidationError("privacy level must be positive")
+    require_epsilon(epsilon)
     mu_lo, mu_hi = admissible_mu_interval(frame, epsilon)
     if mu is None:
         mu = mu_lo
@@ -227,8 +234,7 @@ def binary_mechanism(n: int, epsilon: float, split=None) -> LdpMechanism:
     """
     if n < 2:
         raise ValidationError("need at least two inputs")
-    if epsilon <= 0:
-        raise ValidationError("privacy level must be positive")
+    require_epsilon(epsilon)
     block = set(range(1, n // 2 + 1)) if split is None else set(split)
     if not block.issubset(range(1, n + 1)):
         raise ValidationError("split must be a subset of the input alphabet")
@@ -250,8 +256,7 @@ def subset_mechanism(n: int, k: int, epsilon: float) -> LdpMechanism:
     """
     if not 1 <= k <= n - 1:
         raise ValidationError(f"subset size must lie in [1, {n - 1}]")
-    if epsilon <= 0:
-        raise ValidationError("privacy level must be positive")
+    require_epsilon(epsilon)
     grow = math.exp(epsilon)
     z = math.comb(n - 1, k - 1) * grow + math.comb(n - 1, k)
     subsets = list(itertools.combinations(range(1, n + 1), k))
@@ -319,6 +324,7 @@ def mechanism_from_json(obj: dict):
     """Parse a mechanism and re-audit it against its declared level."""
     kind = obj.get("kind")
     epsilon = float(obj["epsilon"])
+    require_epsilon(epsilon)
     if kind == "qldp":
         states = tuple(matrix_from_json(s) for s in obj["states"])
         mech = QldpMechanism(states=states, epsilon=epsilon)

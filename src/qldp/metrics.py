@@ -219,7 +219,12 @@ def holevo_information(prior, states) -> float:
     return value
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> tuple[float, float]:
+def xlogx(t: float) -> float:
+    """L(t) = t ln t, extended by continuity to L(0) = 0."""
+    return t * math.log(t) if t > 0.0 else 0.0
+
+
+def golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL) -> tuple[float, float]:
     """Golden-section minimum of a unimodal function; returns (argmin, min)."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
@@ -256,7 +261,7 @@ def chernoff_information(rho1, rho2) -> float:
     def objective(s: float) -> float:
         return float(np.exp(s * ln_a) @ w @ np.exp((1.0 - s) * ln_b))
 
-    _, best = _golden_min(objective, 0.0, 1.0)
+    _, best = golden_min(objective, 0.0, 1.0)
     best = min(best, objective(0.0), objective(1.0))
     value = -math.log(best)
     return max(value, 0.0)
@@ -297,7 +302,7 @@ def classical_chernoff(p, q) -> float:
     def objective(s: float) -> float:
         return float(np.sum(np.exp(s * ln_p + (1.0 - s) * ln_q)))
 
-    _, best = _golden_min(objective, 0.0, 1.0)
+    _, best = golden_min(objective, 0.0, 1.0)
     best = min(best, objective(0.0), objective(1.0))
     return max(-math.log(best), 0.0)
 

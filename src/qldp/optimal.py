@@ -20,10 +20,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ValidationError
 from .mechanisms import LdpMechanism
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: it is most of ``import qldp``'s cost."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

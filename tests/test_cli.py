@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -89,11 +90,18 @@ def test_exp_sweep_csv(tmp_path):
     assert first[0] == "3" and float(first[1]) == pytest.approx(0.2)
 
 
-def test_exp_sweep_jobs_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(["exp", "sweep", "--n", "3,6,10", "--eps", "0.5:1.5:0.5", "--out", serial])
-    run(["exp", "sweep", "--n", "3,6,10", "--eps", "0.5:1.5:0.5", "--jobs", 3, "--out", parallel])
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize("grid", ["0:1:0", "1:0:0.1", "0:inf:1"])
+def test_exp_sweep_rejects_bad_grid(tmp_path, capsys, grid):
+    out = tmp_path / "sweep.csv"
+    assert run(["exp", "sweep", "--n", "3", "--eps", grid, "--out", out]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exp_thresholds_rejects_empty_range(capsys):
+    assert run(["exp", "thresholds", "--n", "12..3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty range" in captured.err
 
 
 def test_exp_thresholds_range_output(capsys):
@@ -154,6 +162,24 @@ def test_reproduce_fig1(tmp_path, monkeypatch):
     assert meta["rows"] == 120 and "sha256" in meta
 
 
+REPRODUCE_SHA256 = {
+    "fig1": "8cc05214d6b87373a7b814b51ddbcf63e2b9f1be6cb8cc9e4e201f4238209eaf",
+    "fig2": "6a2be172fa53a44a91c2dfa96b548a214a27fd84f734a0598bfc04295dc0209c",
+    "thresholds": "25615995f33850b33a983aa0132b38cdfda2bc5081f12eefebaadeea5fbcdd6e",
+    "ratios": "87296a65e66669f216a38083d290321779006b877368e65efa410119ff648b37",
+}
+
+
+@pytest.mark.parametrize("target", sorted(REPRODUCE_SHA256))
+def test_reproduce_pinned_bytes(tmp_path, target):
+    out = tmp_path / f"{target}.csv"
+    assert run(["reproduce", target, "--out", out]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPRODUCE_SHA256[target]
+    meta = json.loads((tmp_path / f"{target}.csv.meta.json").read_text())
+    assert meta["sha256"] == digest
+
+
 def test_reproduce_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["reproduce", "fig2", "--out", a])
@@ -186,3 +212,50 @@ def test_unknown_command_exits_one():
 
 def test_missing_file_exits_one(tmp_path):
     assert run(["mech", "audit", tmp_path / "nope.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mech", "binary", "--n", 3, "--eps", "inf"],
+        ["mech", "subset", "--n", 3, "--k", 1, "--eps", "nan"],
+        ["mech", "sigma-star", "--n", 3, "--eps", "inf"],
+        ["mech", "sigma-star", "--n", 3, "--eps", "0"],
+        ["mech", "binary", "--n", 3, "--eps", "-1"],
+    ],
+)
+def test_mech_bad_epsilon_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "m.json"
+    assert run(argv + ["--out", out]) == 1
+    assert "privacy level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_json_exits_one(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    write_matrix(good, np.eye(2) / 2)
+    no_dim = tmp_path / "no_dim.json"
+    no_dim.write_text(json.dumps({"entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}))
+    assert run(["metric", "chernoff", no_dim, no_dim]) == 1
+    assert "dim" in capsys.readouterr().err
+
+    bad_entries = tmp_path / "bad_entries.json"
+    bad_entries.write_text(json.dumps({"dim": 2, "entries": 4}))
+    assert run(["metric", "petz", "--kind", "sld", good, bad_entries]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+    mech = tmp_path / "m.json"
+    assert run(["mech", "binary", "--n", 3, "--eps", "1.0", "--out", mech]) == 0
+    obj = json.loads(mech.read_text())
+    del obj["epsilon"]
+    mech.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["mech", "audit", mech]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert run(["metric", "holevo", mech]) == 1
+    mech.write_text("[1, 2]")
+    assert run(["mech", "audit", mech]) == 1
+
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"d": 2}))
+    assert run(["frame", "verify", frame]) == 1

@@ -287,3 +287,16 @@ def test_ratio_sweep_validation():
         ratio_sweep(3, [0.0, 0.5])
     with pytest.raises(ValidationError):
         closed_form_exponents(3, 0.5, 1.0, eta=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+def test_exponents_reject_bad_epsilon(epsilon):
+    for call in (
+        lambda: closed_form_exponents(4, 0.5, epsilon),
+        lambda: classical_opt_sym(4, epsilon),
+        lambda: classical_opt_sym_bound(4, epsilon, 0.5),
+        lambda: classical_opt_asym(4, epsilon),
+        lambda: ratio_sweep(4, [0.5, epsilon]),
+    ):
+        with pytest.raises(ValidationError):
+            call()

@@ -323,3 +323,39 @@ def test_qldp_mechanism_validation():
         QldpMechanism(states=(np.eye(2) / 2, np.eye(3) / 3), epsilon=1.0)
     with pytest.raises(ValidationError):
         LdpMechanism(q=np.array([[0.5, 0.6], [0.5, 0.5]]), epsilon=1.0)
+
+
+BAD_EPSILONS = [0.0, -1.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda e: isoclinic_mechanism(build_eitff(3), e),
+        lambda e: sigma_star(3, e),
+        lambda e: binary_mechanism(3, e),
+        lambda e: subset_mechanism(3, 1, e),
+    ],
+    ids=["isoclinic", "sigma_star", "binary", "subset"],
+)
+def test_constructors_reject_bad_epsilon(build, epsilon):
+    with pytest.raises(ValidationError):
+        build(epsilon)
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+@pytest.mark.parametrize("mech", [sigma_star(3, 1.0), binary_mechanism(3, 1.0)], ids=["qldp", "ldp"])
+def test_deserialization_rejects_bad_declared_epsilon(mech, epsilon):
+    # a declared eps = inf used to pass both audits (inf * 0 is NaN in the QLDP one)
+    obj = mechanism_to_json(mech)
+    obj["epsilon"] = epsilon
+    with pytest.raises(ValidationError):
+        mechanism_from_json(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ldp_mechanism_rejects_non_finite_q(bad):
+    # NaN passes both q < 0 and the column-sum check, so it needs its own test
+    with pytest.raises(ValidationError):
+        LdpMechanism(q=np.array([[bad, 0.5], [0.5, 0.5]]), epsilon=1.0)
