@@ -206,7 +206,7 @@ def _cmd_mech(args) -> int:
     if args.action == "audit":
         mech = _load_json(args.path, mechanisms.mechanism_from_json)
         if isinstance(mech, mechanisms.QldpMechanism):
-            level = mechanisms.qldp_level(mech.states)
+            level = mechanisms.qldp_level(mech)
             print(f"qldp mechanism n={mech.n} dim={mech.dim} declared={_fmt(mech.epsilon)} level={_fmt(level)}")
         else:
             level = mechanisms.ldp_level(mech)
@@ -247,7 +247,7 @@ def _cmd_metric(args) -> int:
             states = [np.diag(mech.column(x).astype(complex)) for x in range(mech.n_inputs)]
             n = mech.n_inputs
         else:
-            states = list(mech.states)
+            states = list(mech.validated)
             n = mech.n
         value = metrics.holevo_information(np.full(n, 1.0 / n), states)
         print(_fmt(value))

@@ -73,7 +73,8 @@ def _fitted_order(t_grid, ratio_errors) -> float:
     return float(slope)
 
 
-def _make_report(name, t_grid, predicted, observed) -> ExpansionReport:
+def _make_report(name, t_grid, quad, observed) -> ExpansionReport:
+    predicted = [quad * t * t for t in t_grid]
     ratio_errors = []
     for p, o in zip(predicted, observed):
         # Degenerate zero-prediction directions fall back to the absolute error.
@@ -95,76 +96,65 @@ def _check_grid(t_grid) -> tuple:
     return ts
 
 
-def _check_direction(rho0, x, t_max: float) -> np.ndarray:
+def _check_direction(r0, x, t_max: float) -> np.ndarray:
     xm = validate_hermitian(x)
     if abs(np.trace(xm)) > 1e-10:
         raise ValidationError("perturbation direction must be traceless")
-    lam = np.linalg.eigvalsh(rho0 + t_max * xm)
+    lam = np.linalg.eigvalsh(r0.matrix + t_max * xm)
     if lam[0] <= 1e-12:
         raise DomainError("grid point leaves the state space")
     return xm
 
 
+def _perturbed_pair(rho0, x1, x2, t_grid):
+    """Grid, base State and both checked directions of a two-state expansion check."""
+    ts = _check_grid(t_grid)
+    r0 = validate_density(rho0)
+    return ts, r0, _check_direction(r0, x1, ts[0]), _check_direction(r0, x2, ts[0])
+
+
 def check_fdiv_expansion(rho0, x1, x2, f: OperatorConvexF, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
     """F-divergence of two perturbed states vs half the induced metric form."""
-    ts = _check_grid(t_grid)
     if abs(float(f(np.array(1.0)))) > 1e-12:
         raise ValidationError("the expansion needs F(1) = 0")
-    r0, full = validate_density(rho0)
-    if not full:
-        raise DomainError("base state must be full rank")
-    d1 = _check_direction(r0, x1, ts[0])
-    d2 = _check_direction(r0, x2, ts[0])
-    quad = 0.5 * induced_metric(r0, d1 - d2, d1 - d2, f)
-    predicted = [quad * t * t for t in ts]
-    observed = [petz_f_divergence(r0 + t * d1, r0 + t * d2, f) for t in ts]
-    return _make_report(f"fdiv_{f.tag}", ts, predicted, observed)
+    ts, r0, d1, d2 = _perturbed_pair(rho0, x1, x2, t_grid)
+    dx = d1 - d2
+    quad = 0.5 * induced_metric(r0, dx, dx, f)
+    observed = [petz_f_divergence(r0.matrix + t * d1, r0.matrix + t * d2, f) for t in ts]
+    return _make_report(f"fdiv_{f.tag}", ts, quad, observed)
 
 
 def check_entropy_expansion(rho0, x, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
     """Negentropy increment minus its linear term vs half the BKM form."""
     ts = _check_grid(t_grid)
-    r0, full = validate_density(rho0)
-    if not full:
-        raise DomainError("base state must be full rank")
+    r0 = validate_density(rho0)
     xm = _check_direction(r0, x, ts[0])
     log_r0 = matrix_function(r0, np.log)
     linear = float(np.trace(log_r0 @ xm).real)
     h0 = von_neumann_entropy(r0)
     quad = 0.5 * petz_metric(r0, xm, xm, BKM)
-    predicted = [quad * t * t for t in ts]
-    observed = [h0 - von_neumann_entropy(r0 + t * xm) - t * linear for t in ts]
-    return _make_report("entropy", ts, predicted, observed)
+    observed = [h0 - von_neumann_entropy(r0.matrix + t * xm) - t * linear for t in ts]
+    return _make_report("entropy", ts, quad, observed)
 
 
 def check_chernoff_expansion(rho0, x1, x2, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
     """Chernoff information of two perturbed states vs one eighth of the wyd(1/2) form."""
-    ts = _check_grid(t_grid)
-    r0, full = validate_density(rho0)
-    if not full:
-        raise DomainError("base state must be full rank")
-    d1 = _check_direction(r0, x1, ts[0])
-    d2 = _check_direction(r0, x2, ts[0])
-    quad = petz_metric(r0, d1 - d2, d1 - d2, wyd(0.5)) / 8.0
-    predicted = [quad * t * t for t in ts]
-    observed = [chernoff_information(r0 + t * d1, r0 + t * d2) for t in ts]
-    return _make_report("chernoff", ts, predicted, observed)
+    ts, r0, d1, d2 = _perturbed_pair(rho0, x1, x2, t_grid)
+    dx = d1 - d2
+    quad = petz_metric(r0, dx, dx, wyd(0.5)) / 8.0
+    observed = [chernoff_information(r0.matrix + t * d1, r0.matrix + t * d2) for t in ts]
+    return _make_report("chernoff", ts, quad, observed)
 
 
 def check_overlap_expansion(rho0, x1, x2, s: float, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
     """Overlap deficit 1 - Tr rho_1^s rho_2^{1-s} vs (s(1-s)/2) times the wyd(s) form."""
-    ts = _check_grid(t_grid)
     if not 0.0 < s < 1.0:
         raise ValidationError("s must lie in (0, 1)")
-    r0, full = validate_density(rho0)
-    if not full:
-        raise DomainError("base state must be full rank")
-    d1 = _check_direction(r0, x1, ts[0])
-    d2 = _check_direction(r0, x2, ts[0])
-    quad = 0.5 * s * (1.0 - s) * petz_metric(r0, d1 - d2, d1 - d2, wyd(s))
-    predicted = [quad * t * t for t in ts]
-    observed = [1.0 - overlap(r0 + t * d1, r0 + t * d2, s) for t in ts]
-    return _make_report(f"overlap_s{s:g}", ts, predicted, observed)
+    ts, r0, d1, d2 = _perturbed_pair(rho0, x1, x2, t_grid)
+    dx = d1 - d2
+    quad = 0.5 * s * (1.0 - s) * petz_metric(r0, dx, dx, wyd(s))
+    observed = [1.0 - overlap(r0.matrix + t * d1, r0.matrix + t * d2, s) for t in ts]
+    return _make_report(f"overlap_s{s:g}", ts, quad, observed)
 
 
 def check_quadratic_assumption(
@@ -183,23 +173,18 @@ def check_quadratic_assumption(
     (beta0 n / (2 (n-1))) sum_i J[t delta_i, t delta_i].
     """
     ts = _check_grid(t_grid)
-    r0, full = validate_density(rho_avg)
-    if not full:
-        raise DomainError("base state must be full rank")
-    dirs = [validate_hermitian(x) for x in directions]
+    r0 = validate_density(rho_avg)
+    dirs = [_check_direction(r0, x, ts[0]) for x in directions]
     n = len(dirs)
     if n < 2:
         raise ValidationError("need at least two directions")
     mean_norm = np.max(np.abs(sum(dirs)))
     if mean_norm > 1e-10:
         raise ValidationError("directions must have zero mean")
-    for x in dirs:
-        _check_direction(r0, x, ts[0])
     j_sum = sum(petz_metric(r0, x, x, kind) for x in dirs)
     quad = beta0 * n / (2.0 * (n - 1.0)) * j_sum
-    predicted = [quad * t * t for t in ts]
-    observed = [evaluator([r0 + t * x for x in dirs]) - phi_at_ones for t in ts]
-    return _make_report("quadratic_assumption", ts, predicted, observed)
+    observed = [evaluator([r0.matrix + t * x for x in dirs]) - phi_at_ones for t in ts]
+    return _make_report("quadratic_assumption", ts, quad, observed)
 
 
 # Scalar self-tests: the elementary inequalities behind the threshold analysis

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
+from .linalg import validate_density
 from .mechanisms import QldpMechanism, require_epsilon, tilde_family
 from .metrics import (
     chernoff_information,
@@ -68,7 +69,7 @@ def sym_exponent(mech, eta: float = 1.0) -> float:
     """min over pairs of the Chernoff information of the eta-mixed family."""
     fam = tilde_family(mech, eta)
     if isinstance(fam, QldpMechanism):
-        items = fam.states
+        items = fam.validated
         pairwise = chernoff_information
     else:
         items = [fam.column(x) for x in range(fam.n_inputs)]
@@ -80,8 +81,8 @@ def asym_exponent(mech, eta: float = 1.0) -> float:
     """min over inputs of the relative entropy of a mixed state vs the family average."""
     fam = tilde_family(mech, eta)
     if isinstance(fam, QldpMechanism):
-        avg = fam.average
-        return min(relative_entropy(s, avg) for s in fam.states)
+        avg = validate_density(fam.average)
+        return min(relative_entropy(s, avg) for s in fam.validated)
     avg = fam.q.mean(axis=1)
     return min(classical_relative_entropy(fam.column(x), avg) for x in range(fam.n_inputs))
 

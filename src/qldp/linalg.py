@@ -4,10 +4,16 @@ Matrices are plain ``numpy`` arrays of ``complex128``.  The functions here
 validate the structural invariants (hermiticity, unit trace, positivity)
 and provide the spectral primitives: eigendecomposition, matrix functions
 of a Hermitian argument, norms, and positivity tests.
+
+Each check decomposes its input once and reads ||H|| in the hermiticity
+tolerance rtol*(1+||H||) off that spectrum, so no validator runs an SVD.
+:func:`validate_density` returns a :class:`State` that keeps its ``eigh``;
+passed back in place of the matrix, a State is used as it is.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,6 +34,19 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
+@dataclass(frozen=True)
+class State:
+    """A validated density matrix with its eigendecomposition, eigenvalues ascending.
+
+    The arrays are shared, not copied: modifying them invalidates the State.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    full_rank: bool
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -38,32 +57,40 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def validate_hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Return ``m`` as an array after checking H = H^dag up to rtol*(1+||H||)."""
+def _checked_spectrum(m, vectors: bool = False):
+    """(matrix, ascending eigenvalues, eigenvectors or None) after checking H = H^dag."""
+    if isinstance(m, State):
+        return m.matrix, m.eigenvalues, m.eigenvectors
     a = as_matrix(m)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    scale = 1.0 + operator_norm(0.5 * (a + a.conj().T))
-    if dev > rtol * scale:
-        raise ValidationError(f"matrix is not Hermitian: deviation {dev:.3e}")
-    return a
+    lam, u = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    if a.size:
+        dev = np.max(np.abs(a - a.conj().T))
+        if dev > HERMITIAN_RTOL * (1.0 + max(-lam[0], lam[-1])):
+            raise ValidationError(f"matrix is not Hermitian: deviation {dev:.3e}")
+    return a, lam, u
 
 
-def validate_density(m, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, bool]:
-    """Validate a density matrix; return (matrix, full_rank flag)."""
-    a = validate_hermitian(m)
+def validate_hermitian(m) -> np.ndarray:
+    """Return ``m`` as an array after checking H = H^dag up to rtol*(1+||H||)."""
+    return _checked_spectrum(m)[0]
+
+
+def validate_density(m) -> State:
+    """Validate a density matrix with one eigendecomposition; a State passes unchanged."""
+    if isinstance(m, State):
+        return m
+    a, lam, u = _checked_spectrum(m, vectors=True)
     tr = np.trace(a).real
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"trace {tr} is not 1")
-    lam = np.linalg.eigvalsh(a)
     if lam[0] < -DENSITY_EIG_TOL:
         raise ValidationError(f"not positive semi-definite: min eigenvalue {lam[0]:.3e}")
-    return a, bool(lam[0] >= rank_tol)
+    return State(a, lam, u, bool(lam[0] >= RANK_TOL))
 
 
 def eigh(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = validate_hermitian(m)
-    lam, u = np.linalg.eigh(a)
+    _, lam, u = _checked_spectrum(m, vectors=True)
     return Spectrum(lam, u)
 
 
@@ -91,22 +118,13 @@ def operator_norm(m) -> float:
 
 def norms(m) -> tuple[float, float, float]:
     """(operator norm, trace norm, Frobenius norm) of a Hermitian matrix."""
-    lam = np.linalg.eigvalsh(validate_hermitian(m))
+    lam = _checked_spectrum(m)[1]
     return float(np.max(np.abs(lam))), float(np.sum(np.abs(lam))), float(np.sqrt(np.sum(lam**2)))
 
 
 def is_psd(m, tol: float = 1e-9) -> bool:
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
-    lam = np.linalg.eigvalsh(validate_hermitian(m))
-    return bool(lam[0] >= -tol)
-
-
-def inv_sqrt_psd(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Inverse square root of a positive-definite Hermitian matrix."""
-    lam, u = eigh(m)
-    if lam[0] <= rank_tol:
-        raise DomainError(f"matrix is singular within rank_tol: min eigenvalue {lam[0]:.3e}")
-    return (u * lam**-0.5) @ u.conj().T
+    return bool(_checked_spectrum(m)[1][0] >= -tol)
 
 
 def matrix_to_json(m) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from .frames import FusionFrame, build_eitff
 from .linalg import (
     as_matrix,
-    inv_sqrt_psd,
+    is_psd,
     matrix_from_json,
     matrix_to_json,
     validate_density,
@@ -34,6 +34,7 @@ from .linalg import (
 
 COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
+POVM_TOL = 1e-9
 
 
 def require_epsilon(epsilon: float) -> None:
@@ -75,21 +76,25 @@ class LdpMechanism:
 
 @dataclass(frozen=True)
 class QldpMechanism:
-    """Tuple of same-dimension full-rank density matrices with a declared level."""
+    """Tuple of same-dimension full-rank density matrices with a declared level.
+
+    ``validated`` holds them as :class:`~qldp.linalg.State` objects with their spectra.
+    """
 
     states: tuple
     epsilon: float
+    validated: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = tuple(as_matrix(s) for s in self.states)
-        if len(states) < 2:
+        validated = tuple(validate_density(s) for s in self.states)
+        if len(validated) < 2:
             raise ValidationError("mechanism needs at least 2 states")
-        d = states[0].shape[0]
-        for s in states:
-            if s.shape[0] != d:
-                raise ValidationError("states have mixed dimensions")
-            validate_density(s)
-        object.__setattr__(self, "states", states)
+        if any(s.matrix.shape != validated[0].matrix.shape for s in validated):
+            raise ValidationError("states have mixed dimensions")
+        if not all(s.full_rank for s in validated):
+            raise SupportMismatchError("mechanism states must be full rank")
+        object.__setattr__(self, "states", tuple(s.matrix for s in validated))
+        object.__setattr__(self, "validated", validated)
 
     @property
     def n(self) -> int:
@@ -110,16 +115,13 @@ def qldp_level(states) -> float:
     Computed as the max over pairs of ln lambda_max(rho_x^{-1/2} rho_{x'} rho_x^{-1/2}).
     Raises :class:`SupportMismatchError` on rank-deficient states.
     """
-    mats = _state_list(states)
-    inv_sqrts = []
-    for s in mats:
-        _, full = validate_density(s)
-        if not full:
-            raise SupportMismatchError("state is rank deficient; privacy level undefined")
-        inv_sqrts.append(inv_sqrt_psd(s))
+    valid = states.validated if isinstance(states, QldpMechanism) else [validate_density(s) for s in states]
+    if not all(s.full_rank for s in valid):
+        raise SupportMismatchError("state is rank deficient; privacy level undefined")
+    inv_sqrts = [(s.eigenvectors * s.eigenvalues**-0.5) @ s.eigenvectors.conj().T for s in valid]
     level = 0.0
-    for x, x2 in itertools.permutations(range(len(mats)), 2):
-        sim = inv_sqrts[x] @ mats[x2] @ inv_sqrts[x]
+    for x, x2 in itertools.permutations(range(len(valid)), 2):
+        sim = inv_sqrts[x] @ valid[x2].matrix @ inv_sqrts[x]
         lam_max = np.linalg.eigvalsh(0.5 * (sim + sim.conj().T))[-1]
         level = max(level, math.log(lam_max))
     return level
@@ -141,27 +143,23 @@ def ldp_level(q) -> float:
 
 def audit_qldp(states, epsilon: float, tol: float = AUDIT_TOL) -> bool:
     """True iff min eig(e^eps rho_x - rho_{x'}) >= -tol for every ordered pair."""
-    mats = _state_list(states)
+    require_epsilon(epsilon)
+    mats = [as_matrix(s) for s in (states.states if isinstance(states, QldpMechanism) else states)]
     grow = math.exp(epsilon)
     for x, x2 in itertools.permutations(range(len(mats)), 2):
-        diff = grow * mats[x] - mats[x2]
-        if np.linalg.eigvalsh(diff)[0] < -tol:
+        # Written so that a NaN eigenvalue counts as a failure.
+        if not np.linalg.eigvalsh(grow * mats[x] - mats[x2])[0] >= -tol:
             return False
     return True
 
 
 def audit_ldp(q, epsilon: float, tol: float = AUDIT_TOL) -> bool:
     """True iff all entry ratios within a row are <= e^eps (1 + tol)."""
+    require_epsilon(epsilon)
     try:
         return ldp_level(q) <= epsilon + math.log1p(tol)
     except SupportMismatchError:
         return False
-
-
-def _state_list(states) -> list[np.ndarray]:
-    if isinstance(states, QldpMechanism):
-        return list(states.states)
-    return [as_matrix(s) for s in states]
 
 
 def admissible_mu_interval(frame: FusionFrame, epsilon: float) -> tuple[float, float]:
@@ -277,7 +275,7 @@ def tilde_family(mech, eta: float):
         raise ValidationError("eta must lie in (0, 1]")
     if isinstance(mech, QldpMechanism):
         avg = mech.average
-        states = tuple(eta * s + (1.0 - eta) * avg for s in mech.states)
+        states = tuple(validate_density(eta * s + (1.0 - eta) * avg) for s in mech.states)
         return QldpMechanism(states=states, epsilon=qldp_level(states))
     if isinstance(mech, LdpMechanism):
         avg = mech.q.mean(axis=1, keepdims=True)
@@ -287,12 +285,17 @@ def tilde_family(mech, eta: float):
 
 
 def induced_mechanism(mech: QldpMechanism, povm) -> LdpMechanism:
-    """Classical mechanism q(y|x) = Tr rho_x M_y obtained by measuring every state."""
-    elements = [validate_hermitian(m) for m in povm]
+    """Classical mechanism q(y|x) = Tr rho_x M_y obtained by measuring every state.
+
+    Elements must be PSD within ``POVM_TOL``; the clip below only removes rounding.
+    """
+    elements = [as_matrix(m) for m in povm]
+    if not all(is_psd(m, POVM_TOL) for m in elements):
+        raise ValidationError("measurement elements must be positive semi-definite")
     d = mech.dim
     if any(m.shape[0] != d for m in elements):
         raise ValidationError("measurement dimension mismatch")
-    if np.max(np.abs(sum(elements) - np.eye(d))) > 1e-9:
+    if np.max(np.abs(sum(elements) - np.eye(d))) > POVM_TOL:
         raise ValidationError("measurement elements must sum to the identity")
     q = np.array([[float(np.trace(s @ m).real) for s in mech.states] for m in elements])
     q = np.clip(q, 0.0, None)

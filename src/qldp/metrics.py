@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SupportMismatchError, ValidationError
-from .linalg import RANK_TOL, eigh, validate_density, validate_hermitian
+from .linalg import RANK_TOL, validate_density, validate_hermitian
 
 DEGENERACY_RTOL = 1e-12
 GOLDEN_TOL = 1e-12
@@ -76,23 +76,27 @@ def _metric_kernel(kind: MetricKind, lam: np.ndarray) -> np.ndarray:
     return np.where(near, diag, k)
 
 
-def petz_metric(rho0, x, y, kind: MetricKind) -> float:
-    """Monotone metric J[X, Y] of two Hermitian directions at a full-rank state."""
-    r0, full = validate_density(rho0)
-    if not full:
+def _spectral_form(rho0, x, y, kernel) -> float:
+    """sum_ij K[i, j] <j|X|i><i|Y|j> with K = kernel(spectrum) at a full-rank state."""
+    state = validate_density(rho0)
+    if not state.full_rank:
         raise DomainError("metric undefined at a rank-deficient state")
     xm = validate_hermitian(x)
-    ym = validate_hermitian(y)
-    if xm.shape != r0.shape or ym.shape != r0.shape:
+    ym = xm if y is x else validate_hermitian(y)
+    if xm.shape != state.matrix.shape or ym.shape != state.matrix.shape:
         raise ValidationError("dimension mismatch")
-    lam, u = eigh(r0)
+    u = state.eigenvectors
     xb = u.conj().T @ xm @ u
-    yb = u.conj().T @ ym @ u
-    kernel = _metric_kernel(kind, lam)
-    value = np.sum(kernel * xb.T * yb)
+    yb = xb if y is x else u.conj().T @ ym @ u
+    value = np.sum(kernel(state.eigenvalues) * xb.T * yb)
     if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
         raise ValidationError(f"metric value has a large imaginary part {value.imag:.3e}")
     return float(value.real)
+
+
+def petz_metric(rho0, x, y, kind: MetricKind) -> float:
+    """Monotone metric J[X, Y] of two Hermitian directions at a full-rank state."""
+    return _spectral_form(rho0, x, y, lambda lam: _metric_kernel(kind, lam))
 
 
 @dataclass(frozen=True)
@@ -155,31 +159,18 @@ def neg_ratio(s: float) -> OperatorConvexF:
 
 def induced_metric(rho0, x, y, f: OperatorConvexF) -> float:
     """Metric with the kernel induced by an operator convex F (not normalized)."""
-    r0, full = validate_density(rho0)
-    if not full:
-        raise DomainError("metric undefined at a rank-deficient state")
-    lam, u = eigh(r0)
-    xb = u.conj().T @ validate_hermitian(x) @ u
-    yb = u.conj().T @ validate_hermitian(y) @ u
-    value = np.sum(f.induced_kernel(lam) * xb.T * yb)
-    return float(value.real)
-
-
-def _full_rank_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
-    mat, full = validate_density(rho)
-    if not full:
-        raise SupportMismatchError("state is rank deficient")
-    return eigh(mat)
+    return _spectral_form(rho0, x, y, f.induced_kernel)
 
 
 def _overlap_weights(rho1, rho2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spectra (a, b) of both states and W[i, j] = |<u_i|v_j>|^2."""
-    a, ua = _full_rank_spectrum(rho1)
-    b, ub = _full_rank_spectrum(rho2)
-    if ua.shape != ub.shape:
+    s1, s2 = validate_density(rho1), validate_density(rho2)
+    if not (s1.full_rank and s2.full_rank):
+        raise SupportMismatchError("state is rank deficient")
+    if s1.matrix.shape != s2.matrix.shape:
         raise ValidationError("dimension mismatch")
-    w = np.abs(ua.conj().T @ ub) ** 2
-    return a, b, w
+    w = np.abs(s1.eigenvectors.conj().T @ s2.eigenvectors) ** 2
+    return s1.eigenvalues, s2.eigenvalues, w
 
 
 def petz_f_divergence(rho1, rho2, f: OperatorConvexF) -> float:
@@ -196,8 +187,7 @@ def relative_entropy(rho1, rho2) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho; eigenvalues within rank tolerance of 0 contribute nothing."""
-    mat, _ = validate_density(rho)
-    lam = np.linalg.eigvalsh(mat)
+    lam = validate_density(rho).eigenvalues
     lam = lam[lam > RANK_TOL]
     return float(-np.sum(lam * np.log(lam)))
 
@@ -205,15 +195,15 @@ def von_neumann_entropy(rho) -> float:
 def holevo_information(prior, states) -> float:
     """H(sum_x p(x) rho_x) - sum_x p(x) H(rho_x) for a prior over the states."""
     p = np.asarray(prior, dtype=float)
-    mats = [validate_hermitian(s) for s in states]
-    if len(mats) != p.size:
+    valid = [validate_density(s) for s in states]
+    if len(valid) != p.size:
         raise ValidationError("prior length must match the number of states")
     if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
         raise ValidationError("prior must be a probability vector")
-    if any(m.shape != mats[0].shape for m in mats):
+    if any(s.matrix.shape != valid[0].matrix.shape for s in valid):
         raise ValidationError("dimension mismatch")
-    barycenter = sum(w * m for w, m in zip(p, mats))
-    value = float(von_neumann_entropy(barycenter) - sum(w * von_neumann_entropy(m) for w, m in zip(p, mats)))
+    barycenter = sum(w * s.matrix for w, s in zip(p, valid))
+    value = float(von_neumann_entropy(barycenter) - sum(w * von_neumann_entropy(s) for w, s in zip(p, valid)))
     if value < -1e-10:
         raise ValidationError(f"negative information {value:.3e}")
     return value
@@ -257,14 +247,14 @@ def chernoff_information(rho1, rho2) -> float:
     """
     a, b, w = _overlap_weights(rho1, rho2)
     ln_a, ln_b = np.log(a), np.log(b)
+    return _chernoff(lambda s: float(np.exp(s * ln_a) @ w @ np.exp((1.0 - s) * ln_b)))
 
-    def objective(s: float) -> float:
-        return float(np.exp(s * ln_a) @ w @ np.exp((1.0 - s) * ln_b))
 
+def _chernoff(objective) -> float:
+    """-ln of the minimum of a convex overlap curve on [0, 1], endpoints included."""
     _, best = golden_min(objective, 0.0, 1.0)
     best = min(best, objective(0.0), objective(1.0))
-    value = -math.log(best)
-    return max(value, 0.0)
+    return max(-math.log(best), 0.0)
 
 
 def depolarize(rho, t: float) -> np.ndarray:
@@ -298,13 +288,7 @@ def classical_f_divergence(p, q, f: OperatorConvexF) -> float:
 def classical_chernoff(p, q) -> float:
     pv, qv = _positive_vector(p), _positive_vector(q)
     ln_p, ln_q = np.log(pv), np.log(qv)
-
-    def objective(s: float) -> float:
-        return float(np.sum(np.exp(s * ln_p + (1.0 - s) * ln_q)))
-
-    _, best = golden_min(objective, 0.0, 1.0)
-    best = min(best, objective(0.0), objective(1.0))
-    return max(-math.log(best), 0.0)
+    return _chernoff(lambda s: float(np.sum(np.exp(s * ln_p + (1.0 - s) * ln_q))))
 
 
 def classical_metric(p0, x, y, kind: MetricKind) -> float:

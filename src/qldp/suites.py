@@ -15,6 +15,7 @@ import numpy as np
 
 from .expansions import ScalarSelftestReport, scalar_selftests
 from .frames import build_eitff
+from .linalg import validate_density
 from .mechanisms import (
     QldpMechanism,
     induced_mechanism,
@@ -62,7 +63,7 @@ def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     violations, worst = 0, math.inf
     for i in range(count):
         d = DIMS[i % len(DIMS)]
-        rho0 = random_density(rng, d)
+        rho0 = validate_density(random_density(rng, d))
         x = random_hermitian(rng, d)
         lo = petz_metric(rho0, x, x, SLD)
         hi = petz_metric(rho0, x, x, RLD)
@@ -83,10 +84,10 @@ def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     checked = 0
     for i in range(count):
         d = DIMS[i % len(DIMS)]
-        rho1 = random_density(rng, d)
-        rho2 = random_density(rng, d)
+        rho1 = validate_density(random_density(rng, d))
+        rho2 = validate_density(random_density(rng, d))
         for t in (0.1, 0.5):
-            out1, out2 = depolarize(rho1, t), depolarize(rho2, t)
+            out1, out2 = (validate_density(depolarize(r, t)) for r in (rho1, rho2))
             before_after = [
                 (relative_entropy(rho1, rho2), relative_entropy(out1, out2)),
                 (chernoff_information(rho1, rho2), chernoff_information(out1, out2)),
@@ -116,7 +117,7 @@ def _mechanism_pool() -> list[QldpMechanism]:
 
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Measuring an eps-QLDP mechanism never induces a worse classical level."""
-    pool = [(m, qldp_level(m.states)) for m in _mechanism_pool()]
+    pool = [(m, qldp_level(m)) for m in _mechanism_pool()]
     violations, worst = 0, math.inf
     for i in range(count):
         mech, level = pool[i % len(pool)]
@@ -139,9 +140,10 @@ def eta_mixing_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult
         epsilon = float(rng.uniform(0.01, 0.25))
         eta = float(rng.uniform(0.05, 1.0))
         mech = sigma_star(n, epsilon)
+        # tilde_family declares the audited level of the mixed family.
         mixed = tilde_family(mech, eta)
         bound = eta * epsilon * (1.0 + math.sqrt(epsilon))
-        margin = bound + 1e-9 - qldp_level(mixed.states)
+        margin = bound + 1e-9 - mixed.epsilon
         worst = min(worst, margin)
         if margin < 0:
             violations += 1
@@ -173,7 +175,7 @@ def expansion_suite(seed: int) -> list:
     from .sampling import random_mean_zero_directions, random_traceless_hermitian
 
     rng = np.random.default_rng(seed)
-    rho0 = random_density(rng, 3, mix=0.3)
+    rho0 = validate_density(random_density(rng, 3, mix=0.3))
     x1 = random_traceless_hermitian(rng, 3, 0.5)
     x2 = random_traceless_hermitian(rng, 3, 0.5)
     reports = [

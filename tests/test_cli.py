@@ -231,6 +231,14 @@ def test_mech_bad_epsilon_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_mech_rank_deficient_sigma_star_exits_one(tmp_path, capsys):
+    # at eps = 30 the smallest eigenvalue of sigma* is ~7e-14, below RANK_TOL
+    out = tmp_path / "s.json"
+    assert run(["mech", "sigma-star", "--n", 3, "--eps", 30, "--out", out]) == 1
+    assert "full rank" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     good = tmp_path / "good.json"
     write_matrix(good, np.eye(2) / 2)

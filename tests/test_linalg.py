@@ -110,14 +110,36 @@ def test_growth_difference_is_psd():
 
 
 def test_validate_density():
-    _, full = validate_density(np.eye(2) / 2)
-    assert full
-    _, full = validate_density(np.diag([1.0, 0.0]))
-    assert not full
+    assert validate_density(np.eye(2) / 2).full_rank
+    assert not validate_density(np.diag([1.0, 0.0])).full_rank
     with pytest.raises(ValidationError):
         validate_density(np.diag([0.6, 0.6]))
     with pytest.raises(ValidationError):
         validate_density(np.diag([1.5, -0.5]))
+
+
+def test_validate_density_passes_a_state_through():
+    state = validate_density(random_density(np.random.default_rng(5), 3))
+    assert validate_density(state) is state
+    assert validate_hermitian(state) is state.matrix
+    lam, u = eigh(state)
+    assert lam is state.eigenvalues and u is state.eigenvectors
+    assert np.array_equal(lam, np.linalg.eigh(state.matrix)[0])
+
+
+@pytest.mark.parametrize("scale", [0.01, 100.0])
+@pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
+def test_hermitian_tolerance_boundary(factor, ok, scale):
+    # Tolerance 1e-12 (1 + ||H||).  The skew touches only the upper triangle,
+    # which eigh/eigvalsh do not read, so ||H|| is that of the unskewed matrix.
+    h = scale * random_hermitian(np.random.default_rng(6), 3)
+    h[0, 1] += factor * 1e-12 * (1.0 + operator_norm(h))
+    for check in (validate_hermitian, eigh, norms, is_psd):
+        if ok:
+            check(h)
+        else:
+            with pytest.raises(ValidationError):
+                check(h)
 
 
 def test_hermitian_tolerance_scales_with_norm():

@@ -12,6 +12,7 @@ from qldp.mechanisms import (
     LdpMechanism,
     QldpMechanism,
     admissible_mu_interval,
+    audit_ldp,
     audit_qldp,
     binary_mechanism,
     induced_mechanism,
@@ -286,6 +287,13 @@ def test_measurement_reduction_inequality():
         assert ldp_level(induced) <= level + 1e-9
 
 
+def test_induced_mechanism_rejects_non_psd_element():
+    mech = sigma_star(3, 1.0)  # dim 2
+    povm = [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]  # sums to I
+    with pytest.raises(ValidationError):
+        induced_mechanism(mech, povm)
+
+
 def test_mechanism_json_roundtrip_qldp(tmp_path):
     mech = sigma_star(4, 0.7)
     obj = mechanism_to_json(mech)
@@ -323,6 +331,16 @@ def test_qldp_mechanism_validation():
         QldpMechanism(states=(np.eye(2) / 2, np.eye(3) / 3), epsilon=1.0)
     with pytest.raises(ValidationError):
         LdpMechanism(q=np.array([[0.5, 0.6], [0.5, 0.5]]), epsilon=1.0)
+    with pytest.raises(SupportMismatchError):
+        QldpMechanism(states=(np.eye(2) / 2, np.diag([1.0, 0.0])), epsilon=1.0)
+
+
+def test_qldp_mechanism_requires_full_rank_states():
+    with pytest.raises(SupportMismatchError):
+        sigma_star(3, 30.0)  # smallest eigenvalue ~7e-14 < RANK_TOL
+    mech = sigma_star(3, 20.0)  # smallest eigenvalue ~1.5e-9
+    assert audit_qldp(mech, 20.0)
+    assert qldp_level(mech) == pytest.approx(20.0, rel=1e-9)
 
 
 BAD_EPSILONS = [0.0, -1.0, math.inf, math.nan]
@@ -352,6 +370,21 @@ def test_deserialization_rejects_bad_declared_epsilon(mech, epsilon):
     obj["epsilon"] = epsilon
     with pytest.raises(ValidationError):
         mechanism_from_json(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+def test_audits_reject_non_finite_epsilon(epsilon):
+    # both used to return True: e^inf * 0 is NaN, and ln ratio <= inf always holds
+    with pytest.raises(ValidationError):
+        audit_qldp(sigma_star(3, 1.0).states, epsilon)
+    with pytest.raises(ValidationError):
+        audit_ldp(binary_mechanism(3, 1.0), epsilon)
+
+
+def test_audit_qldp_counts_a_nan_eigenvalue_as_a_failure(monkeypatch):
+    mech = sigma_star(3, 1.0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([math.nan, 1.0]))
+    assert not audit_qldp(mech, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qldp.errors import DomainError, SupportMismatchError, ValidationError
+from qldp.linalg import validate_density
 from qldp.metrics import (
     BKM,
     KL,
@@ -19,6 +20,7 @@ from qldp.metrics import (
     classical_relative_entropy,
     depolarize,
     holevo_information,
+    induced_metric,
     neg_ratio,
     overlap,
     petz_f_divergence,
@@ -91,6 +93,55 @@ def test_metric_sandwich_property():
 def test_petz_metric_rejects_singular_state():
     with pytest.raises(DomainError):
         petz_metric(np.diag([1.0, 0.0]), PAULI_X, PAULI_X, BKM)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda a, b: petz_metric(a, b, b, BKM),
+        lambda a, b: induced_metric(a, b, b, KL),
+        lambda a, b: relative_entropy(a, b),
+        lambda a, b: holevo_information([0.5, 0.5], [a, b]),
+    ],
+    ids=["petz_metric", "induced_metric", "relative_entropy", "holevo"],
+)
+def test_dimension_mismatch_is_a_validation_error(fn):
+    with pytest.raises(ValidationError):
+        fn(np.eye(2) / 2, np.eye(3) / 3)
+
+
+def _count_spectral_calls(monkeypatch) -> dict:
+    counts = {"eigh": 0, "eigvalsh": 0, "norm": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("fn", [relative_entropy, chernoff_information])
+def test_divergence_decomposes_each_state_once(monkeypatch, fn):
+    rng = np.random.default_rng(40)
+    a, b = random_density(rng, 3), random_density(rng, 3)
+    counts = _count_spectral_calls(monkeypatch)
+    fn(a, b)
+    assert counts == {"eigh": 2, "eigvalsh": 0, "norm": 0}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.tag}{k.s or ''}")
+def test_metric_reuses_the_state_spectrum(monkeypatch, kind):
+    rng = np.random.default_rng(41)
+    state = validate_density(random_density(rng, 3))
+    x = random_hermitian(rng, 3)
+    expected = petz_metric(state.matrix, x, x, kind)
+    counts = _count_spectral_calls(monkeypatch)
+    assert petz_metric(state, x, x, kind) == expected
+    # One eigvalsh scales the hermiticity check of x; the state is not decomposed.
+    assert counts == {"eigh": 0, "eigvalsh": 1, "norm": 0}
 
 
 def test_fdiv_equal_states_kl_zero():
