@@ -14,11 +14,10 @@ from qldp.expansions import (
     check_chernoff_expansion,
     check_entropy_expansion,
     check_fdiv_expansion,
-    scalar_selftests,
 )
 from qldp.metrics import KL
 from qldp.sampling import random_density, random_traceless_hermitian
-from qldp.suites import expansion_suite
+from qldp.suites import expansion_suite, scalar_selftests
 
 rng = np.random.default_rng(7)
 rho0 = random_density(rng, 3, mix=0.3)
@@ -43,5 +42,5 @@ for rep in expansion_suite(42):
 
 # Scalar inequalities behind the threshold analysis.
 print("\nscalar self-tests:")
-for check in scalar_selftests().checks:
+for check in scalar_selftests():
     print(f"  {check.name:28s} instances {check.instances:6d}  violations {check.violations}")

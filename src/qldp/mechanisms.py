@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +36,14 @@ from .linalg import (
 COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
 POVM_TOL = 1e-9
+# The largest eps whose e^eps is a finite double.
+MAX_EPSILON = math.log(sys.float_info.max)
 
 
 def require_epsilon(epsilon: float) -> None:
-    """Reject a privacy level that is not finite and positive (NaN included)."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValidationError(f"privacy level must be finite and positive, got {epsilon}")
+    """Reject a privacy level that is not positive with a finite e^eps (NaN included)."""
+    if not 0.0 < epsilon <= MAX_EPSILON:
+        raise ValidationError(f"privacy level must be positive and at most {MAX_EPSILON:.6f}, got {epsilon}")
 
 
 @dataclass(frozen=True)

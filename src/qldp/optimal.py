@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .mechanisms import LdpMechanism
+from .mechanisms import LdpMechanism, require_epsilon
 
 
 def linprog(*args, **kwargs):
@@ -127,6 +127,7 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     """Exact classical optimum via the staircase-pattern LP (2^n variables)."""
     if utility.n != n:
         raise ValidationError("utility arity mismatch")
+    require_epsilon(epsilon)
     if n > 14:
         raise ValidationError("LP limited to n <= 14 (2^n variables)")
     theta = math.exp(epsilon) - 1.0
@@ -163,6 +164,7 @@ def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> f
         raise ValidationError("the symmetric reduction needs a symmetric utility")
     if utility.n != n:
         raise ValidationError("utility arity mismatch")
+    require_epsilon(epsilon)
     theta = math.exp(epsilon) - 1.0
     best = -math.inf
     for k in range(n + 1):

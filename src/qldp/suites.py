@@ -1,9 +1,12 @@
-"""Randomized property suites: metric ordering, data processing, measurement
-reduction, and mixing-level bounds.
+"""Randomized property suites and scalar self-tests: metric ordering, data
+processing, measurement reduction, mixing-level bounds, and the scalar
+inequalities behind the advantage thresholds.
 
-Each suite draws its instances from a seeded generator and reports the number
-of violations together with the worst margin observed (positive margins mean
-the property held with room to spare).
+Each check turns its instances (seeded draws or a fixed grid) into a list of
+margins, positive when the property held with room to spare, and
+:meth:`SuiteResult.tally` counts the violations and keeps the worst margin.
+:func:`expansion_suite` runs the finite-difference checks of
+:mod:`qldp.expansions` on seeded instances.
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import ScalarSelftestReport, scalar_selftests
+from .expansions import (
+    check_chernoff_expansion,
+    check_entropy_expansion,
+    check_fdiv_expansion,
+    check_overlap_expansion,
+    check_quadratic_assumption,
+)
 from .frames import build_eitff
 from .linalg import validate_density
 from .mechanisms import (
@@ -33,14 +42,24 @@ from .metrics import (
     SQUARED_DIFF,
     BKM,
     chernoff_information,
+    classical_f_divergence,
     depolarize,
+    holevo_information,
     neg_ratio,
+    overlap,
     petz_f_divergence,
     petz_metric,
     relative_entropy,
     wyd,
+    xlogx,
 )
-from .sampling import random_density, random_hermitian, random_povm
+from .sampling import (
+    random_density,
+    random_hermitian,
+    random_mean_zero_directions,
+    random_povm,
+    random_traceless_hermitian,
+)
 
 DIMS = (2, 3, 4)
 
@@ -56,11 +75,21 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.violations == 0
 
+    @classmethod
+    def tally(cls, name: str, margins, strict: bool = False) -> SuiteResult:
+        """One instance per margin; a negative or NaN margin is a violation, and so
+        is a zero one when ``strict``.  The worst margin is NaN if any margin is."""
+        margins = [float(m) for m in margins]
+        holds = (lambda m: m > 0) if strict else (lambda m: m >= 0)
+        violations = sum(not holds(m) for m in margins)
+        worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
+        return cls(name, len(margins), violations, worst)
+
 
 def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """J_sld[X,X] <= J_f[X,X] <= J_rld[X,X] for every normalized kernel."""
     kinds = [BKM, wyd(0.3), wyd(0.5), wyd(0.7)]
-    violations, worst = 0, math.inf
+    margins = []
     for i in range(count):
         d = DIMS[i % len(DIMS)]
         rho0 = validate_density(random_density(rng, d))
@@ -70,18 +99,14 @@ def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
         slack = 1e-9 * (1.0 + abs(hi))
         for kind in kinds:
             mid = petz_metric(rho0, x, x, kind)
-            margin = min(mid - lo + slack, hi - mid + slack)
-            worst = min(worst, margin)
-            if margin < 0:
-                violations += 1
-    return SuiteResult("monotone_metric_sandwich", count * len(kinds), violations, worst)
+            margins.append(min(mid - lo + slack, hi - mid + slack))
+    return SuiteResult.tally("monotone_metric_sandwich", margins)
 
 
 def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Divergences do not increase under the depolarizing channel."""
     fs = [KL, SQUARE, SQUARED_DIFF, neg_ratio(1.0)]
-    violations, worst = 0, math.inf
-    checked = 0
+    margins = []
     for i in range(count):
         d = DIMS[i % len(DIMS)]
         rho1 = validate_density(random_density(rng, d))
@@ -95,13 +120,8 @@ def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
             before_after += [
                 (petz_f_divergence(rho1, rho2, f), petz_f_divergence(out1, out2, f)) for f in fs
             ]
-            for before, after in before_after:
-                margin = before - after + 1e-9
-                checked += 1
-                worst = min(worst, margin)
-                if margin < 0:
-                    violations += 1
-    return SuiteResult("data_processing", checked, violations, worst)
+            margins += [before - after + 1e-9 for before, after in before_after]
+    return SuiteResult.tally("data_processing", margins)
 
 
 def _mechanism_pool() -> list[QldpMechanism]:
@@ -118,23 +138,20 @@ def _mechanism_pool() -> list[QldpMechanism]:
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Measuring an eps-QLDP mechanism never induces a worse classical level."""
     pool = [(m, qldp_level(m)) for m in _mechanism_pool()]
-    violations, worst = 0, math.inf
+    margins = []
     for i in range(count):
         mech, level = pool[i % len(pool)]
         outcomes = 2 + (i % 3)
         povm = random_povm(rng, mech.dim, outcomes)
         induced = induced_mechanism(mech, povm)
-        margin = level + 1e-9 - ldp_level(induced)
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
-    return SuiteResult("measurement_reduction", count, violations, worst)
+        margins.append(level + 1e-9 - ldp_level(induced))
+    return SuiteResult.tally("measurement_reduction", margins)
 
 
 def eta_mixing_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Mixing toward the average shrinks the level to at most eta eps (1 + sqrt(eps))."""
     ns = (2, 3, 4, 6)
-    violations, worst = 0, math.inf
+    margins = []
     for i in range(count):
         n = ns[i % len(ns)]
         epsilon = float(rng.uniform(0.01, 0.25))
@@ -143,18 +160,61 @@ def eta_mixing_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult
         # tilde_family declares the audited level of the mixed family.
         mixed = tilde_family(mech, eta)
         bound = eta * epsilon * (1.0 + math.sqrt(epsilon))
-        margin = bound + 1e-9 - mixed.epsilon
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
-    return SuiteResult("eta_mixing_level", count, violations, worst)
+        margins.append(bound + 1e-9 - mixed.epsilon)
+    return SuiteResult.tally("eta_mixing_level", margins)
+
+
+def scalar_selftests() -> tuple[SuiteResult, ...]:
+    """Grid checks of the scalar inequalities and the posterior ordering.
+
+    1. L(1+t) + L(1-t) > t^2 on 0 < |t| < 1.
+    2. T - 1 - ln T < t^2 / 8 with T = L(t+1)/t, for t > 0.
+    3. For the binary channel with input weights (1-u, u), u <= 1/2, the
+       posterior seen from the heavy output majorizes: D_F(P_{X|Y=1} || P_X)
+       >= D_F(P_{X|Y=0} || P_X) for operator convex F.
+
+    The first two inequalities are strict, so a zero margin violates them.
+    """
+    ts = [sign * i / 1000.0 for i in range(1, 1000) for sign in (1, -1)]
+    quadratic_lower = [xlogx(1.0 + t) + xlogx(1.0 - t) - t * t for t in ts]
+
+    eighth_upper = []
+    for t in [10.0 ** (k / 100.0) for k in range(-300, 201)]:  # 1e-3 .. 1e2
+        big_t = xlogx(t + 1.0) / t
+        eighth_upper.append(t * t / 8.0 - (big_t - 1.0 - math.log(big_t)))
+
+    fs = [KL, SQUARE, neg_ratio(0.5), neg_ratio(1.0), neg_ratio(2.0), neg_ratio(5.0)]
+    posterior_order = []
+    for iu in range(1, 101):
+        u = iu / 200.0  # (0, 1/2]
+        for eps10 in range(1, 21):
+            epsilon = eps10 / 10.0
+            grow = math.exp(epsilon)
+            prior = np.array([1.0 - u, u])
+            z0 = (1.0 - u) * (grow - 1.0) + 1.0
+            z1 = u * (grow - 1.0) + 1.0
+            post0 = np.array([(1.0 - u) * grow, u]) / z0
+            post1 = np.array([1.0 - u, u * grow]) / z1
+            posterior_order += [
+                classical_f_divergence(post1, prior, f) - classical_f_divergence(post0, prior, f) + 1e-12
+                for f in fs
+            ]
+
+    return (
+        SuiteResult.tally("xlogx_quadratic_lower", quadratic_lower, strict=True),
+        SuiteResult.tally("xlogx_eighth_upper", eighth_upper, strict=True),
+        SuiteResult.tally("posterior_divergence_order", posterior_order),
+    )
 
 
 def scalar_suite() -> SuiteResult:
-    report: ScalarSelftestReport = scalar_selftests()
-    worst = min(c.worst_margin for c in report.checks)
-    violations = sum(c.violations for c in report.checks)
-    return SuiteResult("scalar_selftests", report.total_instances, violations, worst)
+    checks = scalar_selftests()
+    return SuiteResult(
+        "scalar_selftests",
+        sum(c.instances for c in checks),
+        sum(c.violations for c in checks),
+        min(c.worst_margin for c in checks),
+    )
 
 
 def expansion_suite(seed: int) -> list:
@@ -164,16 +224,6 @@ def expansion_suite(seed: int) -> list:
     the last decade of the grid sits in the asymptotic regime of the
     remainder; see the fitted-order note in :mod:`qldp.expansions`.
     """
-    from .expansions import (
-        check_chernoff_expansion,
-        check_entropy_expansion,
-        check_fdiv_expansion,
-        check_overlap_expansion,
-        check_quadratic_assumption,
-    )
-    from .metrics import holevo_information, overlap
-    from .sampling import random_mean_zero_directions, random_traceless_hermitian
-
     rng = np.random.default_rng(seed)
     rho0 = validate_density(random_density(rng, 3, mix=0.3))
     x1 = random_traceless_hermitian(rng, 3, 0.5)

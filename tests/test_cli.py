@@ -222,6 +222,9 @@ def test_missing_file_exits_one(tmp_path):
         ["mech", "sigma-star", "--n", 3, "--eps", "inf"],
         ["mech", "sigma-star", "--n", 3, "--eps", "0"],
         ["mech", "binary", "--n", 3, "--eps", "-1"],
+        ["mech", "sigma-star", "--n", 3, "--eps", "800"],
+        ["mech", "binary", "--n", 3, "--eps", "800"],
+        ["mech", "subset", "--n", 3, "--k", 1, "--eps", "800"],
     ],
 )
 def test_mech_bad_epsilon_exits_one(tmp_path, capsys, argv):
@@ -229,6 +232,44 @@ def test_mech_bad_epsilon_exits_one(tmp_path, capsys, argv):
     assert run(argv + ["--out", out]) == 1
     assert "privacy level" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["opt", "lp", "--n", 3, "--eps", "-1"],
+        ["opt", "lp", "--n", 3, "--eps", "0"],
+        ["opt", "lp", "--n", 3, "--eps", "800"],
+        ["exp", "sweep", "--n", 3, "--eps", "0.5,800", "--out", "sweep.csv"],
+    ],
+)
+def test_lp_and_sweep_bad_epsilon_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "privacy level" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["sigma-star", "binary"])
+def test_mech_audit_of_overflowing_declared_epsilon_exits_one(tmp_path, capsys, kind):
+    mech = tmp_path / "m.json"
+    assert run(["mech", kind, "--n", 3, "--eps", "1.0", "--out", mech]) == 0
+    obj = json.loads(mech.read_text())
+    obj["epsilon"] = 800
+    mech.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["mech", "audit", mech]) == 1
+    assert "privacy level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_verify_all_rejects_count_below_one(capsys, count):
+    assert run(["verify", "all", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert "--count" in captured.err
+    assert captured.out == ""
 
 
 def test_mech_rank_deficient_sigma_star_exits_one(tmp_path, capsys):

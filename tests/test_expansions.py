@@ -11,11 +11,10 @@ from qldp.expansions import (
     check_fdiv_expansion,
     check_overlap_expansion,
     check_quadratic_assumption,
-    scalar_selftests,
 )
 from qldp.metrics import BKM, KL, SQUARE, SQUARED_DIFF, holevo_information, overlap, wyd
 from qldp.sampling import random_density, random_mean_zero_directions, random_traceless_hermitian
-from qldp.suites import expansion_suite
+from qldp.suites import expansion_suite, scalar_selftests
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -166,10 +165,10 @@ def test_expansion_suite_passes(seed):
 
 
 def test_scalar_selftests_pass():
-    report = scalar_selftests()
-    assert report.passed
-    assert report.total_instances >= 3000
-    names = {c.name for c in report.checks}
+    checks = scalar_selftests()
+    assert all(c.passed for c in checks)
+    assert sum(c.instances for c in checks) >= 3000
+    names = {c.name for c in checks}
     assert names == {"xlogx_quadratic_lower", "xlogx_eighth_upper", "posterior_divergence_order"}
 
 

@@ -289,7 +289,7 @@ def test_ratio_sweep_validation():
         closed_form_exponents(3, 0.5, 1.0, eta=0.0)
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan, 800.0])
 def test_exponents_reject_bad_epsilon(epsilon):
     for call in (
         lambda: closed_form_exponents(4, 0.5, epsilon),

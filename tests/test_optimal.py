@@ -206,3 +206,13 @@ def test_brute_force_lp_on_coarse_grid():
             if np.all(alpha >= -1e-12):
                 best = max(best, float(alpha[0] * values[i] + alpha[1] * values[j]))
     assert kairouz_lp(n, epsilon, utility).value == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan, 800.0])
+def test_lp_rejects_bad_epsilon(epsilon):
+    # eps = -1 used to return a positive optimum and eps = 800 an OverflowError
+    utility = mutual_information_utility(3)
+    with pytest.raises(ValidationError):
+        kairouz_lp(3, epsilon, utility)
+    with pytest.raises(ValidationError):
+        kairouz_lp_symmetric(3, epsilon, utility)
