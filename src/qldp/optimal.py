@@ -10,11 +10,13 @@ binary patterns z:
 
 For symmetric phi the LP collapses further to a maximum over the pattern
 weight k of phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
+
+A kernel's ``evaluate`` is batched: it takes an array whose last axis has
+length n and returns phi of each row, so every LP here makes one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,13 +38,15 @@ def linprog(*args, **kwargs):
 class SublinearUtility:
     """Symmetric positively homogeneous utility kernel with curvature metadata.
 
-    ``beta0`` is the second partial derivative of ``evaluate`` at the all-ones
-    vector; when not supplied analytically it is estimated by a central
-    second difference with step 1e-4.
+    ``evaluate`` takes an array of shape ``(..., n)`` and returns phi of each
+    row, shape ``(...)``; a single vector gives a 0-d value. ``beta0`` is
+    the second partial derivative of ``evaluate`` at the all-ones vector;
+    when not supplied analytically it is estimated by a central second
+    difference with step 1e-4.
     """
 
     n: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     symmetric: bool
     value_at_ones: float
     beta0: float
@@ -51,10 +55,10 @@ class SublinearUtility:
 
 def estimate_beta0(evaluate, n: int, step: float = 1e-4) -> float:
     """Central second difference of the utility kernel along the first coordinate."""
-    ones = np.ones(n)
-    bump = np.zeros(n)
-    bump[0] = step
-    return (evaluate(ones + bump) - 2.0 * evaluate(ones) + evaluate(ones - bump)) / step**2
+    points = np.ones((3, n))
+    points[:, 0] += (step, 0.0, -step)
+    up, mid, down = evaluate(points)
+    return float((up - 2.0 * mid + down) / step**2)
 
 
 def mutual_information_utility(n: int) -> SublinearUtility:
@@ -63,10 +67,10 @@ def mutual_information_utility(n: int) -> SublinearUtility:
     if n < 2:
         raise ValidationError("need at least two inputs")
 
-    def evaluate(z) -> float:
+    def evaluate(z):
         z = np.asarray(z, dtype=float)
-        m = z.mean()
-        return float(-m * math.log(m) + np.mean(z * np.log(z)))
+        m = z.mean(axis=-1)
+        return -m * np.log(m) + np.mean(z * np.log(z), axis=-1)
 
     return SublinearUtility(
         n=n,
@@ -84,10 +88,9 @@ def pairwise_sqrt_utility(n: int) -> SublinearUtility:
     if n < 2:
         raise ValidationError("need at least two inputs")
 
-    def evaluate(z) -> float:
+    def evaluate(z):
         z = np.asarray(z, dtype=float)
-        roots = np.sqrt(z)
-        return float(-(roots.sum() ** 2 - z.sum()) / (n * (n - 1)))
+        return -(np.sqrt(z).sum(axis=-1) ** 2 - z.sum(axis=-1)) / (n * (n - 1))
 
     return SublinearUtility(
         n=n,
@@ -116,11 +119,8 @@ def utility_of_mechanism(mech: LdpMechanism, utility: SublinearUtility) -> float
     """Sum of the utility kernel over outputs whose rows are entrywise positive."""
     if utility.n != mech.n_inputs:
         raise ValidationError("utility arity does not match the mechanism input size")
-    total = 0.0
-    for row in mech.q:
-        if np.all(row > 0):
-            total += utility.evaluate(row)
-    return total
+    rows = mech.q[np.all(mech.q > 0, axis=1)]
+    return float(np.sum(utility.evaluate(rows)))
 
 
 def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
@@ -131,9 +131,12 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     if n > 14:
         raise ValidationError("LP limited to n <= 14 (2^n variables)")
     theta = math.exp(epsilon) - 1.0
-    patterns = list(itertools.product((0, 1), repeat=n))
-    coeffs = np.array([utility.evaluate(1.0 + theta * np.array(z, dtype=float)) for z in patterns])
-    columns = np.array([1.0 + theta * np.array(z, dtype=float) for z in patterns]).T
+    # Row i is the binary expansion of i, first coordinate most significant:
+    # the order of itertools.product((0, 1), repeat=n).
+    patterns = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    rows = 1.0 + theta * patterns
+    coeffs = utility.evaluate(rows)
+    columns = rows.T
     res = linprog(
         c=-coeffs,
         A_eq=columns,
@@ -148,7 +151,7 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     residual = np.max(np.abs(columns @ alpha - 1.0))
     if residual > 1e-9:
         raise ValidationError(f"LP constraint residual {residual:.3e} too large")
-    weights = {patterns[i]: float(alpha[i]) for i in np.nonzero(alpha > 1e-12)[0]}
+    weights = {tuple(patterns[i].tolist()): float(alpha[i]) for i in np.nonzero(alpha > 1e-12)[0]}
     return LpSolution(value=float(coeffs @ alpha), weights=weights, status="optimal")
 
 
@@ -166,12 +169,9 @@ def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> f
         raise ValidationError("utility arity mismatch")
     require_epsilon(epsilon)
     theta = math.exp(epsilon) - 1.0
-    best = -math.inf
-    for k in range(n + 1):
-        vertex = np.ones(n)
-        vertex[:k] += theta
-        best = max(best, utility.evaluate(vertex) / (1.0 + theta * k / n))
-    return best
+    k = np.arange(n + 1)
+    vertices = 1.0 + theta * (np.arange(n) < k[:, None])
+    return float(np.max(utility.evaluate(vertices) / (1.0 + theta * k / n)))
 
 
 def asymptotic_prediction(n: int, phi_at_ones: float, beta0: float) -> tuple[float, float, float]:

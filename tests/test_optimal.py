@@ -1,8 +1,14 @@
+import dataclasses
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qldp.errors import ValidationError
 from qldp.exponents import classical_opt_asym
@@ -23,6 +29,31 @@ def xlogx(t):
     return t * math.log(t)
 
 
+def per_pattern_lp(n, epsilon, utility):
+    """The staircase LP built one pattern at a time: the oracle for the batched build."""
+    theta = math.exp(epsilon) - 1.0
+    patterns = list(itertools.product((0, 1), repeat=n))
+    coeffs = np.array([utility.evaluate(1.0 + theta * np.array(z, dtype=float)) for z in patterns])
+    columns = np.array([1.0 + theta * np.array(z, dtype=float) for z in patterns]).T
+    res = linprog(c=-coeffs, A_eq=columns, b_eq=np.ones(n), bounds=(0.0, None), method="highs")
+    if not res.success:
+        return "infeasible", math.nan, {}
+    alpha = np.clip(res.x, 0.0, None)
+    weights = {patterns[i]: float(alpha[i]) for i in np.nonzero(alpha > 1e-12)[0]}
+    return "optimal", float(coeffs @ alpha), weights
+
+
+def counting(utility):
+    """``utility`` with an ``evaluate`` that records how often it is called."""
+    calls = []
+
+    def evaluate(z):
+        calls.append(np.shape(z))
+        return utility.evaluate(z)
+
+    return dataclasses.replace(utility, evaluate=evaluate), calls
+
+
 @pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
 def test_utility_kernel_invariants(factory):
     rng = np.random.default_rng(0)
@@ -38,6 +69,22 @@ def test_utility_kernel_invariants(factory):
             perm = rng.permutation(n)
             assert utility.evaluate(z[perm]) == pytest.approx(value, abs=1e-10)
         assert utility.evaluate(np.ones(n)) == pytest.approx(utility.value_at_ones, abs=1e-12)
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+@pytest.mark.parametrize("n", [2, 5, 14])
+def test_batched_evaluate_matches_row_by_row(factory, n):
+    utility = factory(n)
+    rng = np.random.default_rng(n)
+    for m in (1, 7, 64):
+        stack = rng.uniform(0.05, 4.0, size=(m, n))
+        batched = utility.evaluate(stack)
+        assert batched.shape == (m,)
+        rows = np.array([utility.evaluate(row) for row in stack])
+        assert np.ndim(utility.evaluate(stack[0])) == 0
+        np.testing.assert_allclose(batched, rows, rtol=1e-15, atol=0.0)
+    cube = rng.uniform(0.05, 4.0, size=(3, 4, n))
+    assert utility.evaluate(cube).shape == (3, 4)
 
 
 @pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
@@ -79,6 +126,46 @@ def test_lp_two_inputs_reference_value():
     assert sol.value == pytest.approx(0.0566330122, abs=1e-9)
     assert sol.value == pytest.approx(kairouz_lp_symmetric(2, math.log(2.0), utility), abs=1e-9)
     assert sol.value == pytest.approx(classical_opt_asym(2, math.log(2.0)), abs=1e-9)
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+def test_lp_matches_per_pattern_oracle(factory):
+    for n in range(2, 9):
+        utility = factory(n)
+        for epsilon in (0.05, 0.4, 1.1, 2.0, 3.5):
+            status, value, weights = per_pattern_lp(n, epsilon, utility)
+            sol = kairouz_lp(n, epsilon, utility)
+            assert sol.status == status
+            assert sol.weights.keys() == weights.keys()
+            assert all(type(z) is tuple and all(type(b) is int for b in z) for z in sol.weights)
+            assert sol.value == pytest.approx(value, abs=1e-12)
+
+
+def test_each_lp_evaluates_the_utility_once():
+    n, epsilon = 6, 0.7
+    utility, calls = counting(mutual_information_utility(n))
+    kairouz_lp(n, epsilon, utility)
+    assert calls == [(2**n, n)]
+    calls.clear()
+    assert isinstance(kairouz_lp_symmetric(n, epsilon, utility), float)
+    assert calls == [(n + 1, n)]
+    calls.clear()
+    assert isinstance(utility_of_mechanism(binary_mechanism(n, epsilon), utility), float)
+    assert len(calls) == 1
+    calls.clear()
+    assert isinstance(estimate_beta0(utility.evaluate, n), float)
+    assert calls == [(3, n)]
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # linprog is imported on first use, so start-up (every CLI call) skips scipy
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, qldp, qldp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_lp_weights_are_feasible():
