@@ -22,14 +22,18 @@ from qldp import (
 
 # Three independent routes to the same number: the 2^n-variable LP, its
 # symmetric reduction, and (for mutual information) the split-size formula.
+# The LP is solved by column generation; its certificate bounds how far the
+# value can lie below the optimum: gap + n * max(reduced cost, 0).
 n, eps = 4, 0.8
 utility = mutual_information_utility(n)
 solution = kairouz_lp(n, eps, utility)
 print(f"mutual information, n={n}, eps={eps}:")
 print(f"  full LP           : {solution.value:.12f} (support {len(solution.weights)} patterns)")
 print(f"  symmetric reduction: {kairouz_lp_symmetric(n, eps, utility):.12f}")
+print(f"  certificate       : residual {solution.residual:.1e}, gap {solution.gap:.1e}, reduced cost {solution.reduced_cost:.1e}")
 
-# The optimal weights live on one pattern-weight class.
+# The optimal weights live on one pattern-weight class (at most n patterns:
+# the LP has n equality rows).
 for pattern, weight in sorted(solution.weights.items()):
     print(f"    pattern {pattern} weight {weight:.6f}")
 

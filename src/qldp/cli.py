@@ -298,7 +298,7 @@ def _cmd_opt(args) -> int:
     if run_full:
         sol = optimal.kairouz_lp(args.n, args.eps, utility)
         if sol.status != "optimal":
-            print("LP solver failed", file=sys.stderr)
+            print(f"LP solver failed: {sol.status}", file=sys.stderr)
             return 2
         print(f"full={_fmt(sol.value)} support={len(sol.weights)}")
     return 0

@@ -156,6 +156,8 @@ def classical_sym_term(n: int, k: int, epsilon: float) -> float:
         raise ValidationError("split size out of range")
     xi = math.exp(epsilon / 2.0)
     inner = 1.0 - (xi - 1.0) ** 2 * k * (n - k) / ((n - 1.0) * (k * xi * xi + n - k))
+    if not 0.0 < inner < math.inf:
+        raise ValidationError(f"symmetric exponent underflows at eps={epsilon}: 1 - overlap rounds to {inner}")
     return -math.log(inner)
 
 

@@ -8,8 +8,12 @@ binary patterns z:
     maximize   sum_z phi(1 + (e^eps - 1) z) alpha_z
     subject to sum_z alpha_z (1 + (e^eps - 1) z) = 1,   alpha >= 0.
 
-For symmetric phi the LP collapses further to a maximum over the pattern
-weight k of phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
+The LP has n equality rows, so an optimal vertex uses at most n patterns.
+``kairouz_lp`` finds one by column generation: it prices all 2^n patterns
+against the duals of a small restricted LP and adds the ones that can
+improve it, and it returns a certificate of optimality computed over every
+pattern. For symmetric phi the LP collapses further to a maximum over the
+pattern weight k of phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
 
 A kernel's ``evaluate`` is batched: it takes an array whose last axis has
 length n and returns phi of each row, so every LP here makes one call.
@@ -108,11 +112,33 @@ BUILTIN_UTILITIES = {
 }
 
 
+# A solution is accepted when its weights meet the rows to RESIDUAL_TOL and
+# its duals prove it within CERTIFICATE_TOL of the optimum, a tenth of the
+# 1e-9 at which the full LP is compared with the symmetric reduction.
+RESIDUAL_TOL = 1e-9
+CERTIFICATE_TOL = 1e-10
+# Patterns whose reduced cost is at most this stay out of the restricted LP:
+# n times it is far below CERTIFICATE_TOL, and rounding noise stays below it.
+PRICE_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class LpSolution:
+    """Optimum of the staircase LP with its certificate.
+
+    ``residual`` is the largest violation of the equality rows by the
+    weights, ``gap`` the distance between the primal value and the dual
+    value sum(y), and ``reduced_cost`` the largest phi_z - row_z . y over
+    all 2^n patterns (rows scaled to entries in {e^-eps, 1}). A status
+    other than "optimal" names the bound that failed; the value is then NaN.
+    """
+
     value: float
     weights: dict = field(default_factory=dict)
     status: str = "optimal"
+    residual: float = math.nan
+    gap: float = math.nan
+    reduced_cost: float = math.nan
 
 
 def utility_of_mechanism(mech: LdpMechanism, utility: SublinearUtility) -> float:
@@ -124,35 +150,83 @@ def utility_of_mechanism(mech: LdpMechanism, utility: SublinearUtility) -> float
 
 
 def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
-    """Exact classical optimum via the staircase-pattern LP (2^n variables)."""
+    """Exact classical optimum of the staircase-pattern LP, by column generation.
+
+    Each pattern's column 1 + (e^eps - 1) z is divided by e^eps when z != 0;
+    phi is positively homogeneous, so the optimum is unchanged and every
+    entry lies in {e^-eps, 1}. Starting from the always feasible z = 0, a
+    restricted LP over a few patterns is solved with HiGHS, its vertex and
+    duals y are recomputed on its support from the exact rows, all 2^n
+    patterns are priced against y in one pass, and up to n of those with a
+    positive reduced cost phi_z - row_z . y join it, until none is left.
+
+    Every scaled column has an entry equal to 1, so any feasible weights sum
+    to at most n and the optimum is at most sum(y) + n max(reduced cost, 0).
+    The solution is accepted only if that bound lies within CERTIFICATE_TOL
+    of its value and its weights meet the rows within RESIDUAL_TOL.
+    ``weights`` maps each support pattern to alpha_z of the unscaled LP.
+    """
     if utility.n != n:
         raise ValidationError("utility arity mismatch")
     require_epsilon(epsilon)
     if n > 14:
         raise ValidationError("LP limited to n <= 14 (2^n variables)")
-    theta = math.exp(epsilon) - 1.0
+    low = math.exp(-epsilon)
     # Row i is the binary expansion of i, first coordinate most significant:
     # the order of itertools.product((0, 1), repeat=n).
     patterns = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    rows = 1.0 + theta * patterns
+    rows = np.where(patterns == 1, 1.0, low)
+    rows[0] = 1.0
     coeffs = utility.evaluate(rows)
-    columns = rows.T
-    res = linprog(
-        c=-coeffs,
-        A_eq=columns,
-        b_eq=np.ones(n),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
-        # The uniform weight on z = 0 is always feasible, so failure is internal.
-        return LpSolution(value=math.nan, weights={}, status="infeasible")
-    alpha = np.clip(res.x, 0.0, None)
-    residual = np.max(np.abs(columns @ alpha - 1.0))
-    if residual > 1e-9:
-        raise ValidationError(f"LP constraint residual {residual:.3e} too large")
-    weights = {tuple(patterns[i].tolist()): float(alpha[i]) for i in np.nonzero(alpha > 1e-12)[0]}
-    return LpSolution(value=float(coeffs @ alpha), weights=weights, status="optimal")
+    ones = np.ones(n)
+    master = np.zeros(2**n, dtype=bool)
+    master[0] = True
+    y, reduced = np.zeros(n), coeffs
+    while True:
+        # HiGHS's tolerances are absolute (1e-10 at the tightest), so it solves
+        # for a correction to y: the reduced costs, scaled to magnitude 1.
+        scale = np.max(np.abs(reduced[master])) or 1.0
+        res = linprog(
+            c=-reduced[master] / scale,
+            A_eq=rows[master].T,
+            b_eq=ones,
+            bounds=(0.0, None),
+            method="highs",
+            options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10},
+        )
+        if not res.success:
+            # The uniform weight on z = 0 is always feasible, so failure is internal.
+            return LpSolution(value=math.nan, status=f"restricted LP failed: {res.message}")
+        # Recompute the vertex and its duals on its support from the exact rows:
+        # HiGHS drops matrix entries below 1e-9, which e^-eps is for eps > 20.7.
+        support = np.flatnonzero(master)[res.x > 0]
+        basis = rows[support]
+        alpha = np.zeros(2**n)
+        alpha[support] = np.clip(np.linalg.lstsq(basis.T, ones, rcond=None)[0], 0.0, None)
+        y = y - scale * res.eqlin.marginals
+        y += np.linalg.lstsq(basis, coeffs[support] - basis @ y, rcond=None)[0]
+        reduced = coeffs - rows @ y
+        pending = np.where(master, -np.inf, reduced)
+        best = np.argpartition(pending, -n)[-n:]
+        best = best[pending[best] > PRICE_TOL]
+        if not best.size:
+            break
+        master[best] = True
+    value = float(coeffs @ alpha)
+    residual = float(np.max(np.abs(rows.T @ alpha - 1.0)))
+    gap = abs(value - float(y.sum()))
+    reduced_cost = float(reduced.max())
+    bound = gap + n * max(reduced_cost, 0.0)
+    if residual > RESIDUAL_TOL:
+        status = f"primal residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
+    elif bound > CERTIFICATE_TOL:
+        status = f"duality gap + n * reduced cost {bound:.3e} exceeds {CERTIFICATE_TOL:g}"
+    else:
+        # Support by scaled mass: the unscaled alpha_z = e^-eps alpha'_z can be ~1e-217.
+        support = np.flatnonzero(alpha > 1e-12)
+        weights = {tuple(patterns[i].tolist()): float(alpha[i] * (low if i else 1.0)) for i in support}
+        return LpSolution(value, weights, "optimal", residual, gap, reduced_cost)
+    return LpSolution(math.nan, {}, status, residual, gap, reduced_cost)
 
 
 def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> float:
@@ -161,17 +235,17 @@ def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> f
     Averaging any feasible weight vector over coordinate permutations fixes
     the objective and the constraint, so an optimum lives on uniform weight
     classes; a linear objective over the resulting simplex is maximized by a
-    single class k, giving max_k phi_k / w_k.
+    single class k, giving max_k phi_k / w_k. As in ``kairouz_lp`` each
+    vertex with k >= 1 is divided by e^eps, so w_k is the mean of its entries.
     """
     if not utility.symmetric:
         raise ValidationError("the symmetric reduction needs a symmetric utility")
     if utility.n != n:
         raise ValidationError("utility arity mismatch")
     require_epsilon(epsilon)
-    theta = math.exp(epsilon) - 1.0
-    k = np.arange(n + 1)
-    vertices = 1.0 + theta * (np.arange(n) < k[:, None])
-    return float(np.max(utility.evaluate(vertices) / (1.0 + theta * k / n)))
+    vertices = np.where(np.arange(n) < np.arange(n + 1)[:, None], 1.0, math.exp(-epsilon))
+    vertices[0] = 1.0
+    return float(np.max(utility.evaluate(vertices) / vertices.mean(axis=1)))
 
 
 def asymptotic_prediction(n: int, phi_at_ones: float, beta0: float) -> tuple[float, float, float]:

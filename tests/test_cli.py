@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qldp import optimal
 from qldp.cli import main
 from qldp.linalg import matrix_to_json
 
@@ -125,6 +127,47 @@ def test_opt_lp_both_routes(capsys):
     sym = float(out.splitlines()[0].split("=")[1])
     full = float(out.splitlines()[1].split("=")[1].split()[0])
     assert sym == pytest.approx(full, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", ["500", "709"])
+def test_opt_lp_at_large_eps(capsys, eps):
+    # 500 used to fail in HiGHS (columns spanning ~1e217), 709 to overflow the MI kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["opt", "lp", "--n", 3, "--eps", eps]) == 0
+    out = capsys.readouterr().out.split()
+    fields = dict(part.split("=") for part in out)
+    assert float(fields["symmetric"]) == pytest.approx(math.log(3.0), abs=1e-9)
+    assert float(fields["full"]) == pytest.approx(math.log(3.0), abs=1e-9)
+    assert int(fields["support"]) >= 1
+
+
+def test_opt_lp_uncertified_exits_two(monkeypatch, capsys):
+    # HiGHS reports z = 0 alone as optimal every round: the duals recomputed on
+    # that support leave positive reduced costs, so the certificate must fail
+    solve = optimal.linprog
+
+    def stuck(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x = np.eye(len(res.x))[0]
+        return res
+
+    monkeypatch.setattr(optimal, "linprog", stuck)
+    sol = optimal.kairouz_lp(3, 0.5, optimal.mutual_information_utility(3))
+    assert sol.status != "optimal" and math.isnan(sol.value)
+    assert sol.reduced_cost > 1e-3
+    assert run(["opt", "lp", "--n", 3, "--eps", "0.5", "--full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reduced cost" in captured.err and "exceeds 1e-10" in captured.err
+
+
+def test_exp_sweep_underflow_names_eps(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["exp", "sweep", "--n", 3, "--eps", "400", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "eps=400" in err and "math domain error" not in err
+    assert not out.exists()
 
 
 def test_opt_predict(capsys):

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from qldp.errors import ValidationError
 from qldp.exponents import classical_opt_asym
-from qldp.mechanisms import LdpMechanism, binary_mechanism, sigma_star
+from qldp.mechanisms import MAX_EPSILON, LdpMechanism, binary_mechanism, sigma_star
 from qldp.metrics import holevo_information
 from qldp.optimal import (
     asymptotic_prediction,
@@ -30,7 +30,8 @@ def xlogx(t):
 
 
 def per_pattern_lp(n, epsilon, utility):
-    """The staircase LP built one pattern at a time: the oracle for the batched build."""
+    """The staircase LP built one pattern at a time and handed to HiGHS whole:
+    the oracle for column generation over the batched build."""
     theta = math.exp(epsilon) - 1.0
     patterns = list(itertools.product((0, 1), repeat=n))
     coeffs = np.array([utility.evaluate(1.0 + theta * np.array(z, dtype=float)) for z in patterns])
@@ -41,6 +42,17 @@ def per_pattern_lp(n, epsilon, utility):
     alpha = np.clip(res.x, 0.0, None)
     weights = {patterns[i]: float(alpha[i]) for i in np.nonzero(alpha > 1e-12)[0]}
     return "optimal", float(coeffs @ alpha), weights
+
+
+def assert_certified(sol, n, epsilon, utility):
+    """The unscaled weights meet the rows and give the value, and the certificate holds."""
+    theta = math.exp(epsilon) - 1.0
+    columns = np.array([1.0 + theta * np.array(z, dtype=float) for z in sol.weights])
+    alpha = np.array(list(sol.weights.values()))
+    np.testing.assert_allclose(alpha @ columns, 1.0, rtol=0.0, atol=1e-9)
+    assert float(utility.evaluate(columns) @ alpha) == pytest.approx(sol.value, abs=1e-12)
+    assert sol.residual <= 1e-9
+    assert sol.gap + n * max(sol.reduced_cost, 0.0) <= 1e-10
 
 
 def counting(utility):
@@ -136,9 +148,38 @@ def test_lp_matches_per_pattern_oracle(factory):
             status, value, weights = per_pattern_lp(n, epsilon, utility)
             sol = kairouz_lp(n, epsilon, utility)
             assert sol.status == status
-            assert sol.weights.keys() == weights.keys()
+            assert_certified(sol, n, epsilon, utility)
             assert all(type(z) is tuple and all(type(b) is int for b in z) for z in sol.weights)
             assert sol.value == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_lp_certifies_at_every_epsilon(factory, n):
+    # eps = 21 and 25: e^-eps is below the 1e-9 at which HiGHS drops matrix entries
+    utility = factory(n)
+    for epsilon in (1e-3, 0.01, 0.5, 2.0, 20.0, 21.0, 25.0, 100.0, 500.0, MAX_EPSILON):
+        sol = kairouz_lp(n, epsilon, utility)
+        assert sol.status == "optimal", (epsilon, sol.status)
+        assert sol.residual <= 1e-9
+        assert sol.gap + n * max(sol.reduced_cost, 0.0) <= 1e-10
+        assert 1 <= len(sol.weights) <= n
+        assert sol.value == pytest.approx(kairouz_lp_symmetric(n, epsilon, utility), abs=1e-9)
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+def test_symmetric_value_is_certified_by_a_uniform_dual(factory):
+    # y = (v/n) 1 is dual feasible for every pattern, so v bounds the full LP
+    # without solving it; columns are scaled by their largest entry
+    for n in (2, 3, 5, 8, 11, 14):
+        utility = factory(n)
+        patterns = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
+        for epsilon in (0.05, 0.5, 1.2, 3.0):
+            columns = 1.0 + (math.exp(epsilon) - 1.0) * patterns
+            rows = columns / columns.max(axis=1, keepdims=True)
+            v = kairouz_lp_symmetric(n, epsilon, utility)
+            reduced = utility.evaluate(rows) - rows @ np.full(n, v / n)
+            assert reduced.max() <= 1e-12, (n, epsilon)
 
 
 def test_each_lp_evaluates_the_utility_once():
