@@ -243,12 +243,10 @@ def _cmd_metric(args) -> int:
         return 0
     if args.action == "holevo":
         mech = _load_json(args.mech, mechanisms.mechanism_from_json)
+        states = mech.members
         if isinstance(mech, mechanisms.LdpMechanism):
-            states = [np.diag(mech.column(x).astype(complex)) for x in range(mech.n_inputs)]
-            n = mech.n_inputs
-        else:
-            states = list(mech.validated)
-            n = mech.n
+            states = [np.diag(column.astype(complex)) for column in states]
+        n = len(states)
         value = metrics.holevo_information(np.full(n, 1.0 / n), states)
         print(_fmt(value))
         return 0

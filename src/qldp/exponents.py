@@ -19,6 +19,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,23 +69,18 @@ class SweepRecord:
 def sym_exponent(mech, eta: float = 1.0) -> float:
     """min over pairs of the Chernoff information of the eta-mixed family."""
     fam = tilde_family(mech, eta)
-    if isinstance(fam, QldpMechanism):
-        items = fam.validated
-        pairwise = chernoff_information
-    else:
-        items = [fam.column(x) for x in range(fam.n_inputs)]
-        pairwise = classical_chernoff
-    return min(pairwise(items[i], items[j]) for i in range(len(items)) for j in range(i + 1, len(items)))
+    pairwise = chernoff_information if isinstance(fam, QldpMechanism) else classical_chernoff
+    return min(pairwise(a, b) for a, b in itertools.combinations(fam.members, 2))
 
 
 def asym_exponent(mech, eta: float = 1.0) -> float:
     """min over inputs of the relative entropy of a mixed state vs the family average."""
     fam = tilde_family(mech, eta)
     if isinstance(fam, QldpMechanism):
-        avg = validate_density(fam.average)
-        return min(relative_entropy(s, avg) for s in fam.validated)
-    avg = fam.q.mean(axis=1)
-    return min(classical_relative_entropy(fam.column(x), avg) for x in range(fam.n_inputs))
+        avg, divergence = validate_density(fam.average), relative_entropy
+    else:
+        avg, divergence = fam.average, classical_relative_entropy
+    return min(divergence(m, avg) for m in fam.members)
 
 
 # Closed forms for isoclinic mechanisms.
@@ -138,7 +134,7 @@ def closed_form_exponents(n: int, u: float, epsilon: float, eta: float = 1.0, mu
         mu = boundary_mu(u, c, epsilon)
     t = eta * mu + 1.0 - eta
     if not 0.0 < t < 1.0 / (1.0 - u):
-        raise DomainError(f"mixed noise weight {t} leaves the state space")
+        raise DomainError(f"n={n}, u={u}, eps={epsilon}, eta={eta}: mixed noise weight {t} leaves the state space")
     return ExponentPair(sym=-math.log(sym_overlap(t, u, c)), asym=asym_divergence(t, u))
 
 
@@ -229,17 +225,17 @@ def quantum_classical_gap(n: int, epsilon: float, mode: str) -> float:
     raise ValidationError("mode must be 'sym' or 'asym'")
 
 
-def advantage_crossover(n: int, mode: str, search_hi: float = 10.0, tol: float = 1e-10) -> float:
+def advantage_crossover(n: int, mode: str) -> float:
     """Smallest eps past the threshold where the quantum-classical gap changes sign.
 
-    Bisection on the first sign change found on (threshold, search_hi];
+    Bisection, to 1e-10, on the first sign change found on (threshold, 10];
     returns +inf when the gap stays positive on the whole range.
     """
     thr = advantage_threshold_sym(n) if mode == "sym" else advantage_threshold_asym(n)
     grid = 400
     lo = thr
     g_lo = quantum_classical_gap(n, lo, mode)
-    step = (search_hi - thr) / grid
+    step = (10.0 - thr) / grid
     hi = None
     for i in range(1, grid + 1):
         x = thr + i * step
@@ -250,7 +246,7 @@ def advantage_crossover(n: int, mode: str, search_hi: float = 10.0, tol: float =
         lo, g_lo = x, g
     if hi is None:
         return math.inf
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if quantum_classical_gap(n, mid, mode) > 0.0:
             lo = mid
@@ -284,12 +280,12 @@ def isoclinic_bound(n: int, epsilon: float, eta: float = 1.0, u_grid_size: int =
     return IsoclinicBound(sym=s_val, asym=a_val, u_sym=u_s, u_asym=u_a)
 
 
-def _refine_max(fn, grid: list[float], tol: float = 1e-10) -> tuple[float, float]:
+def _refine_max(fn, grid: list[float]) -> tuple[float, float]:
     values = [fn(u) for u in grid]
     best = max(range(len(grid)), key=values.__getitem__)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    u, neg_fu = golden_min(lambda v: -fn(v), lo, hi, tol)
+    u, neg_fu = golden_min(lambda v: -fn(v), lo, hi, 1e-10)
     if values[best] >= -neg_fu:
         return grid[best], values[best]
     return u, -neg_fu

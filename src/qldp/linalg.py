@@ -94,15 +94,15 @@ def eigh(m) -> Spectrum:
     return Spectrum(lam, u)
 
 
-def matrix_function(m, f: Callable[[np.ndarray], np.ndarray], rank_tol: float = RANK_TOL) -> np.ndarray:
+def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
-    Eigenvalues within ``rank_tol`` of zero are evaluated at exactly zero, so
+    Eigenvalues within ``RANK_TOL`` of zero are evaluated at exactly zero, so
     e.g. ``sqrt`` is safe on a numerically PSD input while ``log`` raises a
     :class:`DomainError` on a singular one.
     """
     lam, u = eigh(m)
-    lam = np.where(np.abs(lam) <= rank_tol, 0.0, lam)
+    lam = np.where(np.abs(lam) <= RANK_TOL, 0.0, lam)
     with np.errstate(all="ignore"):
         flam = np.asarray(f(lam), dtype=float)
     if not np.all(np.isfinite(flam)):

@@ -73,31 +73,37 @@ class LdpMechanism:
     def n_outputs(self) -> int:
         return self.q.shape[0]
 
-    def column(self, x: int) -> np.ndarray:
-        return self.q[:, x]
+    @property
+    def members(self) -> np.ndarray:
+        """The columns q(.|x), one row per input."""
+        return self.q.T
+
+    @property
+    def average(self) -> np.ndarray:
+        return self.q.mean(axis=1)
 
 
 @dataclass(frozen=True)
 class QldpMechanism:
     """Tuple of same-dimension full-rank density matrices with a declared level.
 
-    ``validated`` holds them as :class:`~qldp.linalg.State` objects with their spectra.
+    ``members`` holds them as :class:`~qldp.linalg.State` objects with their spectra.
     """
 
     states: tuple
     epsilon: float
-    validated: tuple = field(init=False, repr=False, compare=False)
+    members: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validated = tuple(validate_density(s) for s in self.states)
-        if len(validated) < 2:
+        members = tuple(validate_density(s) for s in self.states)
+        if len(members) < 2:
             raise ValidationError("mechanism needs at least 2 states")
-        if any(s.matrix.shape != validated[0].matrix.shape for s in validated):
+        if any(s.matrix.shape != members[0].matrix.shape for s in members):
             raise ValidationError("states have mixed dimensions")
-        if not all(s.full_rank for s in validated):
+        if not all(s.full_rank for s in members):
             raise SupportMismatchError("mechanism states must be full rank")
-        object.__setattr__(self, "states", tuple(s.matrix for s in validated))
-        object.__setattr__(self, "validated", validated)
+        object.__setattr__(self, "states", tuple(s.matrix for s in members))
+        object.__setattr__(self, "members", members)
 
     @property
     def n(self) -> int:
@@ -118,7 +124,7 @@ def qldp_level(states) -> float:
     Computed as the max over pairs of ln lambda_max(rho_x^{-1/2} rho_{x'} rho_x^{-1/2}).
     Raises :class:`SupportMismatchError` on rank-deficient states.
     """
-    valid = states.validated if isinstance(states, QldpMechanism) else [validate_density(s) for s in states]
+    valid = states.members if isinstance(states, QldpMechanism) else [validate_density(s) for s in states]
     if not all(s.full_rank for s in valid):
         raise SupportMismatchError("state is rank deficient; privacy level undefined")
     inv_sqrts = [(s.eigenvectors * s.eigenvalues**-0.5) @ s.eigenvectors.conj().T for s in valid]
@@ -144,23 +150,23 @@ def ldp_level(q) -> float:
     return level
 
 
-def audit_qldp(states, epsilon: float, tol: float = AUDIT_TOL) -> bool:
-    """True iff min eig(e^eps rho_x - rho_{x'}) >= -tol for every ordered pair."""
+def audit_qldp(states, epsilon: float) -> bool:
+    """True iff min eig(e^eps rho_x - rho_{x'}) >= -AUDIT_TOL for every ordered pair."""
     require_epsilon(epsilon)
     mats = [as_matrix(s) for s in (states.states if isinstance(states, QldpMechanism) else states)]
     grow = math.exp(epsilon)
     for x, x2 in itertools.permutations(range(len(mats)), 2):
         # Written so that a NaN eigenvalue counts as a failure.
-        if not np.linalg.eigvalsh(grow * mats[x] - mats[x2])[0] >= -tol:
+        if not np.linalg.eigvalsh(grow * mats[x] - mats[x2])[0] >= -AUDIT_TOL:
             return False
     return True
 
 
-def audit_ldp(q, epsilon: float, tol: float = AUDIT_TOL) -> bool:
-    """True iff all entry ratios within a row are <= e^eps (1 + tol)."""
+def audit_ldp(q, epsilon: float) -> bool:
+    """True iff all entry ratios within a row are <= e^eps (1 + AUDIT_TOL)."""
     require_epsilon(epsilon)
     try:
-        return ldp_level(q) <= epsilon + math.log1p(tol)
+        return ldp_level(q) <= epsilon + math.log1p(AUDIT_TOL)
     except SupportMismatchError:
         return False
 
@@ -272,18 +278,19 @@ def tilde_family(mech, eta: float):
     """Mix each state (or column) toward the family average with weight 1 - eta.
 
     Returns the same-shaped mechanism with rho_k replaced by
-    eta rho_k + (1 - eta) rho_avg; the declared level is re-derived by audit.
+    eta rho_k + (1 - eta) rho_avg and the same declared level, which mixing
+    cannot raise: rho~_{x'} <= eta e^eps rho_x + (1 - eta) rho_avg <= e^eps rho~_x.
+    Its audited level is :func:`qldp_level` (or :func:`ldp_level`) of the result.
     """
     if not 0.0 < eta <= 1.0:
         raise ValidationError("eta must lie in (0, 1]")
     if isinstance(mech, QldpMechanism):
         avg = mech.average
-        states = tuple(validate_density(eta * s + (1.0 - eta) * avg) for s in mech.states)
-        return QldpMechanism(states=states, epsilon=qldp_level(states))
+        states = tuple(eta * s + (1.0 - eta) * avg for s in mech.states)
+        return QldpMechanism(states=states, epsilon=mech.epsilon)
     if isinstance(mech, LdpMechanism):
-        avg = mech.q.mean(axis=1, keepdims=True)
-        q = eta * mech.q + (1.0 - eta) * avg
-        return LdpMechanism(q=q, epsilon=ldp_level(q))
+        q = eta * mech.q + (1.0 - eta) * mech.average[:, None]
+        return LdpMechanism(q=q, epsilon=mech.epsilon)
     raise ValidationError("expected an LdpMechanism or QldpMechanism")
 
 
@@ -321,7 +328,7 @@ def mechanism_to_json(mech) -> dict:
             "n": mech.n_inputs,
             "outputs": mech.n_outputs,
             "epsilon": mech.epsilon,
-            "q": [[float(v) for v in mech.q[:, x]] for x in range(mech.n_inputs)],
+            "q": [[float(v) for v in column] for column in mech.members],
         }
     raise ValidationError("expected an LdpMechanism or QldpMechanism")
 

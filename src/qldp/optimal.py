@@ -43,10 +43,9 @@ class SublinearUtility:
     """Symmetric positively homogeneous utility kernel with curvature metadata.
 
     ``evaluate`` takes an array of shape ``(..., n)`` and returns phi of each
-    row, shape ``(...)``; a single vector gives a 0-d value. ``beta0`` is
-    the second partial derivative of ``evaluate`` at the all-ones vector;
-    when not supplied analytically it is estimated by a central second
-    difference with step 1e-4.
+    row, shape ``(...)``; a single vector gives a 0-d value. ``beta0``, a
+    required field, is the second partial derivative of ``evaluate`` at the
+    all-ones vector; :func:`estimate_beta0` estimates it for a custom kernel.
     """
 
     n: int
@@ -57,8 +56,9 @@ class SublinearUtility:
     name: str = "custom"
 
 
-def estimate_beta0(evaluate, n: int, step: float = 1e-4) -> float:
-    """Central second difference of the utility kernel along the first coordinate."""
+def estimate_beta0(evaluate, n: int) -> float:
+    """Central second difference, step 1e-4, of the utility kernel along the first coordinate."""
+    step = 1e-4
     points = np.ones((3, n))
     points[:, 0] += (step, 0.0, -step)
     up, mid, down = evaluate(points)

@@ -53,6 +53,7 @@ from .metrics import (
     wyd,
     xlogx,
 )
+from .optimal import mutual_information_utility, pairwise_sqrt_utility
 from .sampling import (
     random_density,
     random_hermitian,
@@ -157,10 +158,9 @@ def eta_mixing_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult
         epsilon = float(rng.uniform(0.01, 0.25))
         eta = float(rng.uniform(0.05, 1.0))
         mech = sigma_star(n, epsilon)
-        # tilde_family declares the audited level of the mixed family.
-        mixed = tilde_family(mech, eta)
+        level = qldp_level(tilde_family(mech, eta))
         bound = eta * epsilon * (1.0 + math.sqrt(epsilon))
-        margins.append(bound + 1e-9 - mixed.epsilon)
+        margins.append(bound + 1e-9 - level)
     return SuiteResult.tally("eta_mixing_level", margins)
 
 
@@ -249,12 +249,8 @@ def expansion_suite(seed: int) -> list:
         total = sum(overlap(states[i], states[j], 0.5) for i in range(n) for j in range(n) if i != j)
         return -total / (n * (n - 1))
 
-    reports.append(
-        check_quadratic_assumption(holevo_eval, center, directions, BKM, (n - 1) / n**2, 0.0)
-    )
-    reports.append(
-        check_quadratic_assumption(pairwise_eval, center, directions, wyd(0.5), 1.0 / (2 * n), -1.0)
-    )
+    cases = ((holevo_eval, BKM, mutual_information_utility(n)), (pairwise_eval, wyd(0.5), pairwise_sqrt_utility(n)))
+    reports += [check_quadratic_assumption(f, center, directions, k, u.beta0, u.value_at_ones) for f, k, u in cases]
     return reports
 
 

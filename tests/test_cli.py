@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qldp import optimal
+from qldp import cli, optimal
 from qldp.cli import main
+from qldp.errors import ValidationError
 from qldp.linalg import matrix_to_json
 
 
@@ -168,6 +169,38 @@ def test_exp_sweep_underflow_names_eps(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "eps=400" in err and "math domain error" not in err
     assert not out.exists()
+
+
+def test_exp_sweep_closed_form_failure_names_eps(tmp_path, capsys):
+    # from eps = 37 the isoclinic noise weight rounds to 0, before the classical term underflows
+    out = tmp_path / "x.csv"
+    assert run(["exp", "sweep", "--n", 3, "--eps", "37", "--out", out]) == 1
+    assert "eps=37" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, expected", [("4", [4]), ("3,6,10", [3, 6, 10]), ("3..5", [3, 4, 5]), ("7..7", [7])]
+)
+def test_parse_int_list(text, expected):
+    assert cli._parse_int_list(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("0.5", [0.5]), ("0.1,2", [0.1, 2.0]), ("0.1:0.3:0.1", [0.1, 0.2, 0.3]), ("1:0:-0.5", [1.0, 0.5, 0.0])],
+)
+def test_parse_float_grid(text, expected):
+    assert cli._parse_float_grid(text) == expected
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(cli._parse_int_list, "5..3"), (cli._parse_float_grid, "1:0:0.1"), (cli._parse_float_grid, "0:1:0")],
+)
+def test_parsers_reject_empty_ranges_and_zero_steps(parse, text):
+    with pytest.raises(ValidationError):
+        parse(text)
 
 
 def test_opt_predict(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qldp import mechanisms
 from qldp.errors import DomainError, ValidationError
 from qldp.exponents import (
     advantage_crossover,
@@ -300,3 +301,22 @@ def test_exponents_reject_bad_epsilon(epsilon):
     ):
         with pytest.raises(ValidationError):
             call()
+
+
+def test_exponents_run_no_privacy_audit(monkeypatch):
+    # Mixing cannot raise a level, so neither exponent needs the mixed family's audited one.
+    mechs = (sigma_star(4, 0.5), binary_mechanism(3, 1.0))
+    calls = []
+    for name in ("qldp_level", "ldp_level", "audit_qldp", "audit_ldp"):
+        original = getattr(mechanisms, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mechanisms, name, counted)
+    for mech in mechs:
+        for eta in (1.0, 0.6):
+            sym_exponent(mech, eta)
+            asym_exponent(mech, eta)
+    assert calls == []

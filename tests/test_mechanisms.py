@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
@@ -70,6 +72,13 @@ def test_default_mu_saturates_privacy():
 def test_boundary_exactness(n, epsilon):
     mech = sigma_star(n, epsilon)
     assert qldp_level(mech.states) == pytest.approx(epsilon, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+@pytest.mark.parametrize("epsilon", [1e-4, 12.0])
+def test_boundary_exactness_at_extreme_epsilon(n, epsilon):
+    # near-flat states at 1e-4; at 12 the smallest eigenvalue is ~1e-7 (n = 12, d = 32)
+    assert qldp_level(sigma_star(n, epsilon)) == pytest.approx(epsilon, rel=1e-10, abs=0.0)
 
 
 def test_boundary_exactness_spot_value():
@@ -198,9 +207,9 @@ def test_binary_mechanism_columns():
     epsilon = 0.8
     grow = math.exp(epsilon)
     mech = binary_mechanism(3, epsilon)
-    assert np.allclose(mech.column(0), [grow / (grow + 1), 1 / (grow + 1)])
+    assert np.allclose(mech.members[0], [grow / (grow + 1), 1 / (grow + 1)])
     for x in (1, 2):
-        assert np.allclose(mech.column(x), [1 / (grow + 1), grow / (grow + 1)])
+        assert np.allclose(mech.members[x], [1 / (grow + 1), grow / (grow + 1)])
     assert ldp_level(mech) == pytest.approx(epsilon, abs=1e-12)
 
 
@@ -212,7 +221,7 @@ def test_binary_mechanism_two_inputs_is_randomized_response():
 def test_binary_mechanism_custom_split():
     mech = binary_mechanism(4, 1.0, split=(1, 4))
     grow = math.exp(1.0)
-    assert np.allclose(mech.column(3), [grow / (grow + 1), 1 / (grow + 1)])
+    assert np.allclose(mech.members[3], [grow / (grow + 1), 1 / (grow + 1)])
     with pytest.raises(ValidationError):
         binary_mechanism(4, 1.0, split=(0, 9))
 
@@ -224,7 +233,7 @@ def test_subset_mechanism_examples():
     mech = subset_mechanism(3, 1, epsilon)
     assert mech.n_outputs == 3
     for x in range(3):
-        col = mech.column(x)
+        col = mech.members[x]
         assert col[x] == pytest.approx(grow / (grow + 2.0), rel=1e-12)
         assert col.sum() == pytest.approx(1.0, abs=1e-12)
     assert ldp_level(mech) == pytest.approx(epsilon, abs=1e-12)
@@ -278,6 +287,20 @@ def test_tilde_family_classical():
     assert np.allclose(mixed.q, 0.5 * mech.q + 0.5 * avg)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    epsilon=st.floats(1e-3, 5.0),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_tilde_family_keeps_the_declared_level(n, epsilon, eta):
+    # rho~_{x'} <= eta e^eps rho_x + (1 - eta) rho_avg <= e^eps rho~_x
+    for mech, audit in ((sigma_star(n, epsilon), audit_qldp), (binary_mechanism(n, epsilon), audit_ldp)):
+        mixed = tilde_family(mech, eta)
+        assert mixed.epsilon == mech.epsilon
+        assert audit(mixed, mixed.epsilon)
+
+
 def test_measurement_reduction_inequality():
     rng = np.random.default_rng(6)
     mech = sigma_star(3, 1.0)
@@ -310,6 +333,24 @@ def test_mechanism_json_roundtrip_ldp():
     assert len(obj["q"]) == 4  # column-major: one list per input
     back = mechanism_from_json(obj)
     assert np.allclose(back.q, mech.q)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["sigma-star", "binary", "subset"]),
+    n=st.integers(2, 8),
+    epsilon=st.floats(1e-3, 5.0),
+    data=st.data(),
+)
+def test_mechanism_json_roundtrip_random(kind, n, epsilon, data):
+    if kind == "sigma-star":
+        mech = sigma_star(n, epsilon)
+    elif kind == "binary":
+        mech = binary_mechanism(n, epsilon)
+    else:
+        mech = subset_mechanism(n, data.draw(st.integers(1, n - 1)), epsilon)
+    obj = mechanism_to_json(mech)
+    assert mechanism_to_json(mechanism_from_json(json.loads(json.dumps(obj)))) == obj
 
 
 def test_deserialization_reaudits():

@@ -126,7 +126,7 @@ def test_mi_utility_equals_holevo_of_diagonal_embedding():
         q = rng.uniform(0.1, 1.0, size=(outputs, n))
         q /= q.sum(axis=0, keepdims=True)
         mech = LdpMechanism(q=q, epsilon=10.0)
-        states = [np.diag(mech.column(x).astype(complex)) for x in range(n)]
+        states = [np.diag(column.astype(complex)) for column in mech.members]
         chi = holevo_information(np.full(n, 1.0 / n), states)
         assert utility_of_mechanism(mech, mutual_information_utility(n)) == pytest.approx(chi, abs=1e-10)
 
