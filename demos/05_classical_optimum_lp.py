@@ -22,7 +22,7 @@ from qldp import (
 
 # Three independent routes to the same number: the 2^n-variable LP, its
 # symmetric reduction, and (for mutual information) the split-size formula.
-# The LP is solved by column generation; its certificate bounds how far the
+# The LP is solved by an in-package simplex; its certificate bounds how far the
 # value can lie below the optimum: gap + n * max(reduced cost, 0).
 n, eps = 4, 0.8
 utility = mutual_information_utility(n)

@@ -7,8 +7,9 @@ of a Hermitian argument, norms, and positivity tests.
 
 Each check decomposes its input once and reads ||H|| in the hermiticity
 tolerance rtol*(1+||H||) off that spectrum, so no validator runs an SVD.
-:func:`validate_density` returns a :class:`State` that keeps its ``eigh``;
-passed back in place of the matrix, a State is used as it is.
+:func:`validate_density` returns a :class:`State` that keeps its ``eigh``,
+and :func:`checked_hermitian` a :class:`Hermitian` that keeps its
+eigenvalues; passed back in place of the matrix, either is used as it is.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ class State:
     full_rank: bool
 
 
+@dataclass(frozen=True)
+class Hermitian:
+    """A matrix that passed the hermiticity check, with its ascending eigenvalues.
+
+    The arrays are shared, not copied: modifying them invalidates the check.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -61,6 +73,8 @@ def _checked_spectrum(m, vectors: bool = False):
     """(matrix, ascending eigenvalues, eigenvectors or None) after checking H = H^dag."""
     if isinstance(m, State):
         return m.matrix, m.eigenvalues, m.eigenvectors
+    if isinstance(m, Hermitian):
+        return (m.matrix, *np.linalg.eigh(m.matrix)) if vectors else (m.matrix, m.eigenvalues, None)
     a = as_matrix(m)
     lam, u = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     if a.size:
@@ -73,6 +87,14 @@ def _checked_spectrum(m, vectors: bool = False):
 def validate_hermitian(m) -> np.ndarray:
     """Return ``m`` as an array after checking H = H^dag up to rtol*(1+||H||)."""
     return _checked_spectrum(m)[0]
+
+
+def checked_hermitian(m) -> Hermitian:
+    """Check H = H^dag once; every later check of the result costs no decomposition."""
+    if isinstance(m, Hermitian):
+        return m
+    a, lam, _ = _checked_spectrum(m)
+    return Hermitian(a, lam)
 
 
 def validate_density(m) -> State:

@@ -9,11 +9,11 @@ binary patterns z:
     subject to sum_z alpha_z (1 + (e^eps - 1) z) = 1,   alpha >= 0.
 
 The LP has n equality rows, so an optimal vertex uses at most n patterns.
-``kairouz_lp`` finds one by column generation: it prices all 2^n patterns
-against the duals of a small restricted LP and adds the ones that can
-improve it, and it returns a certificate of optimality computed over every
-pattern. For symmetric phi the LP collapses further to a maximum over the
-pattern weight k of phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
+``kairouz_lp`` finds one with a dense revised simplex, written in numpy, on
+n x n bases that prices all 2^n patterns at every pivot, and it returns a
+certificate of optimality computed over every pattern. For symmetric phi
+the LP collapses further to a maximum over the pattern weight k of
+phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
 
 A kernel's ``evaluate`` is batched: it takes an array whose last axis has
 length n and returns phi of each row, so every LP here makes one call.
@@ -23,19 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .mechanisms import LdpMechanism, require_epsilon
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: it is most of ``import qldp``'s cost."""
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -117,9 +110,19 @@ BUILTIN_UTILITIES = {
 # 1e-9 at which the full LP is compared with the symmetric reduction.
 RESIDUAL_TOL = 1e-9
 CERTIFICATE_TOL = 1e-10
-# Patterns whose reduced cost is at most this stay out of the restricted LP:
-# n times it is far below CERTIFICATE_TOL, and rounding noise stays below it.
+# Patterns whose reduced cost is at most this do not enter the basis: n times
+# it is far below CERTIFICATE_TOL, and rounding noise stays below it.
 PRICE_TOL = 1e-14
+# The ratio test ignores pivots below this fraction of the largest one: with
+# an absolute threshold of 1e-12, n = 12 pairwise_sqrt at eps = 1e-4 pivots
+# on rounding noise and reaches a singular basis.
+PIVOT_RTOL = 1e-9
+# Ratios within this of the smallest count as tied, and the largest pivot
+# among them leaves the basis.
+RATIO_TOL = 1e-12
+# Every LP with n <= 14 and eps in [1e-5, MAX_EPSILON] ends within about 50
+# pivots; one stopped at this limit is left for the certificate to reject.
+MAX_PIVOTS = 1000
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,54 @@ def utility_of_mechanism(mech: LdpMechanism, utility: SublinearUtility) -> float
     return float(np.sum(utility.evaluate(rows)))
 
 
+class Vertex(NamedTuple):
+    """Where the simplex stopped: weights over every pattern, the duals, and the pivot count."""
+
+    alpha: np.ndarray
+    y: np.ndarray
+    nit: int
+
+
+def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
+    """Maximize coeffs . alpha subject to rows.T @ alpha = 1, alpha >= 0, by the revised primal simplex.
+
+    ``rows`` holds the (2^n, n) scaled patterns of :func:`kairouz_lp`, whose
+    n weight-one patterns form a feasible basis: e^-eps J + (1 - e^-eps) I,
+    with weights 1 / (1 + (n - 1) e^-eps) > 0. Each pivot solves the n x n
+    systems for the basic weights and the duals y from the exact rows,
+    prices every pattern as coeffs - rows @ y, and brings in the largest
+    reduced cost above PRICE_TOL. The leaving pattern has the largest pivot
+    among the near-smallest ratios. After MAX_PIVOTS pivots the current
+    vertex is returned as it is.
+    """
+    n = rows.shape[1]
+    basis = 1 << np.arange(n - 1, -1, -1)
+    ones = np.ones(n)
+    for nit in range(MAX_PIVOTS + 1):
+        block = rows[basis]
+        x = np.linalg.solve(block.T, ones)
+        y = np.linalg.solve(block, coeffs[basis])
+        reduced = coeffs - rows @ y
+        reduced[basis] = -np.inf
+        enter = int(np.argmax(reduced))
+        if reduced[enter] <= PRICE_TOL or nit == MAX_PIVOTS:
+            break
+        d = np.linalg.solve(block.T, rows[enter])
+        rising = np.flatnonzero(d > PIVOT_RTOL * np.max(np.abs(d)))
+        ratio = np.maximum(x[rising], 0.0) / d[rising]
+        tied = rising[ratio <= ratio.min() + RATIO_TOL]
+        basis[tied[np.argmax(d[tied])]] = enter
+    alpha = np.zeros(len(rows))
+    alpha[basis] = np.clip(x, 0.0, None)
+    return Vertex(alpha, y, nit)
+
+
 def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
-    """Exact classical optimum of the staircase-pattern LP, by column generation.
+    """Exact classical optimum of the staircase-pattern LP, with a certificate over all 2^n patterns.
 
     Each pattern's column 1 + (e^eps - 1) z is divided by e^eps when z != 0;
     phi is positively homogeneous, so the optimum is unchanged and every
-    entry lies in {e^-eps, 1}. Starting from the always feasible z = 0, a
-    restricted LP over a few patterns is solved with HiGHS, its vertex and
-    duals y are recomputed on its support from the exact rows, all 2^n
-    patterns are priced against y in one pass, and up to n of those with a
-    positive reduced cost phi_z - row_z . y join it, until none is left.
+    entry lies in {e^-eps, 1}. :func:`linprog` solves the scaled LP.
 
     Every scaled column has an entry equal to 1, so any feasible weights sum
     to at most n and the optimum is at most sum(y) + n max(reduced cost, 0).
@@ -178,44 +219,11 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     rows = np.where(patterns == 1, 1.0, low)
     rows[0] = 1.0
     coeffs = utility.evaluate(rows)
-    ones = np.ones(n)
-    master = np.zeros(2**n, dtype=bool)
-    master[0] = True
-    y, reduced = np.zeros(n), coeffs
-    while True:
-        # HiGHS's tolerances are absolute (1e-10 at the tightest), so it solves
-        # for a correction to y: the reduced costs, scaled to magnitude 1.
-        scale = np.max(np.abs(reduced[master])) or 1.0
-        res = linprog(
-            c=-reduced[master] / scale,
-            A_eq=rows[master].T,
-            b_eq=ones,
-            bounds=(0.0, None),
-            method="highs",
-            options={"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10},
-        )
-        if not res.success:
-            # The uniform weight on z = 0 is always feasible, so failure is internal.
-            return LpSolution(value=math.nan, status=f"restricted LP failed: {res.message}")
-        # Recompute the vertex and its duals on its support from the exact rows:
-        # HiGHS drops matrix entries below 1e-9, which e^-eps is for eps > 20.7.
-        support = np.flatnonzero(master)[res.x > 0]
-        basis = rows[support]
-        alpha = np.zeros(2**n)
-        alpha[support] = np.clip(np.linalg.lstsq(basis.T, ones, rcond=None)[0], 0.0, None)
-        y = y - scale * res.eqlin.marginals
-        y += np.linalg.lstsq(basis, coeffs[support] - basis @ y, rcond=None)[0]
-        reduced = coeffs - rows @ y
-        pending = np.where(master, -np.inf, reduced)
-        best = np.argpartition(pending, -n)[-n:]
-        best = best[pending[best] > PRICE_TOL]
-        if not best.size:
-            break
-        master[best] = True
+    alpha, y, _ = linprog(coeffs, rows)
     value = float(coeffs @ alpha)
     residual = float(np.max(np.abs(rows.T @ alpha - 1.0)))
     gap = abs(value - float(y.sum()))
-    reduced_cost = float(reduced.max())
+    reduced_cost = float((coeffs - rows @ y).max())
     bound = gap + n * max(reduced_cost, 0.0)
     if residual > RESIDUAL_TOL:
         status = f"primal residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"

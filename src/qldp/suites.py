@@ -24,7 +24,7 @@ from .expansions import (
     check_quadratic_assumption,
 )
 from .frames import build_eitff
-from .linalg import validate_density
+from .linalg import checked_hermitian, validate_density
 from .mechanisms import (
     QldpMechanism,
     induced_mechanism,
@@ -94,7 +94,7 @@ def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     for i in range(count):
         d = DIMS[i % len(DIMS)]
         rho0 = validate_density(random_density(rng, d))
-        x = random_hermitian(rng, d)
+        x = checked_hermitian(random_hermitian(rng, d))
         lo = petz_metric(rho0, x, x, SLD)
         hi = petz_metric(rho0, x, x, RLD)
         slack = 1e-9 * (1.0 + abs(hi))

@@ -144,14 +144,12 @@ def test_opt_lp_at_large_eps(capsys, eps):
 
 
 def test_opt_lp_uncertified_exits_two(monkeypatch, capsys):
-    # HiGHS reports z = 0 alone as optimal every round: the duals recomputed on
-    # that support leave positive reduced costs, so the certificate must fail
-    solve = optimal.linprog
-
-    def stuck(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.x = np.eye(len(res.x))[0]
-        return res
+    # The solver stops at z = 0 alone, whose duals (phi(1) / n) 1 leave
+    # positive reduced costs, so the certificate must fail
+    def stuck(coeffs, rows):
+        alpha = np.zeros(len(rows))
+        alpha[0] = 1.0
+        return optimal.Vertex(alpha, np.full(rows.shape[1], coeffs[0] / rows.shape[1]), 0)
 
     monkeypatch.setattr(optimal, "linprog", stuck)
     sol = optimal.kairouz_lp(3, 0.5, optimal.mutual_information_utility(3))

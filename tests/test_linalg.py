@@ -5,6 +5,7 @@ import pytest
 
 from qldp.errors import DomainError, ValidationError
 from qldp.linalg import (
+    checked_hermitian,
     eigh,
     is_psd,
     matrix_from_json,
@@ -127,6 +128,17 @@ def test_validate_density_passes_a_state_through():
     assert np.array_equal(lam, np.linalg.eigh(state.matrix)[0])
 
 
+def test_checked_hermitian_passes_through():
+    h = random_hermitian(np.random.default_rng(7), 3)
+    checked = checked_hermitian(h)
+    assert checked_hermitian(checked) is checked
+    assert validate_hermitian(checked) is checked.matrix
+    assert np.array_equal(checked.eigenvalues, np.linalg.eigvalsh(h))
+    assert norms(checked) == norms(h) and is_psd(checked) == is_psd(h)
+    lam, u = eigh(checked)
+    assert np.allclose((u * lam) @ u.conj().T, h, atol=1e-12)
+
+
 @pytest.mark.parametrize("scale", [0.01, 100.0])
 @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
 def test_hermitian_tolerance_boundary(factor, ok, scale):
@@ -134,7 +146,7 @@ def test_hermitian_tolerance_boundary(factor, ok, scale):
     # which eigh/eigvalsh do not read, so ||H|| is that of the unskewed matrix.
     h = scale * random_hermitian(np.random.default_rng(6), 3)
     h[0, 1] += factor * 1e-12 * (1.0 + operator_norm(h))
-    for check in (validate_hermitian, eigh, norms, is_psd):
+    for check in (validate_hermitian, checked_hermitian, eigh, norms, is_psd):
         if ok:
             check(h)
         else:

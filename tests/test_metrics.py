@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qldp.errors import DomainError, SupportMismatchError, ValidationError
-from qldp.linalg import validate_density
+from qldp.linalg import checked_hermitian, validate_density
 from qldp.metrics import (
     BKM,
     KL,
@@ -30,6 +30,7 @@ from qldp.metrics import (
     wyd,
 )
 from qldp.sampling import random_density, random_hermitian, random_unitary
+from qldp.suites import sandwich_suite
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ALL_KINDS = [SLD, RLD, BKM, wyd(0.3), wyd(0.5), wyd(0.7)]
@@ -142,6 +143,24 @@ def test_metric_reuses_the_state_spectrum(monkeypatch, kind):
     assert petz_metric(state, x, x, kind) == expected
     # One eigvalsh scales the hermiticity check of x; the state is not decomposed.
     assert counts == {"eigh": 0, "eigvalsh": 1, "norm": 0}
+
+
+def test_metric_reuses_a_checked_direction(monkeypatch):
+    rng = np.random.default_rng(42)
+    state = validate_density(random_density(rng, 3))
+    x = random_hermitian(rng, 3)
+    expected = [petz_metric(state, x, x, kind) for kind in ALL_KINDS]
+    checked = checked_hermitian(x)
+    counts = _count_spectral_calls(monkeypatch)
+    assert [petz_metric(state, checked, checked, kind) for kind in ALL_KINDS] == expected
+    assert counts == {"eigh": 0, "eigvalsh": 0, "norm": 0}
+
+
+def test_sandwich_suite_decomposes_each_instance_once(monkeypatch):
+    # one eigh of the state and one eigvalsh of the direction, for all six metrics
+    counts = _count_spectral_calls(monkeypatch)
+    assert sandwich_suite(np.random.default_rng(3), 9).passed
+    assert counts == {"eigh": 9, "eigvalsh": 9, "norm": 0}
 
 
 def test_fdiv_equal_states_kl_zero():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from qldp import optimal
 from qldp.errors import ValidationError
 from qldp.exponents import classical_opt_asym
 from qldp.mechanisms import MAX_EPSILON, LdpMechanism, binary_mechanism, sigma_star
@@ -31,7 +32,7 @@ def xlogx(t):
 
 def per_pattern_lp(n, epsilon, utility):
     """The staircase LP built one pattern at a time and handed to HiGHS whole:
-    the oracle for column generation over the batched build."""
+    the oracle for the in-package simplex over the batched build."""
     theta = math.exp(epsilon) - 1.0
     patterns = list(itertools.product((0, 1), repeat=n))
     coeffs = np.array([utility.evaluate(1.0 + theta * np.array(z, dtype=float)) for z in patterns])
@@ -198,15 +199,57 @@ def test_each_lp_evaluates_the_utility_once():
     assert calls == [(3, n)]
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    # linprog is imported on first use, so start-up (every CLI call) skips scipy
+def scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, qldp, qldp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # start-up (every CLI call) loads no scipy
+    assert scipy_modules_after("import sys, qldp, qldp.cli") == "[]"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import sys\nfrom qldp.optimal import kairouz_lp, pairwise_sqrt_utility\n"
+        "assert kairouz_lp(14, 0.5, pairwise_sqrt_utility(14)).status == 'optimal'",
+        "import sys\nfrom qldp.cli import main\n"
+        "assert main(['opt', 'lp', '--n', '10', '--eps', '0.7', '--full']) == 0",
+    ],
+    ids=["kairouz_lp", "opt_lp_full"],
+)
+def test_solving_the_lp_leaves_scipy_unloaded(code):
+    assert scipy_modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+@pytest.mark.parametrize("n", [2, 5, 9, 12, 14])
+def test_lp_certifies_at_edge_epsilons(factory, n):
+    # n = 12 pairwise_sqrt at eps = 1e-5 and 1e-4 reaches a singular basis when
+    # the ratio test takes pivots above an absolute threshold (d > 0, or d > 1e-12)
+    utility = factory(n)
+    for epsilon in (1e-5, 1e-4, 21.0, 40.0, MAX_EPSILON):
+        sol = kairouz_lp(n, epsilon, utility)
+        assert sol.status == "optimal", (epsilon, sol.status)
+        assert sol.residual <= 1e-9
+        assert sol.gap + n * max(sol.reduced_cost, 0.0) <= 1e-10
+        assert sol.value == pytest.approx(kairouz_lp_symmetric(n, epsilon, utility), abs=1e-9)
+
+
+def test_pivot_limit_leaves_the_certificate_to_fail(monkeypatch):
+    n, epsilon = 8, 0.5
+    utility = mutual_information_utility(n)
+    monkeypatch.setattr(optimal, "MAX_PIVOTS", 1)
+    sol = kairouz_lp(n, epsilon, utility)
+    assert sol.status != "optimal" and math.isnan(sol.value)
+    assert "reduced cost" in sol.status
 
 
 def test_lp_weights_are_feasible():
