@@ -353,7 +353,7 @@ def _cmd_reproduce(args) -> int:
         _sidecar(out, "fig1", {"n": ns, "eps": "0.05:2.0:0.05", "eta": 1.0}, len(records))
     elif args.target == "fig2":
         eps = _parse_float_grid("0.05:2.0:0.05")
-        records = exponents.ratio_sweep(10, eps, 1.0, alt_u=0.4)
+        records = _sweep([10], eps, 1.0, 0.4)
         _write_csv(out, SWEEP_COLUMNS, _sweep_rows(records))
         _sidecar(out, "fig2", {"n": [10], "eps": "0.05:2.0:0.05", "eta": 1.0, "alt_u": 0.4}, len(records))
     elif args.target == "thresholds":
@@ -367,11 +367,10 @@ def _cmd_reproduce(args) -> int:
         epsilon = 1e-3
         rows = []
         for n in range(2, 11):
-            pair = exponents.closed_form_exponents(n, 0.5, epsilon)
-            s_ratio = pair.sym / exponents.classical_opt_sym(n, epsilon)
-            a_ratio = pair.asym / exponents.classical_opt_asym(n, epsilon)
-            limit = n * (n - 1) / (2.0 * (n // 2) * ((n + 1) // 2))
-            rows.append([str(n), _fmt(s_ratio), _fmt(a_ratio), _fmt(limit)])
+            (record,) = exponents.ratio_sweep(n, [epsilon])
+            mi = optimal.mutual_information_utility(n)
+            limit = optimal.asymptotic_prediction(n, mi.value_at_ones, mi.beta0)[2]
+            rows.append([str(n), _fmt(record.s_ratio), _fmt(record.a_ratio), _fmt(limit)])
         _write_csv(out, ("n", "sym_ratio", "asym_ratio", "limit_ratio"), rows)
         _sidecar(out, "ratios", {"n": "2..10", "epsilon": epsilon}, len(rows))
     print(f"wrote {out}")

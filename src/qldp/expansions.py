@@ -7,8 +7,8 @@ ratio observed/predicted must approach 1 roughly linearly in t; the fitted
 slope of log|ratio - 1| against log t is reported and must stay >= 0.9, and
 the ratio error at the smallest t must stay <= 2% (:meth:`ExpansionReport.passes`).
 
-Below t = 1e-3 double-precision cancellation degrades the ratio, so the
-default grid stops there.
+Every check runs on the fixed grid DEFAULT_T_GRID, 1e-1 down to 1e-3: below
+t = 1e-3 double-precision cancellation degrades the ratio.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ class ExpansionReport:
         return bool(self.fitted_order >= 0.9 and self.ratio_errors[-1] <= 0.02)
 
 
-def _fitted_order(t_grid, ratio_errors) -> float:
+def _fitted_order(ratio_errors) -> float:
     # Fit over the three smallest usable points: remainder sign changes can
     # carve a dip into the coarse end of the curve, but a well-conditioned
     # instance has settled into its asymptotic slope by the last decade.
-    usable = [(t, e) for t, e in zip(t_grid, ratio_errors) if e >= NOISE_FLOOR]
+    usable = [(t, e) for t, e in zip(DEFAULT_T_GRID, ratio_errors) if e >= NOISE_FLOOR]
     usable = usable[-3:]
     if len(usable) < 2:
         return math.inf
@@ -72,88 +72,79 @@ def _fitted_order(t_grid, ratio_errors) -> float:
     return float(slope)
 
 
-def _make_report(name, t_grid, quad, observed) -> ExpansionReport:
-    predicted = [quad * t * t for t in t_grid]
+def _make_report(name, quad, observed) -> ExpansionReport:
+    predicted = [quad * t * t for t in DEFAULT_T_GRID]
     ratio_errors = []
     for p, o in zip(predicted, observed):
         # Degenerate zero-prediction directions fall back to the absolute error.
         ratio_errors.append(abs(o / p - 1.0) if p != 0.0 else abs(o))
     return ExpansionReport(
         name=name,
-        t_grid=tuple(t_grid),
+        t_grid=DEFAULT_T_GRID,
         predicted=tuple(predicted),
         observed=tuple(observed),
         ratio_errors=tuple(ratio_errors),
-        fitted_order=_fitted_order(t_grid, ratio_errors),
+        fitted_order=_fitted_order(ratio_errors),
     )
 
 
-def _check_grid(t_grid) -> tuple:
-    ts = tuple(float(t) for t in t_grid)
-    if not ts or any(t <= 0 for t in ts) or any(a <= b for a, b in zip(ts, ts[1:])):
-        raise ValidationError("t grid must be positive and strictly decreasing")
-    return ts
-
-
-def _check_direction(r0, x, t_max: float) -> np.ndarray:
+def _check_direction(r0, x) -> np.ndarray:
     xm = validate_hermitian(x)
     if abs(np.trace(xm)) > 1e-10:
         raise ValidationError("perturbation direction must be traceless")
-    lam = np.linalg.eigvalsh(r0.matrix + t_max * xm)
+    lam = np.linalg.eigvalsh(r0.matrix + DEFAULT_T_GRID[0] * xm)
     if lam[0] <= 1e-12:
         raise DomainError("grid point leaves the state space")
     return xm
 
 
-def _perturbed_pair(rho0, x1, x2, t_grid):
-    """Grid, base State and both checked directions of a two-state expansion check."""
-    ts = _check_grid(t_grid)
+def _perturbed_pair(rho0, x1, x2):
+    """Base State and both checked directions of a two-state expansion check."""
     r0 = validate_density(rho0)
-    return ts, r0, _check_direction(r0, x1, ts[0]), _check_direction(r0, x2, ts[0])
+    return r0, _check_direction(r0, x1), _check_direction(r0, x2)
 
 
-def check_fdiv_expansion(rho0, x1, x2, f: OperatorConvexF, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
+def check_fdiv_expansion(rho0, x1, x2, f: OperatorConvexF) -> ExpansionReport:
     """F-divergence of two perturbed states vs half the induced metric form."""
     if abs(float(f(np.array(1.0)))) > 1e-12:
         raise ValidationError("the expansion needs F(1) = 0")
-    ts, r0, d1, d2 = _perturbed_pair(rho0, x1, x2, t_grid)
+    r0, d1, d2 = _perturbed_pair(rho0, x1, x2)
     dx = d1 - d2
     quad = 0.5 * induced_metric(r0, dx, dx, f)
-    observed = [petz_f_divergence(r0.matrix + t * d1, r0.matrix + t * d2, f) for t in ts]
-    return _make_report(f"fdiv_{f.tag}", ts, quad, observed)
+    observed = [petz_f_divergence(r0.matrix + t * d1, r0.matrix + t * d2, f) for t in DEFAULT_T_GRID]
+    return _make_report(f"fdiv_{f.tag}", quad, observed)
 
 
-def check_entropy_expansion(rho0, x, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
+def check_entropy_expansion(rho0, x) -> ExpansionReport:
     """Negentropy increment minus its linear term vs half the BKM form."""
-    ts = _check_grid(t_grid)
     r0 = validate_density(rho0)
-    xm = _check_direction(r0, x, ts[0])
+    xm = _check_direction(r0, x)
     log_r0 = matrix_function(r0, np.log)
     linear = float(np.trace(log_r0 @ xm).real)
     h0 = von_neumann_entropy(r0)
     quad = 0.5 * petz_metric(r0, xm, xm, BKM)
-    observed = [h0 - von_neumann_entropy(r0.matrix + t * xm) - t * linear for t in ts]
-    return _make_report("entropy", ts, quad, observed)
+    observed = [h0 - von_neumann_entropy(r0.matrix + t * xm) - t * linear for t in DEFAULT_T_GRID]
+    return _make_report("entropy", quad, observed)
 
 
-def check_chernoff_expansion(rho0, x1, x2, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
+def check_chernoff_expansion(rho0, x1, x2) -> ExpansionReport:
     """Chernoff information of two perturbed states vs one eighth of the wyd(1/2) form."""
-    ts, r0, d1, d2 = _perturbed_pair(rho0, x1, x2, t_grid)
+    r0, d1, d2 = _perturbed_pair(rho0, x1, x2)
     dx = d1 - d2
     quad = petz_metric(r0, dx, dx, wyd(0.5)) / 8.0
-    observed = [chernoff_information(r0.matrix + t * d1, r0.matrix + t * d2) for t in ts]
-    return _make_report("chernoff", ts, quad, observed)
+    observed = [chernoff_information(r0.matrix + t * d1, r0.matrix + t * d2) for t in DEFAULT_T_GRID]
+    return _make_report("chernoff", quad, observed)
 
 
-def check_overlap_expansion(rho0, x1, x2, s: float, t_grid=DEFAULT_T_GRID) -> ExpansionReport:
+def check_overlap_expansion(rho0, x1, x2, s: float) -> ExpansionReport:
     """Overlap deficit 1 - Tr rho_1^s rho_2^{1-s} vs (s(1-s)/2) times the wyd(s) form."""
     if not 0.0 < s < 1.0:
         raise ValidationError("s must lie in (0, 1)")
-    ts, r0, d1, d2 = _perturbed_pair(rho0, x1, x2, t_grid)
+    r0, d1, d2 = _perturbed_pair(rho0, x1, x2)
     dx = d1 - d2
     quad = 0.5 * s * (1.0 - s) * petz_metric(r0, dx, dx, wyd(s))
-    observed = [1.0 - overlap(r0.matrix + t * d1, r0.matrix + t * d2, s) for t in ts]
-    return _make_report(f"overlap_s{s:g}", ts, quad, observed)
+    observed = [1.0 - overlap(r0.matrix + t * d1, r0.matrix + t * d2, s) for t in DEFAULT_T_GRID]
+    return _make_report(f"overlap_s{s:g}", quad, observed)
 
 
 def check_quadratic_assumption(
@@ -163,7 +154,6 @@ def check_quadratic_assumption(
     kind,
     beta0: float,
     phi_at_ones: float = 0.0,
-    t_grid=DEFAULT_T_GRID,
 ) -> ExpansionReport:
     """Utility increment of a perturbed family vs the metric quadratic form.
 
@@ -171,9 +161,8 @@ def check_quadratic_assumption(
     directions have to sum to zero; the predicted quadratic term is
     (beta0 n / (2 (n-1))) sum_i J[t delta_i, t delta_i].
     """
-    ts = _check_grid(t_grid)
     r0 = validate_density(rho_avg)
-    dirs = [_check_direction(r0, x, ts[0]) for x in directions]
+    dirs = [_check_direction(r0, x) for x in directions]
     n = len(dirs)
     if n < 2:
         raise ValidationError("need at least two directions")
@@ -182,5 +171,5 @@ def check_quadratic_assumption(
         raise ValidationError("directions must have zero mean")
     j_sum = sum(petz_metric(r0, x, x, kind) for x in dirs)
     quad = beta0 * n / (2.0 * (n - 1.0)) * j_sum
-    observed = [evaluator([r0.matrix + t * x for x in dirs]) - phi_at_ones for t in ts]
-    return _make_report("quadratic_assumption", ts, quad, observed)
+    observed = [evaluator([r0.matrix + t * x for x in dirs]) - phi_at_ones for t in DEFAULT_T_GRID]
+    return _make_report("quadratic_assumption", quad, observed)

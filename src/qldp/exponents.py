@@ -37,6 +37,10 @@ from .metrics import (
 )
 
 
+# Points in the rank-ratio grid that isoclinic_bound scans before refining.
+U_GRID_SIZE = 2048
+
+
 class ExponentPair(NamedTuple):
     sym: float
     asym: float
@@ -255,33 +259,29 @@ def advantage_crossover(n: int, mode: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def isoclinic_bound(n: int, epsilon: float, eta: float = 1.0, u_grid_size: int = 2048) -> IsoclinicBound:
+def isoclinic_bound(n: int, epsilon: float, eta: float = 1.0) -> IsoclinicBound:
     """Best exponents over the rank-ratio family u in [1/n, 1/2].
 
-    Grid scan followed by golden-section refinement around the best cell
-    (the curves are smooth but not proven unimodal); refinement tolerance
-    1e-10 in u.
+    One scan of a fixed U_GRID_SIZE-point grid, then golden-section
+    refinement of each exponent around its best cell (the curves are smooth
+    but not proven unimodal); refinement tolerance 1e-10 in u.
     """
-    if u_grid_size < 2:
-        raise ValidationError("grid needs at least two points")
     lo, hi = 1.0 / n, 0.5
 
-    def sym_at(u: float) -> float:
-        return closed_form_exponents(n, u, epsilon, eta).sym
-
-    def asym_at(u: float) -> float:
-        return closed_form_exponents(n, u, epsilon, eta).asym
+    def pair_at(u: float) -> ExponentPair:
+        return closed_form_exponents(n, u, epsilon, eta)
 
     if hi - lo < 1e-15:
-        return IsoclinicBound(sym=sym_at(lo), asym=asym_at(lo), u_sym=lo, u_asym=lo)
-    us = [lo + (hi - lo) * i / (u_grid_size - 1) for i in range(u_grid_size)]
-    u_s, s_val = _refine_max(sym_at, us)
-    u_a, a_val = _refine_max(asym_at, us)
+        pair = pair_at(lo)
+        return IsoclinicBound(sym=pair.sym, asym=pair.asym, u_sym=lo, u_asym=lo)
+    us = [lo + (hi - lo) * i / (U_GRID_SIZE - 1) for i in range(U_GRID_SIZE)]
+    pairs = [pair_at(u) for u in us]
+    u_s, s_val = _refine_max(lambda u: pair_at(u).sym, us, [p.sym for p in pairs])
+    u_a, a_val = _refine_max(lambda u: pair_at(u).asym, us, [p.asym for p in pairs])
     return IsoclinicBound(sym=s_val, asym=a_val, u_sym=u_s, u_asym=u_a)
 
 
-def _refine_max(fn, grid: list[float]) -> tuple[float, float]:
-    values = [fn(u) for u in grid]
+def _refine_max(fn, grid: list[float], values: list[float]) -> tuple[float, float]:
     best = max(range(len(grid)), key=values.__getitem__)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]

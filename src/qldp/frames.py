@@ -40,14 +40,12 @@ class FusionFrame:
     projections: tuple
     c: float
 
-    @property
-    def u(self) -> float:
-        """Rank-to-dimension ratio r/d."""
-        return self.r / self.d
-
 
 @dataclass(frozen=True)
 class FrameCertificate:
+    """``c_observed`` is the constant (nr - d)/(d(n - 1)) of the inferred rank r that the
+    residuals are measured against, not a value estimated from the input."""
+
     is_tight: bool
     is_ectff: bool
     is_eitff: bool

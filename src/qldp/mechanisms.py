@@ -54,6 +54,7 @@ class LdpMechanism:
     epsilon: float
 
     def __post_init__(self):
+        require_epsilon(self.epsilon)
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] < 2 or q.shape[1] < 2:
             raise ValidationError("mechanism needs at least 2 outputs and 2 inputs")
@@ -95,6 +96,7 @@ class QldpMechanism:
     members: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_epsilon(self.epsilon)
         members = tuple(validate_density(s) for s in self.states)
         if len(members) < 2:
             raise ValidationError("mechanism needs at least 2 states")
@@ -151,9 +153,12 @@ def ldp_level(q) -> float:
 
 
 def audit_qldp(states, epsilon: float) -> bool:
-    """True iff min eig(e^eps rho_x - rho_{x'}) >= -AUDIT_TOL for every ordered pair."""
+    """True iff min eig(e^eps rho_x - rho_{x'}) >= -AUDIT_TOL for every ordered pair.
+
+    Raw states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
+    """
     require_epsilon(epsilon)
-    mats = [as_matrix(s) for s in (states.states if isinstance(states, QldpMechanism) else states)]
+    mats = states.states if isinstance(states, QldpMechanism) else [validate_hermitian(s) for s in states]
     grow = math.exp(epsilon)
     for x, x2 in itertools.permutations(range(len(mats)), 2):
         # Written so that a NaN eigenvalue counts as a failure.
@@ -212,25 +217,33 @@ def sigma_star(n: int, epsilon: float) -> QldpMechanism:
     return isoclinic_mechanism(build_eitff(n), epsilon)
 
 
-def jordan_eigenvalues(p_i, p_j, epsilon: float, c: float | None = None) -> tuple[float, float]:
+def jordan_eigenvalues(p_i, p_j, epsilon: float) -> tuple[float, float]:
     """Extreme eigenvalues of e^eps P_i - P_j for an equi-isoclinic pair.
 
     Closed form e^{eps/2} (sinh(eps/2) pm sqrt(sinh^2(eps/2) + 1 - c)); the
     two projections decompose into identical 2x2 blocks of overlap c, so the
-    pair spectrum is determined by c alone.  ``c`` is inferred from
-    Tr P_i P_j / r when omitted.
+    pair spectrum is determined by c = Tr P_i P_j / r alone.
     """
     a = validate_hermitian(p_i)
     b = validate_hermitian(p_j)
     if a.shape != b.shape:
         raise ValidationError("projections have mixed dimensions")
-    if c is None:
-        r = int(round(np.trace(a).real))
-        c = float(np.trace(a @ b).real / r)
+    r = int(round(np.trace(a).real))
+    c = float(np.trace(a @ b).real / r)
     sh = math.sinh(epsilon / 2)
     root = math.sqrt(sh * sh + 1.0 - c)
     scale = math.exp(epsilon / 2)
     return scale * (sh + root), scale * (sh - root)
+
+
+def _block_mechanism(member: np.ndarray, epsilon: float) -> LdpMechanism:
+    """q(y|x) = (e^eps if x in block y else 1) / Z from a boolean (outputs, inputs) membership
+    matrix; every input lies in the same number h of blocks, so Z = h e^eps + (outputs - h)."""
+    require_epsilon(epsilon)
+    grow = math.exp(epsilon)
+    hits = int(member[:, 0].sum())
+    z = hits * grow + (len(member) - hits)
+    return LdpMechanism(q=np.where(member, grow, 1.0) / z, epsilon=epsilon)
 
 
 def binary_mechanism(n: int, epsilon: float, split=None) -> LdpMechanism:
@@ -241,17 +254,11 @@ def binary_mechanism(n: int, epsilon: float, split=None) -> LdpMechanism:
     """
     if n < 2:
         raise ValidationError("need at least two inputs")
-    require_epsilon(epsilon)
     block = set(range(1, n // 2 + 1)) if split is None else set(split)
     if not block.issubset(range(1, n + 1)):
         raise ValidationError("split must be a subset of the input alphabet")
-    grow = math.exp(epsilon)
-    q = np.empty((2, n))
-    for x in range(1, n + 1):
-        hit = x in block
-        q[0, x - 1] = (grow if hit else 1.0) / (grow + 1.0)
-        q[1, x - 1] = (1.0 if hit else grow) / (grow + 1.0)
-    return LdpMechanism(q=q, epsilon=epsilon)
+    hit = np.array([x in block for x in range(1, n + 1)])
+    return _block_mechanism(np.array([hit, ~hit]), epsilon)
 
 
 def subset_mechanism(n: int, k: int, epsilon: float) -> LdpMechanism:
@@ -263,15 +270,8 @@ def subset_mechanism(n: int, k: int, epsilon: float) -> LdpMechanism:
     """
     if not 1 <= k <= n - 1:
         raise ValidationError(f"subset size must lie in [1, {n - 1}]")
-    require_epsilon(epsilon)
-    grow = math.exp(epsilon)
-    z = math.comb(n - 1, k - 1) * grow + math.comb(n - 1, k)
-    subsets = list(itertools.combinations(range(1, n + 1), k))
-    q = np.empty((len(subsets), n))
-    for row, subset in enumerate(subsets):
-        for x in range(1, n + 1):
-            q[row, x - 1] = (grow if x in subset else 1.0) / z
-    return LdpMechanism(q=q, epsilon=epsilon)
+    member = np.array([[x in subset for x in range(n)] for subset in itertools.combinations(range(n), k)])
+    return _block_mechanism(member, epsilon)
 
 
 def tilde_family(mech, eta: float):
@@ -337,11 +337,10 @@ def mechanism_from_json(obj: dict):
     """Parse a mechanism and re-audit it against its declared level."""
     kind = obj.get("kind")
     epsilon = float(obj["epsilon"])
-    require_epsilon(epsilon)
     if kind == "qldp":
         states = tuple(matrix_from_json(s) for s in obj["states"])
         mech = QldpMechanism(states=states, epsilon=epsilon)
-        if not audit_qldp(mech.states, epsilon):
+        if not audit_qldp(mech, epsilon):
             raise PrivacyViolationError("deserialized mechanism fails its declared QLDP audit")
         return mech
     if kind == "ldp":

@@ -46,7 +46,6 @@ class SublinearUtility:
     symmetric: bool
     value_at_ones: float
     beta0: float
-    name: str = "custom"
 
 
 def estimate_beta0(evaluate, n: int) -> float:
@@ -75,7 +74,6 @@ def mutual_information_utility(n: int) -> SublinearUtility:
         symmetric=True,
         value_at_ones=0.0,
         beta0=(n - 1) / n**2,
-        name="mi",
     )
 
 
@@ -95,7 +93,6 @@ def pairwise_sqrt_utility(n: int) -> SublinearUtility:
         symmetric=True,
         value_at_ones=-1.0,
         beta0=1.0 / (2 * n),
-        name="pairwise_sqrt",
     )
 
 

@@ -22,9 +22,9 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     a = random_complex(rng, d, d)
-    return scale * 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().T)
 
 
 def random_traceless_hermitian(rng: np.random.Generator, d: int, norm: float = 1.0) -> np.ndarray:

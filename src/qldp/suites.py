@@ -83,8 +83,12 @@ class SuiteResult:
         margins = [float(m) for m in margins]
         holds = (lambda m: m > 0) if strict else (lambda m: m >= 0)
         violations = sum(not holds(m) for m in margins)
-        worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
-        return cls(name, len(margins), violations, worst)
+        return cls(name, len(margins), violations, _worst(margins))
+
+
+def _worst(margins) -> float:
+    """The smallest margin, or NaN if any margin is NaN (``min`` alone can skip one)."""
+    return math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
 
 
 def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
@@ -107,21 +111,19 @@ def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
 def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Divergences do not increase under the depolarizing channel."""
     fs = [KL, SQUARE, SQUARED_DIFF, neg_ratio(1.0)]
+
+    def divergences(a, b) -> list[float]:
+        return [relative_entropy(a, b), chernoff_information(a, b)] + [petz_f_divergence(a, b, f) for f in fs]
+
     margins = []
     for i in range(count):
         d = DIMS[i % len(DIMS)]
         rho1 = validate_density(random_density(rng, d))
         rho2 = validate_density(random_density(rng, d))
+        before = divergences(rho1, rho2)
         for t in (0.1, 0.5):
             out1, out2 = (validate_density(depolarize(r, t)) for r in (rho1, rho2))
-            before_after = [
-                (relative_entropy(rho1, rho2), relative_entropy(out1, out2)),
-                (chernoff_information(rho1, rho2), chernoff_information(out1, out2)),
-            ]
-            before_after += [
-                (petz_f_divergence(rho1, rho2, f), petz_f_divergence(out1, out2, f)) for f in fs
-            ]
-            margins += [before - after + 1e-9 for before, after in before_after]
+            margins += [b - a + 1e-9 for b, a in zip(before, divergences(out1, out2))]
     return SuiteResult.tally("data_processing", margins)
 
 
@@ -213,7 +215,7 @@ def scalar_suite() -> SuiteResult:
         "scalar_selftests",
         sum(c.instances for c in checks),
         sum(c.violations for c in checks),
-        min(c.worst_margin for c in checks),
+        _worst([c.worst_margin for c in checks]),
     )
 
 

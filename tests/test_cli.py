@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qldp import cli, optimal
+from qldp import cli, mechanisms, optimal
 from qldp.cli import main
 from qldp.errors import ValidationError
 from qldp.linalg import matrix_to_json
@@ -43,6 +43,15 @@ def test_mech_roundtrip_through_audit(tmp_path, capsys):
     out3 = tmp_path / "s.json"
     assert run(["mech", "subset", "--n", 4, "--k", 2, "--eps", "0.5", "--out", out3]) == 0
     assert run(["mech", "audit", out3]) == 0
+
+
+def test_mech_sigma_star_prints_loadable_json(capsys):
+    assert run(["mech", "sigma-star", "--n", 4, "--eps", "0.7"]) == 0
+    loaded = mechanisms.mechanism_from_json(json.loads(capsys.readouterr().out))
+    assert loaded.epsilon == 0.7
+    expected = mechanisms.sigma_star(4, 0.7).states
+    assert len(loaded.states) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.states, expected))
 
 
 def test_mech_audit_rejects_tampered_file(tmp_path):
@@ -252,6 +261,25 @@ def test_reproduce_pinned_bytes(tmp_path, target):
     assert digest == REPRODUCE_SHA256[target]
     meta = json.loads((tmp_path / f"{target}.csv.meta.json").read_text())
     assert meta["sha256"] == digest
+
+
+VERIFY_SHA256 = {
+    # stdout of `qldp verify all --seed 7 --count 50`
+    "all": "12fbe44b93f4a090df7fcccdf2744e3b9408fb8dd8c169276c296117b7b84d4d",
+    # the JSON written by `qldp verify taylor --seed 7 --out FILE`
+    "taylor": "90ab86f650c74715390e77d32f78d237ce0c3493a3b8589970b249f30d23a0ba",
+}
+
+
+def test_verify_all_pinned_stdout(capsys):
+    assert run(["verify", "all", "--seed", 7, "--count", 50]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SHA256["all"]
+
+
+def test_verify_taylor_pinned_report(tmp_path):
+    out = tmp_path / "taylor.json"
+    assert run(["verify", "taylor", "--seed", 7, "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256["taylor"]
 
 
 def test_reproduce_deterministic(tmp_path):

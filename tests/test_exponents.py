@@ -240,7 +240,7 @@ def test_classical_optima_nondecreasing_in_eps():
 def test_isoclinic_bound_dominates_members_and_classical():
     for n in (3, 6, 10):
         for epsilon in (0.25, 0.5, 1.0, 2.0):
-            bound = isoclinic_bound(n, epsilon, u_grid_size=512)
+            bound = isoclinic_bound(n, epsilon)
             star = closed_form_exponents(n, 0.5, epsilon)
             assert bound.sym >= star.sym - 1e-12
             assert bound.asym >= star.asym - 1e-12
@@ -249,7 +249,7 @@ def test_isoclinic_bound_dominates_members_and_classical():
 
 
 def test_isoclinic_bound_interior_argmax_at_large_eps():
-    bound = isoclinic_bound(10, 2.0, u_grid_size=512)
+    bound = isoclinic_bound(10, 2.0)
     assert bound.u_sym < 0.5 - 1e-3
 
 

@@ -21,9 +21,11 @@ from qldp.mechanisms import (
     isoclinic_mechanism,
     jordan_eigenvalues,
     ldp_level,
+    load_mechanism,
     mechanism_from_json,
     mechanism_to_json,
     qldp_level,
+    save_mechanism,
     sigma_star,
     subset_mechanism,
     tilde_family,
@@ -105,16 +107,19 @@ def test_qldp_level_rejects_rank_deficiency():
 
 
 def test_ldp_level_examples():
-    uniform = LdpMechanism(q=np.full((2, 2), 0.5), epsilon=0.0)
-    assert ldp_level(uniform) == 0.0
+    assert ldp_level(np.full((2, 2), 0.5)) == 0.0
+    # an output no input reaches constrains nothing
+    assert ldp_level(np.array([[0.0, 0.0], [0.25, 0.75], [0.75, 0.25]])) == pytest.approx(math.log(3.0), abs=1e-15)
     assert ldp_level(binary_mechanism(3, 1.0)) == pytest.approx(1.0, abs=1e-12)
     rr = binary_mechanism(2, math.log(3.0))
     assert ldp_level(rr) == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_ldp_level_support_mismatch():
+    q = np.array([[1.0, 0.5], [0.0, 0.5]])
     with pytest.raises(SupportMismatchError):
-        ldp_level(np.array([[1.0, 0.5], [0.0, 0.5]]))
+        ldp_level(q)
+    assert audit_ldp(q, 1.0) is False
 
 
 def test_admissible_interval_matches_commuting_formula():
@@ -173,7 +178,7 @@ def test_jordan_eigenvalues_orthogonal_pair():
     # has spectrum {3, -1}
     p1 = np.diag([1.0, 0.0]).astype(complex)
     p2 = np.diag([0.0, 1.0]).astype(complex)
-    lam_plus, lam_minus = jordan_eigenvalues(p1, p2, math.log(3.0), c=0.0)
+    lam_plus, lam_minus = jordan_eigenvalues(p1, p2, math.log(3.0))
     assert lam_plus == pytest.approx(3.0, abs=1e-12)
     assert lam_minus == pytest.approx(-1.0, abs=1e-12)
 
@@ -187,20 +192,11 @@ def test_jordan_eigenvalues_match_dense_extremes(n, epsilon):
         for j in range(n):
             if i == j:
                 continue
-            lam_plus, lam_minus = jordan_eigenvalues(
-                frame.projections[i], frame.projections[j], epsilon, c=frame.c
-            )
+            lam_plus, lam_minus = jordan_eigenvalues(frame.projections[i], frame.projections[j], epsilon)
             dense = np.linalg.eigvalsh(grow * frame.projections[i] - frame.projections[j])
             assert lam_plus == pytest.approx(dense[-1], abs=1e-10)
             assert lam_minus == pytest.approx(dense[0], abs=1e-10)
             assert lam_minus < 0.0 < grow - 1.0 < lam_plus
-
-
-def test_jordan_eigenvalues_infers_constant():
-    frame = build_eitff(3)
-    explicit = jordan_eigenvalues(frame.projections[0], frame.projections[1], 1.0, c=frame.c)
-    inferred = jordan_eigenvalues(frame.projections[0], frame.projections[1], 1.0)
-    assert explicit == pytest.approx(inferred, abs=1e-12)
 
 
 def test_binary_mechanism_columns():
@@ -324,6 +320,11 @@ def test_mechanism_json_roundtrip_qldp(tmp_path):
     back = mechanism_from_json(obj)
     for a, b in zip(mech.states, back.states):
         assert operator_norm(a - b) <= 1e-15
+    path = tmp_path / "m.json"
+    save_mechanism(mech, path)
+    loaded = load_mechanism(path)
+    assert loaded.epsilon == mech.epsilon
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.states, mech.states))
 
 
 def test_mechanism_json_roundtrip_ldp():
@@ -395,8 +396,10 @@ BAD_EPSILONS = [0.0, -1.0, math.inf, math.nan, 800.0]  # e^800 overflows a doubl
         lambda e: sigma_star(3, e),
         lambda e: binary_mechanism(3, e),
         lambda e: subset_mechanism(3, 1, e),
+        lambda e: QldpMechanism(states=sigma_star(3, 1.0).states, epsilon=e),
+        lambda e: LdpMechanism(q=np.eye(2), epsilon=e),
     ],
-    ids=["isoclinic", "sigma_star", "binary", "subset"],
+    ids=["isoclinic", "sigma_star", "binary", "subset", "QldpMechanism", "LdpMechanism"],
 )
 def test_constructors_reject_bad_epsilon(build, epsilon):
     with pytest.raises(ValidationError):
@@ -420,6 +423,12 @@ def test_audits_reject_non_finite_epsilon(epsilon):
         audit_qldp(sigma_star(3, 1.0).states, epsilon)
     with pytest.raises(ValidationError):
         audit_ldp(binary_mechanism(3, 1.0), epsilon)
+
+
+def test_audit_qldp_rejects_non_hermitian_states():
+    # eigvalsh reads one triangle, so unchecked this pair audits as 0.1-QLDP
+    with pytest.raises(ValidationError):
+        audit_qldp([np.array([[0.5, 5.0], [0.0, 0.5]]), np.eye(2) / 2], 0.1)
 
 
 def test_audit_qldp_counts_a_nan_eigenvalue_as_a_failure(monkeypatch):

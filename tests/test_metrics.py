@@ -191,6 +191,16 @@ def test_fdiv_equal_states_value_is_f_at_one():
         assert petz_f_divergence(rho, rho, f) == pytest.approx(f_at_one, abs=1e-10)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+def test_induced_metric_neg_ratio_at_flat_state(s):
+    # every eigenvalue of I/2 is 1/2, so the induced kernel is F''(1) / (1/2)
+    # everywhere, with F''(1) = 2s/(1+s)^3 for F(t) = -t/(t+s)
+    x = random_hermitian(np.random.default_rng(8), 2)
+    second = 2.0 * s / (1.0 + s) ** 3
+    expected = 2.0 * second * np.linalg.norm(x) ** 2
+    assert induced_metric(np.eye(2) / 2, x, x, neg_ratio(s)) == pytest.approx(expected, rel=1e-12)
+
+
 def test_fdiv_square_equal_states():
     # D_{t^2}(rho || rho) = F(1) Tr rho = 1, and in general the square
     # divergence equals the trace form Tr rho1^2 rho2^{-1}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qldp import suites
 from qldp.suites import (
     SuiteResult,
     dpi_suite,
@@ -74,3 +75,15 @@ def test_scalar_suite_folds_the_scalar_selftests():
     ]
     folded = scalar_suite()
     assert folded == SuiteResult("scalar_selftests", 14499, 0, min(c.worst_margin for c in checks))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_scalar_suite_keeps_a_nan_worst_margin(monkeypatch, position):
+    # min(1e-3, nan) is 1e-3, so a plain min drops a NaN after the first check
+    checks = [SuiteResult(f"check{i}", 10, 0, 1e-3) for i in range(3)]
+    checks[position] = SuiteResult("nan_check", 10, 1, math.nan)
+    monkeypatch.setattr(suites, "scalar_selftests", lambda: tuple(checks))
+    folded = scalar_suite()
+    assert math.isnan(folded.worst_margin)
+    assert (folded.instances, folded.violations) == (30, 1)
+    assert not folded.passed
