@@ -47,7 +47,7 @@ for eps in (0.5, 0.1, 0.01):
 # High-privacy predictions: quadratic coefficients and the limit ratio.
 for n in (3, 4, 8):
     utility = mutual_information_utility(n)
-    classical, quantum, ratio = asymptotic_prediction(n, utility.value_at_ones, utility.beta0)
+    classical, quantum, ratio = asymptotic_prediction(n, utility.beta0)
     print(f"n={n}: classical coeff {classical:.6f}, quantum coeff {quantum:.6f}, limit ratio {ratio:.4f}")
 
 # Any symmetric sublinear kernel works; here the negated pairwise affinity.

@@ -43,10 +43,6 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QLOCAL_SEED", "0"))
-
-
 def _parse_int_list(text: str) -> list[int]:
     """Accept "4", "3,6,10", or a non-empty inclusive range "3..12"."""
     if ".." in text:
@@ -285,7 +281,7 @@ def _sweep(ns, eps, eta, alt_u):
 def _cmd_opt(args) -> int:
     utility = optimal.BUILTIN_UTILITIES[args.utility](args.n)
     if args.action == "predict":
-        classical, quantum, ratio = optimal.asymptotic_prediction(args.n, utility.value_at_ones, utility.beta0)
+        classical, quantum, ratio = optimal.asymptotic_prediction(args.n, utility.beta0)
         print(f"classical_coeff={_fmt(classical)} quantum_coeff={_fmt(quantum)} ratio={_fmt(ratio)}")
         return 0
     run_full = args.full or not args.symmetric
@@ -303,15 +299,16 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    all_ok = True
+    seed = args.seed if args.seed is not None else int(os.environ.get("QLOCAL_SEED", "0"))
+    if args.action == "all" and args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
+    verdicts = [(rep, rep.passes()) for rep in suites.expansion_suite(seed)]
+    all_ok = all(ok for _, ok in verdicts)
     if args.action == "taylor":
-        reports = suites.expansion_suite(seed)
-        payload = []
-        for rep in reports:
-            ok = rep.passes()
-            all_ok &= ok
-            payload.append(
+        for rep, ok in verdicts:
+            print(f"{rep.name:24s} order={rep.fitted_order:6.3f} err={rep.ratio_errors[-1]:.3e} {'ok' if ok else 'FAIL'}")
+        if args.out:
+            payload = [
                 {
                     "name": rep.name,
                     "t_grid": [float(t) for t in rep.t_grid],
@@ -319,18 +316,13 @@ def _cmd_verify(args) -> int:
                     "fitted_order": float(rep.fitted_order),
                     "passed": ok,
                 }
-            )
-            print(f"{rep.name:24s} order={rep.fitted_order:6.3f} err={rep.ratio_errors[-1]:.3e} {'ok' if ok else 'FAIL'}")
-        if args.out:
+                for rep, ok in verdicts
+            ]
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump({"seed": seed, "checks": payload, "all_passed": all_ok}, fh, indent=1)
         return 0 if all_ok else 2
 
-    if args.count < 1:
-        raise ValidationError(f"--count must be at least 1, got {args.count}")
-    for rep in suites.expansion_suite(seed):
-        ok = rep.passes()
-        all_ok &= ok
+    for rep, ok in verdicts:
         print(f"taylor/{rep.name:24s} order={rep.fitted_order:6.3f} {'ok' if ok else 'FAIL'}")
     for result in suites.run_all_suites(seed, args.count):
         all_ok &= result.passed
@@ -368,8 +360,7 @@ def _cmd_reproduce(args) -> int:
         rows = []
         for n in range(2, 11):
             (record,) = exponents.ratio_sweep(n, [epsilon])
-            mi = optimal.mutual_information_utility(n)
-            limit = optimal.asymptotic_prediction(n, mi.value_at_ones, mi.beta0)[2]
+            limit = optimal.asymptotic_prediction(n, optimal.mutual_information_utility(n).beta0)[2]
             rows.append([str(n), _fmt(record.s_ratio), _fmt(record.a_ratio), _fmt(limit)])
         _write_csv(out, ("n", "sym_ratio", "asym_ratio", "limit_ratio"), rows)
         _sidecar(out, "ratios", {"n": "2..10", "epsilon": epsilon}, len(rows))

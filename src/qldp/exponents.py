@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 from .linalg import validate_density
-from .mechanisms import QldpMechanism, require_epsilon, tilde_family
+from .mechanisms import QldpMechanism, require_epsilon, require_eta, tilde_family
 from .metrics import (
     chernoff_information,
     classical_chernoff,
@@ -130,8 +130,7 @@ def closed_form_exponents(n: int, u: float, epsilon: float, eta: float = 1.0, mu
     The mixed weight t = eta mu + 1 - eta must keep the states positive,
     i.e. lie in (0, 1/(1-u)).
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError("eta must lie in (0, 1]")
+    require_eta(eta)
     c = isoclinic_constant(n, u)
     if mu is None:
         require_epsilon(epsilon)
@@ -173,8 +172,7 @@ def classical_sym_argmax(n: int, epsilon: float) -> int:
 
 def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
     """Upper bound on the symmetric optimum for eta-tilted priors; tight at eta = 1."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError("eta must lie in (0, 1]")
+    require_eta(eta)
     require_epsilon(epsilon)
     xi = math.exp(epsilon / 2.0)
     best = max(k * (n - k) / stretch_factor(n, k, epsilon) for k in range(n + 1))
@@ -194,8 +192,7 @@ def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> flo
 
 def classical_opt_asym(n: int, epsilon: float, eta: float = 1.0) -> float:
     """Exact optimum of the asymmetric exponent over eps-LDP mechanisms."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError("eta must lie in (0, 1]")
+    require_eta(eta)
     require_epsilon(epsilon)
     return max(classical_asym_term(n, k, epsilon, eta) for k in range(n + 1))
 

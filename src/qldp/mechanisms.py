@@ -46,6 +46,33 @@ def require_epsilon(epsilon: float) -> None:
         raise ValidationError(f"privacy level must be positive and at most {MAX_EPSILON:.6f}, got {epsilon}")
 
 
+def require_eta(eta: float) -> None:
+    """Reject a mixing weight outside (0, 1] (NaN included)."""
+    if not 0.0 < eta <= 1.0:
+        raise ValidationError("eta must lie in (0, 1]")
+
+
+def _column_stochastic(q) -> np.ndarray:
+    """q as a float array, checked to be finite and column-stochastic with at least 2 outputs and 2 inputs."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] < 2 or q.shape[1] < 2:
+        raise ValidationError("mechanism needs at least 2 outputs and 2 inputs")
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("non-finite conditional probability")
+    if np.any(q < 0):
+        raise ValidationError("negative conditional probability")
+    if np.max(np.abs(q.sum(axis=0) - 1.0)) > COLUMN_SUM_TOL:
+        raise ValidationError("columns must sum to 1")
+    return q
+
+
+def _one_dimension(matrices: list) -> list:
+    """``matrices`` unchanged, after checking that they share one shape."""
+    if any(m.shape != matrices[0].shape for m in matrices):
+        raise ValidationError("states have mixed dimensions")
+    return matrices
+
+
 @dataclass(frozen=True)
 class LdpMechanism:
     """Column-stochastic matrix of shape (n_outputs, n_inputs) with a declared level."""
@@ -55,16 +82,7 @@ class LdpMechanism:
 
     def __post_init__(self):
         require_epsilon(self.epsilon)
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] < 2 or q.shape[1] < 2:
-            raise ValidationError("mechanism needs at least 2 outputs and 2 inputs")
-        if not np.all(np.isfinite(q)):
-            raise ValidationError("non-finite conditional probability")
-        if np.any(q < 0):
-            raise ValidationError("negative conditional probability")
-        if np.max(np.abs(q.sum(axis=0) - 1.0)) > COLUMN_SUM_TOL:
-            raise ValidationError("columns must sum to 1")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _column_stochastic(self.q))
 
     @property
     def n_inputs(self) -> int:
@@ -100,8 +118,7 @@ class QldpMechanism:
         members = tuple(validate_density(s) for s in self.states)
         if len(members) < 2:
             raise ValidationError("mechanism needs at least 2 states")
-        if any(s.matrix.shape != members[0].matrix.shape for s in members):
-            raise ValidationError("states have mixed dimensions")
+        _one_dimension([s.matrix for s in members])
         if not all(s.full_rank for s in members):
             raise SupportMismatchError("mechanism states must be full rank")
         object.__setattr__(self, "states", tuple(s.matrix for s in members))
@@ -126,7 +143,11 @@ def qldp_level(states) -> float:
     Computed as the max over pairs of ln lambda_max(rho_x^{-1/2} rho_{x'} rho_x^{-1/2}).
     Raises :class:`SupportMismatchError` on rank-deficient states.
     """
-    valid = states.members if isinstance(states, QldpMechanism) else [validate_density(s) for s in states]
+    if isinstance(states, QldpMechanism):
+        valid = states.members
+    else:
+        valid = [validate_density(s) for s in states]
+        _one_dimension([s.matrix for s in valid])
     if not all(s.full_rank for s in valid):
         raise SupportMismatchError("state is rank deficient; privacy level undefined")
     inv_sqrts = [(s.eigenvectors * s.eigenvalues**-0.5) @ s.eigenvectors.conj().T for s in valid]
@@ -139,8 +160,8 @@ def qldp_level(states) -> float:
 
 
 def ldp_level(q) -> float:
-    """Smallest eps such that q(y|x') <= e^eps q(y|x) for all y, x, x'."""
-    mat = q.q if isinstance(q, LdpMechanism) else np.asarray(q, dtype=float)
+    """Smallest eps such that q(y|x') <= e^eps q(y|x) for all y, x, x'; a raw q is checked as LdpMechanism checks it."""
+    mat = q.q if isinstance(q, LdpMechanism) else _column_stochastic(q)
     level = 0.0
     for row in mat:
         top, bot = row.max(), row.min()
@@ -158,7 +179,10 @@ def audit_qldp(states, epsilon: float) -> bool:
     Raw states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
     """
     require_epsilon(epsilon)
-    mats = states.states if isinstance(states, QldpMechanism) else [validate_hermitian(s) for s in states]
+    if isinstance(states, QldpMechanism):
+        mats = states.states
+    else:
+        mats = _one_dimension([validate_hermitian(s) for s in states])
     grow = math.exp(epsilon)
     for x, x2 in itertools.permutations(range(len(mats)), 2):
         # Written so that a NaN eigenvalue counts as a failure.
@@ -238,11 +262,18 @@ def jordan_eigenvalues(p_i, p_j, epsilon: float) -> tuple[float, float]:
 
 def _block_mechanism(member: np.ndarray, epsilon: float) -> LdpMechanism:
     """q(y|x) = (e^eps if x in block y else 1) / Z from a boolean (outputs, inputs) membership
-    matrix; every input lies in the same number h of blocks, so Z = h e^eps + (outputs - h)."""
+    matrix; every input lies in the same number h of blocks, so Z = h e^eps + (outputs - h).
+
+    Where Z overflows (h >= 2 and eps near MAX_EPSILON), both are divided by e^eps:
+    q(y|x) = (1 if x in block y else e^-eps) / (h + (outputs - h) e^-eps).
+    """
     require_epsilon(epsilon)
     grow = math.exp(epsilon)
     hits = int(member[:, 0].sum())
     z = hits * grow + (len(member) - hits)
+    if math.isinf(z):
+        low = math.exp(-epsilon)
+        return LdpMechanism(q=np.where(member, 1.0, low) / (hits + (len(member) - hits) * low), epsilon=epsilon)
     return LdpMechanism(q=np.where(member, grow, 1.0) / z, epsilon=epsilon)
 
 
@@ -282,8 +313,7 @@ def tilde_family(mech, eta: float):
     cannot raise: rho~_{x'} <= eta e^eps rho_x + (1 - eta) rho_avg <= e^eps rho~_x.
     Its audited level is :func:`qldp_level` (or :func:`ldp_level`) of the result.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError("eta must lie in (0, 1]")
+    require_eta(eta)
     if isinstance(mech, QldpMechanism):
         avg = mech.average
         states = tuple(eta * s + (1.0 - eta) * avg for s in mech.states)

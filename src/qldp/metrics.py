@@ -56,6 +56,17 @@ def wyd(s: float) -> MetricKind:
     return MetricKind("wyd", s)
 
 
+def _divided_difference(lam: np.ndarray, curvature: float, off_diagonal) -> np.ndarray:
+    """K[i, j] = off_diagonal(lambda_i, lambda_j), and its limit curvature / lambda_i where
+    |lambda_i - lambda_j| <= DEGENERACY_RTOL lambda_max (lam ascending); the formula sees 1.0 there."""
+    li = lam[:, None]
+    lj = lam[None, :]
+    near = np.abs(li - lj) <= DEGENERACY_RTOL * lam[-1]
+    with np.errstate(all="ignore"):
+        k = off_diagonal(np.where(near, 1.0, li), np.where(near, 1.0, lj))
+    return np.where(near, curvature / li, k)
+
+
 def _metric_kernel(kind: MetricKind, lam: np.ndarray) -> np.ndarray:
     """Matrix K[i, j] = 1 / (lambda_j f(lambda_i / lambda_j)) on the spectrum grid."""
     li = lam[:, None]
@@ -64,16 +75,12 @@ def _metric_kernel(kind: MetricKind, lam: np.ndarray) -> np.ndarray:
         return 2.0 / (li + lj)
     if kind.tag == "rld":
         return (li + lj) / (2.0 * li * lj)
-    near = np.abs(li - lj) <= DEGENERACY_RTOL * lam[-1]
-    diag = 1.0 / np.where(near, li, 1.0)
     if kind.tag == "bkm":
-        with np.errstate(all="ignore"):
-            k = (np.log(li) - np.log(lj)) / (li - lj)
-        return np.where(near, diag, k)
+        return _divided_difference(lam, 1.0, lambda a, b: (np.log(a) - np.log(b)) / (a - b))
     s = kind.s
-    with np.errstate(all="ignore"):
-        k = (li**s - lj**s) * (li ** (1 - s) - lj ** (1 - s)) / (s * (1 - s) * (li - lj) ** 2)
-    return np.where(near, diag, k)
+    return _divided_difference(
+        lam, 1.0, lambda a, b: (a**s - b**s) * (a ** (1 - s) - b ** (1 - s)) / (s * (1 - s) * (a - b) ** 2)
+    )
 
 
 def _spectral_form(rho0, x, y, kernel) -> float:
@@ -138,14 +145,9 @@ class OperatorConvexF:
         K[i, j] = (lambda_j F(lambda_i/lambda_j) + lambda_i F(lambda_j/lambda_i))
         / (lambda_i - lambda_j)^2, with limit F''(1)/lambda on the diagonal.
         """
-        li = lam[:, None]
-        lj = lam[None, :]
-        near = np.abs(li - lj) <= DEGENERACY_RTOL * lam[-1]
-        safe_li = np.where(near, 1.0, li)
-        safe_lj = np.where(near, 1.0, lj)
-        with np.errstate(all="ignore"):
-            k = (safe_lj * self(safe_li / safe_lj) + safe_li * self(safe_lj / safe_li)) / (safe_li - safe_lj) ** 2
-        return np.where(near, self.second_derivative_at_one() / li, k)
+        return _divided_difference(
+            lam, self.second_derivative_at_one(), lambda a, b: (b * self(a / b) + a * self(b / a)) / (a - b) ** 2
+        )
 
 
 KL = OperatorConvexF("kl")

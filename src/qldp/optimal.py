@@ -11,8 +11,8 @@ binary patterns z:
 The LP has n equality rows, so an optimal vertex uses at most n patterns.
 ``kairouz_lp`` finds one with a dense revised simplex, written in numpy, on
 n x n bases that prices all 2^n patterns at every pivot, and it returns a
-certificate of optimality computed over every pattern. For symmetric phi
-the LP collapses further to a maximum over the pattern weight k of
+certificate of optimality computed over every pattern. Every phi here is
+symmetric, so the LP also collapses to a maximum over the pattern weight k of
 phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
 
 A kernel's ``evaluate`` is batched: it takes an array whose last axis has
@@ -33,19 +33,24 @@ from .mechanisms import LdpMechanism, require_epsilon
 
 @dataclass(frozen=True)
 class SublinearUtility:
-    """Symmetric positively homogeneous utility kernel with curvature metadata.
+    """Positively homogeneous utility kernel with its curvature at the all-ones point.
 
-    ``evaluate`` takes an array of shape ``(..., n)`` and returns phi of each
-    row, shape ``(...)``; a single vector gives a 0-d value. ``beta0``, a
-    required field, is the second partial derivative of ``evaluate`` at the
-    all-ones vector; :func:`estimate_beta0` estimates it for a custom kernel.
+    ``evaluate`` must be symmetric under permutations of its n arguments;
+    the symmetric LP reduction relies on that. It takes an array of shape
+    ``(..., n)`` and returns phi of each row, shape ``(...)``; a single vector
+    gives a 0-d value. ``beta0`` is the second partial derivative of
+    ``evaluate`` at the all-ones vector; :func:`estimate_beta0` estimates it
+    for a custom kernel. :attr:`value_at_ones` is read off ``evaluate``.
     """
 
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool
-    value_at_ones: float
     beta0: float
+
+    @property
+    def value_at_ones(self) -> float:
+        """phi(1, ..., 1), the utility of a mechanism that reveals nothing."""
+        return float(self.evaluate(np.ones(self.n)))
 
 
 def estimate_beta0(evaluate, n: int) -> float:
@@ -68,13 +73,7 @@ def mutual_information_utility(n: int) -> SublinearUtility:
         m = z.mean(axis=-1)
         return -m * np.log(m) + np.mean(z * np.log(z), axis=-1)
 
-    return SublinearUtility(
-        n=n,
-        evaluate=evaluate,
-        symmetric=True,
-        value_at_ones=0.0,
-        beta0=(n - 1) / n**2,
-    )
+    return SublinearUtility(n=n, evaluate=evaluate, beta0=(n - 1) / n**2)
 
 
 def pairwise_sqrt_utility(n: int) -> SublinearUtility:
@@ -87,13 +86,7 @@ def pairwise_sqrt_utility(n: int) -> SublinearUtility:
         z = np.asarray(z, dtype=float)
         return -(np.sqrt(z).sum(axis=-1) ** 2 - z.sum(axis=-1)) / (n * (n - 1))
 
-    return SublinearUtility(
-        n=n,
-        evaluate=evaluate,
-        symmetric=True,
-        value_at_ones=-1.0,
-        beta0=1.0 / (2 * n),
-    )
+    return SublinearUtility(n=n, evaluate=evaluate, beta0=1.0 / (2 * n))
 
 
 BUILTIN_UTILITIES = {
@@ -235,7 +228,7 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
 
 
 def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> float:
-    """Closed-form reduction of the staircase LP for symmetric utilities.
+    """Closed-form reduction of the staircase LP, valid for every utility since each is symmetric.
 
     Averaging any feasible weight vector over coordinate permutations fixes
     the objective and the constraint, so an optimum lives on uniform weight
@@ -243,8 +236,6 @@ def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> f
     single class k, giving max_k phi_k / w_k. As in ``kairouz_lp`` each
     vertex with k >= 1 is divided by e^eps, so w_k is the mean of its entries.
     """
-    if not utility.symmetric:
-        raise ValidationError("the symmetric reduction needs a symmetric utility")
     if utility.n != n:
         raise ValidationError("utility arity mismatch")
     require_epsilon(epsilon)
@@ -253,12 +244,12 @@ def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> f
     return float(np.max(utility.evaluate(vertices) / vertices.mean(axis=1)))
 
 
-def asymptotic_prediction(n: int, phi_at_ones: float, beta0: float) -> tuple[float, float, float]:
+def asymptotic_prediction(n: int, beta0: float) -> tuple[float, float, float]:
     """Leading quadratic coefficients of the classical and quantum optima and their limit ratio.
 
     Returns (floor(n/2) ceil(n/2) beta0 / (2 (n-1)), beta0 n / 4,
-    n (n-1) / (2 floor(n/2) ceil(n/2))); the ratio applies when
-    phi_at_ones = 0 and n >= 3.
+    n (n-1) / (2 floor(n/2) ceil(n/2))) for a utility with curvature beta0;
+    the ratio applies when phi(1) = 0 and n >= 3.
     """
     if beta0 <= 0:
         raise ValidationError("beta0 must be positive")

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from qldp import cli, mechanisms, optimal
+from qldp import cli, mechanisms, metrics, optimal
 from qldp.cli import main
 from qldp.errors import ValidationError
 from qldp.linalg import matrix_to_json
+from qldp.sampling import random_traceless_hermitian, random_unitary
 
 
 def run(argv):
@@ -107,6 +108,13 @@ def test_exp_sweep_rejects_bad_grid(tmp_path, capsys, grid):
     out = tmp_path / "sweep.csv"
     assert run(["exp", "sweep", "--n", "3", "--eps", grid, "--out", out]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exp_sweep_rejects_bad_eta(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["exp", "sweep", "--n", "3", "--eps", "0.5", "--eta", "0", "--out", out]) == 1
+    assert "eta must lie in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -282,6 +290,59 @@ def test_verify_taylor_pinned_report(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256["taylor"]
 
 
+FAILING_VERIFY_SHA256 = {
+    # stdout of `qldp verify all --seed 8 --count 50`, whose overlap_s0.7 expansion misses
+    "all": "b8d7a2f68793c5d6482281a3341e85ecb21f0fb3b93e5e328c25db5aaa33f4ce",
+    # stdout of `qldp verify taylor --seed 8`
+    "taylor": "66132043e94f0c6c225180a5a077cefde13f6844c84c20546588374711d0f4dc",
+}
+
+
+@pytest.mark.parametrize("argv", [["all", "--count", 50], ["taylor"]], ids=["all", "taylor"])
+def test_verify_failing_seed_pinned_stdout(capsys, argv):
+    assert run(["verify", argv[0], "--seed", 8] + argv[1:]) == 2
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FAILING_VERIFY_SHA256[argv[0]]
+
+
+# stdout of `qldp opt predict --n N --utility U` for N in (3, 4, 6, 10), U in (mi, pairwise_sqrt)
+PREDICT_SHA256 = "93c87385df23f1bbbddd742b54654878bce851771d955c30658127da72331204"
+
+
+def test_opt_predict_pinned_stdout(capsys):
+    for n in (3, 4, 6, 10):
+        for utility in ("mi", "pairwise_sqrt"):
+            assert run(["opt", "predict", "--n", n, "--utility", utility]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PREDICT_SHA256
+
+
+def _metric_values():
+    """Every Petz, induced and classical metric on random, flat and near-degenerate spectra, d in (2, 3, 4, 8)."""
+    rng = np.random.default_rng(10)
+    kinds = [metrics.SLD, metrics.RLD, metrics.BKM, metrics.wyd(0.3), metrics.wyd(0.5), metrics.wyd(0.8)]
+    fs = [metrics.KL, metrics.SQUARE, metrics.SQUARED_DIFF] + [metrics.neg_ratio(s) for s in (0.0, 1.0, 3.0)]
+    for d in (2, 3, 4, 8):
+        lam = rng.dirichlet(np.ones(d))
+        near = lam.copy()
+        near[1] = near[0] * (1.0 + 1e-14)
+        for spectrum in (lam, np.full(d, 1.0 / d), near / near.sum()):
+            u = random_unitary(rng, d)
+            rho = (u * spectrum) @ u.conj().T
+            x, y = random_traceless_hermitian(rng, d), random_traceless_hermitian(rng, d)
+            for kind in kinds:
+                yield metrics.petz_metric(rho, x, y, kind)
+                yield metrics.classical_metric(spectrum, x.diagonal().real, y.diagonal().real, kind)
+            for f in fs:
+                yield metrics.induced_metric(rho, x, y, f)
+
+
+METRIC_SHA256 = "d8c20e090c20dc90f9219b2e361cae55757940b4ce10badae8c05a5279ddabd5"
+
+
+def test_metric_values_pinned():
+    text = "\n".join(float.hex(v) for v in _metric_values())
+    assert hashlib.sha256(text.encode()).hexdigest() == METRIC_SHA256
+
+
 def test_reproduce_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["reproduce", "fig2", "--out", a])
@@ -314,6 +375,14 @@ def test_unknown_command_exits_one():
 
 def test_missing_file_exits_one(tmp_path):
     assert run(["mech", "audit", tmp_path / "nope.json"]) == 1
+
+
+def test_mech_subset_where_z_overflows(tmp_path, capsys):
+    # Z = 3 e^eps + 3 is inf at this eps; the mechanism used to fail its column-sum check
+    out = tmp_path / "s.json"
+    assert run(["mech", "subset", "--n", 4, "--k", 2, "--eps", "709.7", "--out", out]) == 0
+    assert run(["mech", "audit", out]) == 0
+    assert "level=709.7" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -303,6 +303,19 @@ def test_exponents_reject_bad_epsilon(epsilon):
             call()
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_exponents_reject_bad_eta(eta):
+    for call in (
+        lambda: mechanisms.tilde_family(binary_mechanism(3, 1.0), eta),
+        lambda: closed_form_exponents(4, 0.5, 1.0, eta),
+        lambda: classical_opt_sym_bound(4, 1.0, eta),
+        lambda: classical_opt_asym(4, 1.0, eta),
+        lambda: ratio_sweep(4, [0.5], eta),
+    ):
+        with pytest.raises(ValidationError, match=r"^eta must lie in \(0, 1\]$"):
+            call()
+
+
 def test_exponents_run_no_privacy_audit(monkeypatch):
     # Mixing cannot raise a level, so neither exponent needs the mixed family's audited one.
     mechs = (sigma_star(4, 0.5), binary_mechanism(3, 1.0))

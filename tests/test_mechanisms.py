@@ -122,6 +122,26 @@ def test_ldp_level_support_mismatch():
     assert audit_ldp(q, 1.0) is False
 
 
+@pytest.mark.parametrize("q", [np.array([[0.5, math.nan], [0.5, 0.5]]), np.array([0.5, 0.5])], ids=["nan", "1-d"])
+def test_ldp_level_rejects_what_ldp_mechanism_rejects(q):
+    # both used to read as level 0, and the NaN matrix passed audit_ldp at eps = 1
+    with pytest.raises(ValidationError):
+        LdpMechanism(q=q, epsilon=1.0)
+    with pytest.raises(ValidationError):
+        ldp_level(q)
+    with pytest.raises(ValidationError):
+        audit_ldp(q, 1.0)
+
+
+def test_raw_states_of_mixed_dimensions_are_rejected():
+    # these used to reach numpy as a matmul or broadcast error
+    states = [np.eye(2) / 2, np.eye(3) / 3]
+    with pytest.raises(ValidationError, match="states have mixed dimensions"):
+        qldp_level(states)
+    with pytest.raises(ValidationError, match="states have mixed dimensions"):
+        audit_qldp(states, 1.0)
+
+
 def test_admissible_interval_matches_commuting_formula():
     # with n = d/r the states commute and the interval is
     # n/(n-1+e^eps) <= mu <= n/(n-1+e^-eps)
@@ -244,6 +264,16 @@ def test_subset_mechanism_lexicographic_outputs():
     z = 3 * grow + 3
     # first subset in lexicographic order is {1, 2}
     assert np.allclose(mech.q[0], [grow / z, grow / z, 1 / z, 1 / z])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_subset_mechanism_where_z_overflows(n):
+    # Z = C(n-1, k-1) e^eps + C(n-1, k) is inf here once an input lies in two blocks
+    epsilon = 709.7
+    for k in range(1, n):
+        mech = subset_mechanism(n, k, epsilon)
+        assert ldp_level(mech) == epsilon
+        assert audit_ldp(mech, epsilon)
 
 
 def test_tilde_family_identity_at_eta_one():

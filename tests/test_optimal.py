@@ -16,6 +16,7 @@ from qldp.exponents import classical_opt_asym
 from qldp.mechanisms import MAX_EPSILON, LdpMechanism, binary_mechanism, sigma_star
 from qldp.metrics import holevo_information
 from qldp.optimal import (
+    SublinearUtility,
     asymptotic_prediction,
     estimate_beta0,
     kairouz_lp,
@@ -106,6 +107,13 @@ def test_beta0_matches_finite_difference(factory):
         utility = factory(n)
         numeric = estimate_beta0(utility.evaluate, n)
         assert numeric == pytest.approx(utility.beta0, rel=1e-6)
+
+
+def test_utility_is_its_kernel_and_beta0():
+    assert tuple(f.name for f in dataclasses.fields(SublinearUtility)) == ("n", "evaluate", "beta0")
+    for n in range(2, 15):
+        assert float.hex(mutual_information_utility(n).value_at_ones) == float.hex(0.0)
+        assert float.hex(pairwise_sqrt_utility(n).value_at_ones) == float.hex(-1.0)
 
 
 def test_constant_column_mechanism_gives_value_at_ones():
@@ -330,16 +338,16 @@ def test_binary_gap_vanishes_faster_than_quadratic():
 
 
 def test_asymptotic_prediction_values():
-    classical, quantum, ratio = asymptotic_prediction(3, 0.0, 1.0)
+    classical, quantum, ratio = asymptotic_prediction(3, 1.0)
     assert ratio == pytest.approx(1.5)
-    assert asymptotic_prediction(4, 0.0, 1.0)[2] == pytest.approx(1.5)
-    assert asymptotic_prediction(2, 0.0, 1.0)[2] == pytest.approx(1.0)
+    assert asymptotic_prediction(4, 1.0)[2] == pytest.approx(1.5)
+    assert asymptotic_prediction(2, 1.0)[2] == pytest.approx(1.0)
     mi4 = mutual_information_utility(4)
-    classical, quantum, _ = asymptotic_prediction(4, mi4.value_at_ones, mi4.beta0)
+    classical, quantum, _ = asymptotic_prediction(4, mi4.beta0)
     assert classical == pytest.approx(1.0 / 8.0)
     assert quantum == pytest.approx(3.0 / 16.0)
     with pytest.raises(ValidationError):
-        asymptotic_prediction(3, 0.0, -1.0)
+        asymptotic_prediction(3, -1.0)
 
 
 def test_lp_rejects_mismatched_arity():
