@@ -17,6 +17,7 @@ exactly when n <= 2a + 4 (Radon-Hurwitz bound).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,11 +108,13 @@ def simplex_vectors(n: int) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(lam[keep])
 
 
+@functools.cache
 def build_eitff(n: int, a: int | None = None) -> FusionFrame:
     """Equi-isoclinic tight fusion frame with d = 2^{a+1}, r = 2^a.
 
     ``a`` defaults to the minimal admissible value max(0, ceil(n/2) - 2).
-    Raises :class:`ExistenceError` when n > 2a + 4.
+    Raises :class:`ExistenceError` when n > 2a + 4.  Cached per (n, a) as passed,
+    so the projections are shared and read-only: copy one before editing it.
     """
     if n < 2:
         raise ValidationError("need at least two projections")
@@ -129,11 +132,10 @@ def build_eitff(n: int, a: int | None = None) -> FusionFrame:
     gens = clifford_generators(m)[: n - 1]
     vs = simplex_vectors(n)
     eye = np.eye(d, dtype=complex)
-    projections = []
-    for i in range(n):
-        anchor = sum(vs[i, k] * gens[k] for k in range(n - 1))
-        projections.append(0.5 * (eye + anchor))
-    return FusionFrame(d=d, r=r, n=n, projections=tuple(projections), c=frame_constant(d, r, n))
+    projections = tuple(0.5 * (eye + sum(vs[i, k] * gens[k] for k in range(n - 1))) for i in range(n))
+    for p in projections:
+        p.setflags(write=False)
+    return FusionFrame(d=d, r=r, n=n, projections=projections, c=frame_constant(d, r, n))
 
 
 def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:

@@ -66,8 +66,10 @@ def _column_stochastic(q) -> np.ndarray:
     return q
 
 
-def _one_dimension(matrices: list) -> list:
-    """``matrices`` unchanged, after checking that they share one shape."""
+def _state_family(matrices: list) -> list:
+    """``matrices`` unchanged, after checking that there are at least 2 and they share one shape."""
+    if len(matrices) < 2:
+        raise ValidationError("mechanism needs at least 2 states")
     if any(m.shape != matrices[0].shape for m in matrices):
         raise ValidationError("states have mixed dimensions")
     return matrices
@@ -116,9 +118,7 @@ class QldpMechanism:
     def __post_init__(self):
         require_epsilon(self.epsilon)
         members = tuple(validate_density(s) for s in self.states)
-        if len(members) < 2:
-            raise ValidationError("mechanism needs at least 2 states")
-        _one_dimension([s.matrix for s in members])
+        _state_family([s.matrix for s in members])
         if not all(s.full_rank for s in members):
             raise SupportMismatchError("mechanism states must be full rank")
         object.__setattr__(self, "states", tuple(s.matrix for s in members))
@@ -147,7 +147,7 @@ def qldp_level(states) -> float:
         valid = states.members
     else:
         valid = [validate_density(s) for s in states]
-        _one_dimension([s.matrix for s in valid])
+        _state_family([s.matrix for s in valid])
     if not all(s.full_rank for s in valid):
         raise SupportMismatchError("state is rank deficient; privacy level undefined")
     inv_sqrts = [(s.eigenvectors * s.eigenvalues**-0.5) @ s.eigenvectors.conj().T for s in valid]
@@ -164,12 +164,14 @@ def ldp_level(q) -> float:
     mat = q.q if isinstance(q, LdpMechanism) else _column_stochastic(q)
     level = 0.0
     for row in mat:
-        top, bot = row.max(), row.min()
+        top, bot = float(row.max()), float(row.min())
         if top <= 0.0:
             continue
         if bot <= 0.0:
             raise SupportMismatchError("zero entry in a row with positive entries")
-        level = max(level, math.log(top / bot))
+        # The ratio overflows only when bot is subnormal; the log difference is then exact enough.
+        ratio = top / bot
+        level = max(level, math.log(ratio) if ratio < math.inf else math.log(top) - math.log(bot))
     return level
 
 
@@ -182,7 +184,7 @@ def audit_qldp(states, epsilon: float) -> bool:
     if isinstance(states, QldpMechanism):
         mats = states.states
     else:
-        mats = _one_dimension([validate_hermitian(s) for s in states])
+        mats = _state_family([validate_hermitian(s) for s in states])
     grow = math.exp(epsilon)
     for x, x2 in itertools.permutations(range(len(mats)), 2):
         # Written so that a NaN eigenvalue counts as a failure.

@@ -282,9 +282,11 @@ def classical_relative_entropy(p, q) -> float:
     return float(np.sum(pv * (np.log(pv) - np.log(qv))))
 
 
-def classical_f_divergence(p, q, f: OperatorConvexF) -> float:
+def classical_f_divergence(p, q, f: OperatorConvexF) -> float | np.ndarray:
+    """sum_j q_j F(p_j / q_j) over the last axis: a float for vectors, one value per row for a stack."""
     pv, qv = _positive_vector(p), _positive_vector(q)
-    return float(np.sum(qv * f(pv / qv)))
+    value = np.sum(qv * f(pv / qv), axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def classical_chernoff(p, q) -> float:

@@ -128,14 +128,13 @@ def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
 
 
 def _mechanism_pool() -> list[QldpMechanism]:
-    pool = [
+    return [
         sigma_star(2, 0.8),
         sigma_star(3, 1.0),
         sigma_star(4, 0.5),
         isoclinic_mechanism(build_eitff(3), 2.0),
         isoclinic_mechanism(build_eitff(5), 1.0),
     ]
-    return pool
 
 
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
@@ -186,21 +185,16 @@ def scalar_selftests() -> tuple[SuiteResult, ...]:
         eighth_upper.append(t * t / 8.0 - (big_t - 1.0 - math.log(big_t)))
 
     fs = [KL, SQUARE, neg_ratio(0.5), neg_ratio(1.0), neg_ratio(2.0), neg_ratio(5.0)]
-    posterior_order = []
-    for iu in range(1, 101):
-        u = iu / 200.0  # (0, 1/2]
-        for eps10 in range(1, 21):
-            epsilon = eps10 / 10.0
-            grow = math.exp(epsilon)
-            prior = np.array([1.0 - u, u])
-            z0 = (1.0 - u) * (grow - 1.0) + 1.0
-            z1 = u * (grow - 1.0) + 1.0
-            post0 = np.array([(1.0 - u) * grow, u]) / z0
-            post1 = np.array([1.0 - u, u * grow]) / z1
-            posterior_order += [
-                classical_f_divergence(post1, prior, f) - classical_f_divergence(post0, prior, f) + 1e-12
-                for f in fs
-            ]
+    # One row per (u, eps), u = 1/200 .. 1/2 outer and eps = 0.1 .. 2 inner.
+    u = np.repeat(np.arange(1, 101) / 200.0, 20)
+    grow = np.tile([math.exp(eps10 / 10.0) for eps10 in range(1, 21)], 100)
+    prior = np.stack([1.0 - u, u], axis=-1)
+    post0 = np.stack([(1.0 - u) * grow, u], axis=-1) / ((1.0 - u) * (grow - 1.0) + 1.0)[:, None]
+    post1 = np.stack([1.0 - u, u * grow], axis=-1) / (u * (grow - 1.0) + 1.0)[:, None]
+    posterior_order = np.stack(
+        [classical_f_divergence(post1, prior, f) - classical_f_divergence(post0, prior, f) + 1e-12 for f in fs],
+        axis=-1,
+    ).ravel()
 
     return (
         SuiteResult.tally("xlogx_quadratic_lower", quadratic_lower, strict=True),

@@ -385,6 +385,13 @@ def test_mech_subset_where_z_overflows(tmp_path, capsys):
     assert "level=709.7" in capsys.readouterr().out
 
 
+def test_mech_subset_with_subnormal_entries_passes_its_audit(tmp_path):
+    # the smallest entry is subnormal at this eps; the audit used to overflow and exit 1
+    out = tmp_path / "s.json"
+    assert run(["mech", "subset", "--n", 9, "--k", 5, "--eps", "709.782712893384", "--out", out]) == 0
+    assert run(["mech", "audit", out]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,6 +14,7 @@ from qldp.frames import (
     verify_eitff,
 )
 from qldp.linalg import operator_norm
+from qldp.mechanisms import isoclinic_mechanism
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -186,8 +187,9 @@ def test_verify_is_basis_independent():
 
 
 def test_build_is_bit_reproducible():
-    first = build_eitff(6)
-    second = build_eitff(6)
+    # past the cache, so that two builds are compared and not one frame with itself
+    first = build_eitff.__wrapped__(6)
+    second = build_eitff.__wrapped__(6)
     assert all(np.array_equal(a, b) for a, b in zip(first.projections, second.projections))
 
 
@@ -197,3 +199,25 @@ def test_frame_json_roundtrip(tmp_path):
     assert back.d == frame.d and back.r == frame.r and back.n == frame.n and back.c == frame.c
     assert all(np.array_equal(a, b) for a, b in zip(back.projections, frame.projections))
     assert verify_eitff(back.projections).is_eitff
+
+
+def test_build_returns_one_read_only_frame_per_arguments():
+    frame = build_eitff(5)
+    assert build_eitff(5) is frame
+    with pytest.raises(ValueError):
+        frame.projections[0][0, 0] = 0.0
+
+
+def test_build_failures_are_raised_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ExistenceError):
+            build_eitff(6, a=0)
+        with pytest.raises(ValidationError, match="exceeds"):
+            build_eitff(16)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_cached_frame_gives_the_states_of_a_fresh_build(n):
+    cached = isoclinic_mechanism(build_eitff(n), 0.7)
+    fresh = isoclinic_mechanism(build_eitff.__wrapped__(n), 0.7)
+    assert all(np.array_equal(a, b) for a, b in zip(cached.states, fresh.states))

@@ -11,6 +11,7 @@ from qldp.exponents import boundary_mu
 from qldp.frames import build_eitff
 from qldp.linalg import operator_norm
 from qldp.mechanisms import (
+    MAX_EPSILON,
     LdpMechanism,
     QldpMechanism,
     admissible_mu_interval,
@@ -140,6 +141,15 @@ def test_raw_states_of_mixed_dimensions_are_rejected():
         qldp_level(states)
     with pytest.raises(ValidationError, match="states have mixed dimensions"):
         audit_qldp(states, 1.0)
+
+
+def test_raw_families_of_fewer_than_two_states_are_rejected():
+    # qldp_level used to return 0.0 for these and audit_qldp([], eps) True
+    for states in ([], [np.eye(2) / 2]):
+        with pytest.raises(ValidationError, match="at least 2 states"):
+            qldp_level(states)
+        with pytest.raises(ValidationError, match="at least 2 states"):
+            audit_qldp(states, 1.0)
 
 
 def test_admissible_interval_matches_commuting_formula():
@@ -274,6 +284,15 @@ def test_subset_mechanism_where_z_overflows(n):
         mech = subset_mechanism(n, k, epsilon)
         assert ldp_level(mech) == epsilon
         assert audit_ldp(mech, epsilon)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_subset_mechanism_audits_at_max_epsilon(n):
+    # at (9, 5) the smallest entry is subnormal and top / bot used to overflow to inf
+    for k in range(1, n):
+        mech = subset_mechanism(n, k, MAX_EPSILON)
+        assert ldp_level(mech) == pytest.approx(MAX_EPSILON, abs=1e-10)
+        assert audit_ldp(mech, MAX_EPSILON)
 
 
 def test_tilde_family_identity_at_eta_one():

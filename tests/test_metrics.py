@@ -311,6 +311,33 @@ def test_classical_quantum_agreement():
             assert classical_f_divergence(p, q, f) == pytest.approx(petz_f_divergence(dp, dq, f), abs=1e-10)
 
 
+SCALAR_SUITE_FS = [KL, SQUARE, neg_ratio(0.5), neg_ratio(1.0), neg_ratio(2.0), neg_ratio(5.0)]
+
+
+@pytest.mark.parametrize("f", SCALAR_SUITE_FS, ids=lambda f: f"{f.tag}{f.s or ''}")
+def test_classical_f_divergence_of_a_stack_equals_its_rows(f):
+    rng = np.random.default_rng(12)
+    p = rng.uniform(0.01, 1.0, size=(50, 2))
+    q = rng.uniform(0.01, 1.0, size=(50, 2))
+    rows = np.array([classical_f_divergence(a, b, f) for a, b in zip(p, q)])
+    assert np.array_equal(classical_f_divergence(p, q, f), rows)
+
+
+def test_classical_f_divergence_of_a_vector_is_a_float():
+    assert type(classical_f_divergence([0.5, 0.5], [0.25, 0.75], KL)) is float
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1])
+def test_classical_f_divergence_checks_every_entry_of_a_stack(bad):
+    p = np.full((40, 2), 0.5)
+    q = np.full((40, 2), 0.5)
+    for stack in (p, q):
+        stack[37, 1] = bad
+        with pytest.raises(SupportMismatchError):
+            classical_f_divergence(p, q, KL)
+        stack[37, 1] = 0.5
+
+
 def test_classical_chernoff_identical():
     p = np.array([0.4, 0.6])
     assert classical_chernoff(p, p) == pytest.approx(0.0, abs=1e-12)

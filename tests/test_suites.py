@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qldp import suites
+from qldp.metrics import KL, SQUARE, classical_f_divergence, neg_ratio
 from qldp.suites import (
     SuiteResult,
     dpi_suite,
@@ -87,3 +88,53 @@ def test_scalar_suite_keeps_a_nan_worst_margin(monkeypatch, position):
     assert math.isnan(folded.worst_margin)
     assert (folded.instances, folded.violations) == (30, 1)
     assert not folded.passed
+
+
+# float.hex of every worst margin, computed before the scalar grid was evaluated in one batch.
+SUITE_MARGINS_SEED7_COUNT50 = [
+    ("monotone_metric_sandwich", 200, 0, "0x1.bf6684bc3855dp-8"),
+    ("data_processing", 600, 0, "0x1.749f74bb9aca1p-8"),
+    ("measurement_reduction", 50, 0, "0x1.1fae0b467e058p-5"),
+    ("eta_mixing_level", 50, 0, "0x1.1c6e1cf967e58p-10"),
+    ("scalar_selftests", 14499, 0, "0x1.770cd39800000p-43"),
+]
+SCALAR_MARGINS = [
+    ("xlogx_quadratic_lower", 1998, 0, "0x1.770cd39800000p-43"),
+    ("xlogx_eighth_upper", 501, 0, "0x1.12a14df363400p-33"),
+    ("posterior_divergence_order", 12000, 0, "0x1.19799812dea11p-40"),
+]
+
+
+def _pinned(results):
+    return [(r.name, r.instances, r.violations, float.hex(r.worst_margin)) for r in results]
+
+
+def test_suite_worst_margins_are_pinned_bit_for_bit():
+    assert _pinned(run_all_suites(7, 50)) == SUITE_MARGINS_SEED7_COUNT50
+    assert _pinned(scalar_selftests()) == SCALAR_MARGINS
+
+
+def test_posterior_grid_matches_the_per_instance_loop(monkeypatch):
+    # the batched grid against the loop it replaced: every margin, in the same order
+    tallied = {}
+    tally = SuiteResult.tally.__func__
+
+    def recording(cls, name, margins, strict=False):
+        tallied[name] = [float(m) for m in margins]
+        return tally(cls, name, margins, strict)
+
+    monkeypatch.setattr(SuiteResult, "tally", classmethod(recording))
+    scalar_selftests()
+    expected = []
+    for iu in range(1, 101):
+        u = iu / 200.0
+        for eps10 in range(1, 21):
+            grow = math.exp(eps10 / 10.0)
+            prior = np.array([1.0 - u, u])
+            post0 = np.array([(1.0 - u) * grow, u]) / ((1.0 - u) * (grow - 1.0) + 1.0)
+            post1 = np.array([1.0 - u, u * grow]) / (u * (grow - 1.0) + 1.0)
+            expected += [
+                classical_f_divergence(post1, prior, f) - classical_f_divergence(post0, prior, f) + 1e-12
+                for f in (KL, SQUARE, neg_ratio(0.5), neg_ratio(1.0), neg_ratio(2.0), neg_ratio(5.0))
+            ]
+    assert [float.hex(m) for m in tallied["posterior_divergence_order"]] == [float.hex(m) for m in expected]
