@@ -11,6 +11,7 @@ quadratic term converges to one at the expected rate.
 import numpy as np
 
 from qldp.expansions import (
+    DEFAULT_T_GRID,
     check_chernoff_expansion,
     check_entropy_expansion,
     check_fdiv_expansion,
@@ -27,7 +28,7 @@ x2 = random_traceless_hermitian(rng, 3, 0.5)
 report = check_fdiv_expansion(rho0, x1, x2, KL)
 print("KL divergence vs half the induced metric form:")
 print("      t      predicted      observed    |ratio - 1|")
-for t, p, o, e in zip(report.t_grid, report.predicted, report.observed, report.ratio_errors):
+for t, p, o, e in zip(DEFAULT_T_GRID, report.predicted, report.observed, report.ratio_errors):
     print(f"  {t:7.0e}  {p:12.5e}  {o:12.5e}  {e:10.3e}")
 print(f"fitted decay order of the error: {report.fitted_order:.3f}")
 

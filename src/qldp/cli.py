@@ -21,9 +21,11 @@ import numpy as np
 
 from . import exponents, frames, mechanisms, metrics, optimal, suites
 from .errors import ValidationError
+from .expansions import DEFAULT_T_GRID
 from .linalg import matrix_from_json
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(exponents.SweepRecord))
+THRESHOLD_COLUMNS = ("n", "sym_threshold", "asym_threshold")
 
 
 class _UsageError(Exception):
@@ -77,11 +79,13 @@ def _load_json(path: str, parse):
         raise ValidationError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, rows) -> int:
+    """Write ``header`` and ``rows`` as CSV; returns the row count."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return len(rows)
 
 
 def _sidecar(path: str, target: str, params: dict, rows: int) -> None:
@@ -91,8 +95,15 @@ def _sidecar(path: str, target: str, params: dict, rows: int) -> None:
         json.dump(meta, fh, indent=1, sort_keys=True)
 
 
-def _sweep_rows(records) -> list[list[str]]:
-    return [[_fmt(value) for value in dataclasses.astuple(r)] for r in records]
+def _write_sweep(path: str, ns, eps, eta: float, alt_u) -> int:
+    """Compute :func:`exponents.ratio_sweep` for every n, then write it as CSV; returns the record count."""
+    records = [record for n in ns for record in exponents.ratio_sweep(n, eps, eta, alt_u)]
+    return _write_csv(path, SWEEP_COLUMNS, [[_fmt(value) for value in dataclasses.astuple(r)] for r in records])
+
+
+def _threshold_rows(ns) -> list[list[str]]:
+    sym, asym = exponents.advantage_threshold_sym, exponents.advantage_threshold_asym
+    return [[str(n), _fmt(sym(n)), _fmt(asym(n))] for n in ns]
 
 
 def build_parser() -> _Parser:
@@ -254,28 +265,16 @@ def _cmd_metric(args) -> int:
 
 def _cmd_exp(args) -> int:
     if args.action == "sweep":
-        ns = _parse_int_list(args.n)
-        eps = _parse_float_grid(args.eps)
-        records = _sweep(ns, eps, args.eta, args.alt_u)
-        _write_csv(args.out, SWEEP_COLUMNS, _sweep_rows(records))
-        print(f"wrote {len(records)} records to {args.out}")
+        count = _write_sweep(args.out, _parse_int_list(args.n), _parse_float_grid(args.eps), args.eta, args.alt_u)
+        print(f"wrote {count} records to {args.out}")
         return 0
     if args.action == "thresholds":
-        ns = _parse_int_list(args.n)
-        print("n,sym_threshold,asym_threshold")
-        for n in ns:
-            print(
-                f"{n},{_fmt(exponents.advantage_threshold_sym(n))},"
-                f"{_fmt(exponents.advantage_threshold_asym(n))}"
-            )
+        rows = _threshold_rows(_parse_int_list(args.n))
+        print("\n".join(",".join(row) for row in [THRESHOLD_COLUMNS, *rows]))
         return 0
     value = exponents.advantage_crossover(args.n, args.mode)
     print(_fmt(value))
     return 0
-
-
-def _sweep(ns, eps, eta, alt_u):
-    return [record for n in ns for record in exponents.ratio_sweep(n, eps, eta, alt_u)]
 
 
 def _cmd_opt(args) -> int:
@@ -284,17 +283,16 @@ def _cmd_opt(args) -> int:
         classical, quantum, ratio = optimal.asymptotic_prediction(args.n, utility.beta0)
         print(f"classical_coeff={_fmt(classical)} quantum_coeff={_fmt(quantum)} ratio={_fmt(ratio)}")
         return 0
-    run_full = args.full or not args.symmetric
-    run_symmetric = args.symmetric or not args.full
-    if run_symmetric:
-        value = optimal.kairouz_lp_symmetric(args.n, args.eps, utility)
-        print(f"symmetric={_fmt(value)}")
-    if run_full:
+    lines = []
+    if args.symmetric or not args.full:
+        lines.append(f"symmetric={_fmt(optimal.kairouz_lp_symmetric(args.n, args.eps, utility))}")
+    if args.full or not args.symmetric:
         sol = optimal.kairouz_lp(args.n, args.eps, utility)
         if sol.status != "optimal":
             print(f"LP solver failed: {sol.status}", file=sys.stderr)
             return 2
-        print(f"full={_fmt(sol.value)} support={len(sol.weights)}")
+        lines.append(f"full={_fmt(sol.value)} support={len(sol.weights)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -305,13 +303,11 @@ def _cmd_verify(args) -> int:
     verdicts = [(rep, rep.passes()) for rep in suites.expansion_suite(seed)]
     all_ok = all(ok for _, ok in verdicts)
     if args.action == "taylor":
-        for rep, ok in verdicts:
-            print(f"{rep.name:24s} order={rep.fitted_order:6.3f} err={rep.ratio_errors[-1]:.3e} {'ok' if ok else 'FAIL'}")
         if args.out:
             payload = [
                 {
                     "name": rep.name,
-                    "t_grid": [float(t) for t in rep.t_grid],
+                    "t_grid": [float(t) for t in DEFAULT_T_GRID],
                     "ratio_errors": [float(e) for e in rep.ratio_errors],
                     "fitted_order": float(rep.fitted_order),
                     "passed": ok,
@@ -320,11 +316,14 @@ def _cmd_verify(args) -> int:
             ]
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump({"seed": seed, "checks": payload, "all_passed": all_ok}, fh, indent=1)
+        for rep, ok in verdicts:
+            print(f"{rep.name:24s} order={rep.fitted_order:6.3f} err={rep.ratio_errors[-1]:.3e} {'ok' if ok else 'FAIL'}")
         return 0 if all_ok else 2
 
+    results = suites.run_all_suites(seed, args.count)
     for rep, ok in verdicts:
         print(f"taylor/{rep.name:24s} order={rep.fitted_order:6.3f} {'ok' if ok else 'FAIL'}")
-    for result in suites.run_all_suites(seed, args.count):
+    for result in results:
         all_ok &= result.passed
         print(
             f"suite/{result.name:26s} instances={result.instances} "
@@ -337,33 +336,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     out = args.out or f"{args.target}.csv"
-    if args.target == "fig1":
-        ns = [3, 6, 10]
-        eps = _parse_float_grid("0.05:2.0:0.05")
-        records = _sweep(ns, eps, 1.0, None)
-        _write_csv(out, SWEEP_COLUMNS, _sweep_rows(records))
-        _sidecar(out, "fig1", {"n": ns, "eps": "0.05:2.0:0.05", "eta": 1.0}, len(records))
-    elif args.target == "fig2":
-        eps = _parse_float_grid("0.05:2.0:0.05")
-        records = _sweep([10], eps, 1.0, 0.4)
-        _write_csv(out, SWEEP_COLUMNS, _sweep_rows(records))
-        _sidecar(out, "fig2", {"n": [10], "eps": "0.05:2.0:0.05", "eta": 1.0, "alt_u": 0.4}, len(records))
+    if args.target in ("fig1", "fig2"):
+        params = {"n": [3, 6, 10], "eps": "0.05:2.0:0.05", "eta": 1.0}
+        if args.target == "fig2":
+            params.update(n=[10], alt_u=0.4)
+        rows = _write_sweep(out, params["n"], _parse_float_grid(params["eps"]), params["eta"], params.get("alt_u"))
     elif args.target == "thresholds":
-        rows = [
-            [str(n), _fmt(exponents.advantage_threshold_sym(n)), _fmt(exponents.advantage_threshold_asym(n))]
-            for n in range(3, 13)
-        ]
-        _write_csv(out, ("n", "sym_threshold", "asym_threshold"), rows)
-        _sidecar(out, "thresholds", {"n": "3..12"}, len(rows))
+        params = {"n": "3..12"}
+        rows = _write_csv(out, THRESHOLD_COLUMNS, _threshold_rows(range(3, 13)))
     else:
-        epsilon = 1e-3
-        rows = []
+        params = {"n": "2..10", "epsilon": 1e-3}
+        table = []
         for n in range(2, 11):
-            (record,) = exponents.ratio_sweep(n, [epsilon])
+            (record,) = exponents.ratio_sweep(n, [params["epsilon"]])
             limit = optimal.asymptotic_prediction(n, optimal.mutual_information_utility(n).beta0)[2]
-            rows.append([str(n), _fmt(record.s_ratio), _fmt(record.a_ratio), _fmt(limit)])
-        _write_csv(out, ("n", "sym_ratio", "asym_ratio", "limit_ratio"), rows)
-        _sidecar(out, "ratios", {"n": "2..10", "epsilon": epsilon}, len(rows))
+            table.append([str(n), _fmt(record.s_ratio), _fmt(record.a_ratio), _fmt(limit)])
+        rows = _write_csv(out, ("n", "sym_ratio", "asym_ratio", "limit_ratio"), table)
+    _sidecar(out, args.target, params, rows)
     print(f"wrote {out}")
     return 0
 

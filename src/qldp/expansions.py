@@ -1,14 +1,16 @@
 """Finite-difference verification of second-order expansions.
 
-Each check evaluates an information quantity along a shrinking perturbation
-grid t and compares it with the quadratic form that is supposed to carry its
-second-order behaviour.  Because the remainders are one order higher, the
+Each check evaluates an information quantity along the fixed grid
+DEFAULT_T_GRID, 1e-1 down to 1e-3 (below t = 1e-3 double-precision
+cancellation degrades the ratio), and compares it with the quadratic form
+that is supposed to carry its second-order behaviour.  An
+:class:`ExpansionReport` keeps only what was measured: the name, the
+coefficient quad of the predicted term quad t^2, and the observed values.
+The predicted values, the ratio errors and the fitted order are derived
+from these on access.  Because the remainders are one order higher, the
 ratio observed/predicted must approach 1 roughly linearly in t; the fitted
-slope of log|ratio - 1| against log t is reported and must stay >= 0.9, and
-the ratio error at the smallest t must stay <= 2% (:meth:`ExpansionReport.passes`).
-
-Every check runs on the fixed grid DEFAULT_T_GRID, 1e-1 down to 1e-3: below
-t = 1e-3 double-precision cancellation degrades the ratio.
+slope of log|ratio - 1| against log t must stay >= 0.9, and the ratio error
+at the smallest t must stay <= 2% (:meth:`ExpansionReport.passes`).
 """
 
 from __future__ import annotations
@@ -38,17 +40,34 @@ NOISE_FLOOR = 1e-11
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Observed vs predicted quadratic term along a decreasing t grid."""
+    """Observed values along DEFAULT_T_GRID and the coefficient quad of their predicted term quad t^2."""
 
     name: str
-    t_grid: tuple
-    predicted: tuple
+    quad: float
     observed: tuple
-    ratio_errors: tuple
-    fitted_order: float
+
+    @property
+    def predicted(self) -> tuple:
+        return tuple(self.quad * t * t for t in DEFAULT_T_GRID)
+
+    @property
+    def ratio_errors(self) -> tuple:
+        # Degenerate zero-prediction directions fall back to the absolute error.
+        return tuple(abs(o / p - 1.0) if p != 0.0 else abs(o) for p, o in zip(self.predicted, self.observed))
+
+    @property
+    def fitted_order(self) -> float:
+        # Fit over the three smallest usable points: remainder sign changes can
+        # carve a dip into the coarse end of the curve, but a well-conditioned
+        # instance has settled into its asymptotic slope by the last decade.
+        usable = [(t, e) for t, e in zip(DEFAULT_T_GRID, self.ratio_errors) if e >= NOISE_FLOOR][-3:]
+        if len(usable) < 2:
+            return math.inf
+        xs, ys = np.log(usable).T
+        return float(np.polyfit(xs, ys, 1)[0])
 
     def ratio_error_at(self, t: float) -> float:
-        for ti, err in zip(self.t_grid, self.ratio_errors):
+        for ti, err in zip(DEFAULT_T_GRID, self.ratio_errors):
             if abs(ti - t) <= 1e-15:
                 return err
         raise ValidationError(f"t={t} is not on the grid")
@@ -56,36 +75,6 @@ class ExpansionReport:
     def passes(self) -> bool:
         """Fitted order at least 0.9 and ratio error at most 2% at the smallest t."""
         return bool(self.fitted_order >= 0.9 and self.ratio_errors[-1] <= 0.02)
-
-
-def _fitted_order(ratio_errors) -> float:
-    # Fit over the three smallest usable points: remainder sign changes can
-    # carve a dip into the coarse end of the curve, but a well-conditioned
-    # instance has settled into its asymptotic slope by the last decade.
-    usable = [(t, e) for t, e in zip(DEFAULT_T_GRID, ratio_errors) if e >= NOISE_FLOOR]
-    usable = usable[-3:]
-    if len(usable) < 2:
-        return math.inf
-    xs = np.log([t for t, _ in usable])
-    ys = np.log([e for _, e in usable])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
-
-
-def _make_report(name, quad, observed) -> ExpansionReport:
-    predicted = [quad * t * t for t in DEFAULT_T_GRID]
-    ratio_errors = []
-    for p, o in zip(predicted, observed):
-        # Degenerate zero-prediction directions fall back to the absolute error.
-        ratio_errors.append(abs(o / p - 1.0) if p != 0.0 else abs(o))
-    return ExpansionReport(
-        name=name,
-        t_grid=DEFAULT_T_GRID,
-        predicted=tuple(predicted),
-        observed=tuple(observed),
-        ratio_errors=tuple(ratio_errors),
-        fitted_order=_fitted_order(ratio_errors),
-    )
 
 
 def _check_direction(r0, x) -> np.ndarray:
@@ -98,21 +87,27 @@ def _check_direction(r0, x) -> np.ndarray:
     return xm
 
 
-def _perturbed_pair(rho0, x1, x2):
-    """Base State and both checked directions of a two-state expansion check."""
+def _two_state_report(name, rho0, x1, x2, quad_of, divergence) -> ExpansionReport:
+    """``divergence`` of rho0 + t x1 and rho0 + t x2 along the grid, predicted by quad_of(rho0, x1 - x2)."""
     r0 = validate_density(rho0)
-    return r0, _check_direction(r0, x1), _check_direction(r0, x2)
+    d1, d2 = _check_direction(r0, x1), _check_direction(r0, x2)
+    quad = quad_of(r0, d1 - d2)
+    observed = tuple(divergence(r0.matrix + t * d1, r0.matrix + t * d2) for t in DEFAULT_T_GRID)
+    return ExpansionReport(name, quad, observed)
 
 
 def check_fdiv_expansion(rho0, x1, x2, f: OperatorConvexF) -> ExpansionReport:
     """F-divergence of two perturbed states vs half the induced metric form."""
     if abs(float(f(np.array(1.0)))) > 1e-12:
         raise ValidationError("the expansion needs F(1) = 0")
-    r0, d1, d2 = _perturbed_pair(rho0, x1, x2)
-    dx = d1 - d2
-    quad = 0.5 * induced_metric(r0, dx, dx, f)
-    observed = [petz_f_divergence(r0.matrix + t * d1, r0.matrix + t * d2, f) for t in DEFAULT_T_GRID]
-    return _make_report(f"fdiv_{f.tag}", quad, observed)
+    return _two_state_report(
+        f"fdiv_{f.tag}",
+        rho0,
+        x1,
+        x2,
+        lambda r0, dx: 0.5 * induced_metric(r0, dx, dx, f),
+        lambda a, b: petz_f_divergence(a, b, f),
+    )
 
 
 def check_entropy_expansion(rho0, x) -> ExpansionReport:
@@ -123,28 +118,29 @@ def check_entropy_expansion(rho0, x) -> ExpansionReport:
     linear = float(np.trace(log_r0 @ xm).real)
     h0 = von_neumann_entropy(r0)
     quad = 0.5 * petz_metric(r0, xm, xm, BKM)
-    observed = [h0 - von_neumann_entropy(r0.matrix + t * xm) - t * linear for t in DEFAULT_T_GRID]
-    return _make_report("entropy", quad, observed)
+    observed = tuple(h0 - von_neumann_entropy(r0.matrix + t * xm) - t * linear for t in DEFAULT_T_GRID)
+    return ExpansionReport("entropy", quad, observed)
 
 
 def check_chernoff_expansion(rho0, x1, x2) -> ExpansionReport:
     """Chernoff information of two perturbed states vs one eighth of the wyd(1/2) form."""
-    r0, d1, d2 = _perturbed_pair(rho0, x1, x2)
-    dx = d1 - d2
-    quad = petz_metric(r0, dx, dx, wyd(0.5)) / 8.0
-    observed = [chernoff_information(r0.matrix + t * d1, r0.matrix + t * d2) for t in DEFAULT_T_GRID]
-    return _make_report("chernoff", quad, observed)
+    return _two_state_report(
+        "chernoff", rho0, x1, x2, lambda r0, dx: petz_metric(r0, dx, dx, wyd(0.5)) / 8.0, chernoff_information
+    )
 
 
 def check_overlap_expansion(rho0, x1, x2, s: float) -> ExpansionReport:
     """Overlap deficit 1 - Tr rho_1^s rho_2^{1-s} vs (s(1-s)/2) times the wyd(s) form."""
     if not 0.0 < s < 1.0:
         raise ValidationError("s must lie in (0, 1)")
-    r0, d1, d2 = _perturbed_pair(rho0, x1, x2)
-    dx = d1 - d2
-    quad = 0.5 * s * (1.0 - s) * petz_metric(r0, dx, dx, wyd(s))
-    observed = [1.0 - overlap(r0.matrix + t * d1, r0.matrix + t * d2, s) for t in DEFAULT_T_GRID]
-    return _make_report(f"overlap_s{s:g}", quad, observed)
+    return _two_state_report(
+        f"overlap_s{s:g}",
+        rho0,
+        x1,
+        x2,
+        lambda r0, dx: 0.5 * s * (1.0 - s) * petz_metric(r0, dx, dx, wyd(s)),
+        lambda a, b: 1.0 - overlap(a, b, s),
+    )
 
 
 def check_quadratic_assumption(
@@ -171,5 +167,5 @@ def check_quadratic_assumption(
         raise ValidationError("directions must have zero mean")
     j_sum = sum(petz_metric(r0, x, x, kind) for x in dirs)
     quad = beta0 * n / (2.0 * (n - 1.0)) * j_sum
-    observed = [evaluator([r0.matrix + t * x for x in dirs]) - phi_at_ones for t in DEFAULT_T_GRID]
-    return _make_report("quadratic_assumption", quad, observed)
+    observed = tuple(evaluator([r0.matrix + t * x for x in dirs]) - phi_at_ones for t in DEFAULT_T_GRID)
+    return ExpansionReport("quadratic_assumption", quad, observed)

@@ -295,6 +295,8 @@ def ratio_sweep(n: int, eps_grid, eta: float = 1.0, alt_u: float | None = None) 
     ``alt_u`` adds a second isoclinic mechanism (e.g. u = 0.4) in the
     ``*_qalt`` columns.
     """
+    if n < 2:
+        raise ValidationError(f"a sweep needs n >= 2 inputs, got n={n}")
     records = []
     for epsilon in eps_grid:
         require_epsilon(epsilon)

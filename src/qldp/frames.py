@@ -108,18 +108,21 @@ def simplex_vectors(n: int) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(lam[keep])
 
 
-@functools.cache
 def build_eitff(n: int, a: int | None = None) -> FusionFrame:
     """Equi-isoclinic tight fusion frame with d = 2^{a+1}, r = 2^a.
 
     ``a`` defaults to the minimal admissible value max(0, ceil(n/2) - 2).
-    Raises :class:`ExistenceError` when n > 2a + 4.  Cached per (n, a) as passed,
-    so the projections are shared and read-only: copy one before editing it.
+    Raises :class:`ExistenceError` when n > 2a + 4.  Cached per (n, a) once the
+    default is resolved, so ``build_eitff(3)`` and ``build_eitff(3, 0)`` return one
+    frame; its projections are shared and read-only: copy one before editing it.
     """
+    return _cached_eitff(n, max(0, -(-n // 2) - 2) if a is None else a)
+
+
+@functools.cache
+def _cached_eitff(n: int, a: int) -> FusionFrame:
     if n < 2:
         raise ValidationError("need at least two projections")
-    if a is None:
-        a = max(0, -(-n // 2) - 2)
     if a < 0:
         raise ValidationError("a must be non-negative")
     if n > 2 * a + 4:
@@ -196,6 +199,8 @@ def frame_to_json(frame: FusionFrame) -> dict:
 def frame_from_json(obj: dict) -> FusionFrame:
     projections = tuple(as_matrix(matrix_from_json(p)) for p in obj["projections"])
     d, r, n = int(obj["d"]), int(obj["r"]), int(obj["n"])
+    if n < 2 or d < 1:
+        raise ValidationError(f"frame JSON needs n >= 2 and d >= 1, got n={n}, d={d}")
     if any(p.shape[0] != d for p in projections) or len(projections) != n:
         raise ValidationError("frame JSON is inconsistent")
     return FusionFrame(d=d, r=r, n=n, projections=projections, c=frame_constant(d, r, n))

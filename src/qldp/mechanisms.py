@@ -366,22 +366,23 @@ def mechanism_to_json(mech) -> dict:
 
 
 def mechanism_from_json(obj: dict):
-    """Parse a mechanism and re-audit it against its declared level."""
+    """Parse a mechanism, check the size fields it declares, and re-audit it against its declared level."""
     kind = obj.get("kind")
     epsilon = float(obj["epsilon"])
     if kind == "qldp":
-        states = tuple(matrix_from_json(s) for s in obj["states"])
-        mech = QldpMechanism(states=states, epsilon=epsilon)
-        if not audit_qldp(mech, epsilon):
-            raise PrivacyViolationError("deserialized mechanism fails its declared QLDP audit")
-        return mech
-    if kind == "ldp":
-        q = np.array(obj["q"], dtype=float).T
-        mech = LdpMechanism(q=q, epsilon=epsilon)
-        if not audit_ldp(mech, epsilon):
-            raise PrivacyViolationError("deserialized mechanism fails its declared LDP audit")
-        return mech
-    raise ValidationError(f"unknown mechanism kind {kind!r}")
+        mech = QldpMechanism(states=tuple(matrix_from_json(s) for s in obj["states"]), epsilon=epsilon)
+        sizes, audit = {"n": mech.n, "dim": mech.dim}, audit_qldp
+    elif kind == "ldp":
+        mech = LdpMechanism(q=np.array(obj["q"], dtype=float).T, epsilon=epsilon)
+        sizes, audit = {"n": mech.n_inputs, "outputs": mech.n_outputs}, audit_ldp
+    else:
+        raise ValidationError(f"unknown mechanism kind {kind!r}")
+    for key, held in sizes.items():
+        if obj[key] != held:
+            raise ValidationError(f"mechanism JSON declares {key}={obj[key]} but holds {key}={held}")
+    if not audit(mech, epsilon):
+        raise PrivacyViolationError(f"deserialized mechanism fails its declared {kind.upper()} audit")
+    return mech
 
 
 def save_mechanism(mech, path) -> None:

@@ -11,6 +11,7 @@ margins, positive when the property held with room to spare, and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,19 +128,24 @@ def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     return SuiteResult.tally("data_processing", margins)
 
 
-def _mechanism_pool() -> list[QldpMechanism]:
-    return [
+@functools.cache
+def _measured_pool() -> tuple[tuple[QldpMechanism, float], ...]:
+    """Five fixed mechanisms with their audited levels, built once; every state array is read-only."""
+    pool = (
         sigma_star(2, 0.8),
         sigma_star(3, 1.0),
         sigma_star(4, 0.5),
         isoclinic_mechanism(build_eitff(3), 2.0),
         isoclinic_mechanism(build_eitff(5), 1.0),
-    ]
+    )
+    for array in (a for mech in pool for s in mech.members for a in (s.matrix, s.eigenvalues, s.eigenvectors)):
+        array.setflags(write=False)
+    return tuple((mech, qldp_level(mech)) for mech in pool)
 
 
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Measuring an eps-QLDP mechanism never induces a worse classical level."""
-    pool = [(m, qldp_level(m)) for m in _mechanism_pool()]
+    pool = _measured_pool()
     margins = []
     for i in range(count):
         mech, level = pool[i % len(pool)]

@@ -486,3 +486,56 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps({"d": 2}))
     assert run(["frame", "verify", frame]) == 1
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (0, 2), (2, 0)])
+def test_frame_verify_of_degenerate_sizes_exits_one(tmp_path, capsys, n, d):
+    path = tmp_path / "frame.json"
+    assert run(["frame", "build", "--n", 3, "--out", path]) == 0
+    obj = json.loads(path.read_text())
+    obj.update(n=n, d=d, projections=obj["projections"][:n])
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["frame", "verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n >= 2 and d >= 1" in captured.err
+
+
+@pytest.mark.parametrize("n", ["1", "0", "3,1"])
+def test_exp_sweep_below_two_inputs_exits_one(tmp_path, capsys, n):
+    out = tmp_path / "sweep.csv"
+    assert run(["exp", "sweep", "--n", n, "--eps", "0.5", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n >= 2" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,key,value",
+    [("sigma-star", "n", 7), ("sigma-star", "dim", 5), ("binary", "n", 7), ("binary", "outputs", 5)],
+)
+def test_mech_audit_rejects_mismatched_size_fields(tmp_path, capsys, kind, key, value):
+    path = tmp_path / "m.json"
+    assert run(["mech", kind, "--n", 3, "--eps", "1.0", "--out", path]) == 0
+    obj = json.loads(path.read_text())
+    obj[key] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["mech", "audit", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"declares {key}={value}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["exp", "thresholds", "--n", "2"], "degenerate below n = 3"),
+        (["exp", "thresholds", "--n", "3,4,2"], "degenerate below n = 3"),
+        (["opt", "lp", "--n", 20, "--eps", "0.5"], "n <= 14"),
+    ],
+    ids=["thresholds-2", "thresholds-3,4,2", "lp-20"],
+)
+def test_failing_table_commands_print_nothing(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err

@@ -29,7 +29,7 @@ def test_fdiv_flat_center_prediction():
     # at the flat center every kernel entry is 2, so the quadratic term is
     # (t^2/2) * 2 Tr (X/4)^2 = t^2/8
     report = check_fdiv_expansion(FLAT2, PAULI_X / 4, np.zeros((2, 2)), KL)
-    for t, predicted in zip(report.t_grid, report.predicted):
+    for t, predicted in zip(DEFAULT_T_GRID, report.predicted):
         assert predicted == pytest.approx(t * t / 8.0, abs=1e-15)
     assert report.ratio_error_at(1e-2) <= 0.05
     assert report.fitted_order >= 0.9
@@ -60,7 +60,7 @@ def test_fdiv_rejects_traceful_direction():
 
 def test_entropy_flat_center():
     report = check_entropy_expansion(FLAT2, PAULI_Z / 4)
-    for t, predicted in zip(report.t_grid, report.predicted):
+    for t, predicted in zip(DEFAULT_T_GRID, report.predicted):
         assert predicted == pytest.approx(t * t / 8.0, abs=1e-15)
     # the linear term vanishes at the flat center and the remainder is quartic
     assert report.ratio_errors[-1] <= 1e-5
@@ -76,7 +76,7 @@ def test_chernoff_flat_center_opposite_directions():
     x = PAULI_X / 4
     report = check_chernoff_expansion(FLAT2, x, -x)
     # predicted (1/8) J[2tX] = (t^2/2) J[X, X] with J = 2 Tr X^2 = 1/4
-    for t, predicted in zip(report.t_grid, report.predicted):
+    for t, predicted in zip(DEFAULT_T_GRID, report.predicted):
         assert predicted == pytest.approx(t * t / 8.0, abs=1e-15)
     assert report.fitted_order >= 0.9
 

@@ -286,6 +286,9 @@ def test_ratio_sweep_small_eps_limit():
 def test_ratio_sweep_validation():
     with pytest.raises(ValidationError):
         ratio_sweep(3, [0.0, 0.5])
+    for n in (1, 0, -2):
+        with pytest.raises(ValidationError, match="n >= 2"):
+            ratio_sweep(n, [0.5])
     with pytest.raises(ValidationError):
         closed_form_exponents(3, 0.5, 1.0, eta=0.0)
 

@@ -5,6 +5,7 @@ import pytest
 
 from qldp.errors import ExistenceError, ValidationError
 from qldp.frames import (
+    _cached_eitff,
     build_eitff,
     clifford_generators,
     frame_from_json,
@@ -188,8 +189,8 @@ def test_verify_is_basis_independent():
 
 def test_build_is_bit_reproducible():
     # past the cache, so that two builds are compared and not one frame with itself
-    first = build_eitff.__wrapped__(6)
-    second = build_eitff.__wrapped__(6)
+    first = _cached_eitff.__wrapped__(6, 1)
+    second = _cached_eitff.__wrapped__(6, 1)
     assert all(np.array_equal(a, b) for a, b in zip(first.projections, second.projections))
 
 
@@ -208,6 +209,12 @@ def test_build_returns_one_read_only_frame_per_arguments():
         frame.projections[0][0, 0] = 0.0
 
 
+def test_default_a_and_explicit_a_share_one_cached_frame():
+    frame = build_eitff(3)
+    assert build_eitff(3, 0) is frame
+    assert build_eitff(3, a=0) is frame
+
+
 def test_build_failures_are_raised_on_every_call():
     for _ in range(2):
         with pytest.raises(ExistenceError):
@@ -218,6 +225,7 @@ def test_build_failures_are_raised_on_every_call():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_cached_frame_gives_the_states_of_a_fresh_build(n):
-    cached = isoclinic_mechanism(build_eitff(n), 0.7)
-    fresh = isoclinic_mechanism(build_eitff.__wrapped__(n), 0.7)
+    frame = build_eitff(n)
+    cached = isoclinic_mechanism(frame, 0.7)
+    fresh = isoclinic_mechanism(_cached_eitff.__wrapped__(n, frame.r.bit_length() - 1), 0.7)  # r = 2^a
     assert all(np.array_equal(a, b) for a, b in zip(cached.states, fresh.states))

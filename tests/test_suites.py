@@ -138,3 +138,17 @@ def test_posterior_grid_matches_the_per_instance_loop(monkeypatch):
                 for f in (KL, SQUARE, neg_ratio(0.5), neg_ratio(1.0), neg_ratio(2.0), neg_ratio(5.0))
             ]
     assert [float.hex(m) for m in tallied["posterior_divergence_order"]] == [float.hex(m) for m in expected]
+
+
+def test_measurement_pool_is_built_once_and_read_only(monkeypatch):
+    pool = suites._measured_pool()
+    assert suites._measured_pool() is pool
+    for mech, level in pool:
+        assert float.hex(level) == float.hex(suites.qldp_level(suites.QldpMechanism(mech.states, mech.epsilon)))
+        with pytest.raises(ValueError):
+            mech.states[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            mech.members[0].eigenvalues[0] = 0.0
+    cached = measurement_suite(np.random.default_rng(3), 40)
+    monkeypatch.setattr(suites, "_measured_pool", suites._measured_pool.__wrapped__)
+    assert measurement_suite(np.random.default_rng(3), 40) == cached
