@@ -22,7 +22,7 @@ import numpy as np
 from . import exponents, frames, mechanisms, metrics, optimal, suites
 from .errors import ValidationError
 from .expansions import DEFAULT_T_GRID
-from .linalg import matrix_from_json
+from .linalg import load_json, matrix_from_json
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(exponents.SweepRecord))
 THRESHOLD_COLUMNS = ("n", "sym_threshold", "asym_threshold")
@@ -67,16 +67,6 @@ def _parse_float_grid(text: str) -> list[float]:
             raise ValidationError(f"empty grid {text!r}")
         return [round(start + i * step, 12) for i in range(count)]
     return [float(part) for part in text.split(",")]
-
-
-def _load_json(path: str, parse):
-    """Read a JSON file and ``parse`` it; a missing or mistyped field is a ValidationError."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        return parse(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _write_csv(path: str, header, rows) -> int:
@@ -200,7 +190,7 @@ def _cmd_frame(args) -> int:
             json.dump(frames.frame_to_json(frame), fh, indent=1)
         print(f"wrote frame d={frame.d} r={frame.r} n={frame.n} c={_fmt(frame.c)} to {args.out}")
         return 0
-    frame = _load_json(args.path, frames.frame_from_json)
+    frame = load_json(args.path, frames.frame_from_json)
     cert = frames.verify_eitff(frame.projections, tol=args.tol)
     print(
         f"tight={cert.is_tight} ectff={cert.is_ectff} eitff={cert.is_eitff} "
@@ -211,16 +201,9 @@ def _cmd_frame(args) -> int:
 
 def _cmd_mech(args) -> int:
     if args.action == "audit":
-        mech = _load_json(args.path, mechanisms.mechanism_from_json)
-        if isinstance(mech, mechanisms.QldpMechanism):
-            level = mechanisms.qldp_level(mech)
-            print(f"qldp mechanism n={mech.n} dim={mech.dim} declared={_fmt(mech.epsilon)} level={_fmt(level)}")
-        else:
-            level = mechanisms.ldp_level(mech)
-            print(
-                f"ldp mechanism n={mech.n_inputs} outputs={mech.n_outputs} "
-                f"declared={_fmt(mech.epsilon)} level={_fmt(level)}"
-            )
+        mech = mechanisms.load_mechanism(args.path)
+        sizes = " ".join(f"{key}={value}" for key, value in mech.sizes.items())
+        print(f"{mech.kind} mechanism {sizes} declared={_fmt(mech.epsilon)} level={_fmt(mech.level)}")
         return 0
     if args.action == "sigma-star":
         mech = mechanisms.sigma_star(args.n, args.eps)
@@ -244,21 +227,21 @@ def _parse_kind(text: str) -> metrics.MetricKind:
 
 def _cmd_metric(args) -> int:
     if args.action == "chernoff":
-        a, b = (_load_json(path, matrix_from_json) for path in (args.a, args.b))
+        a, b = (load_json(path, matrix_from_json) for path in (args.a, args.b))
         value = metrics.chernoff_information(a, b)
         print(_fmt(value))
         return 0
     if args.action == "holevo":
-        mech = _load_json(args.mech, mechanisms.mechanism_from_json)
+        mech = mechanisms.load_mechanism(args.mech)
         states = mech.members
-        if isinstance(mech, mechanisms.LdpMechanism):
+        if mech.kind == "ldp":  # a classical distribution is the diagonal state that commutes with the rest
             states = [np.diag(column.astype(complex)) for column in states]
         n = len(states)
         value = metrics.holevo_information(np.full(n, 1.0 / n), states)
         print(_fmt(value))
         return 0
-    x = _load_json(args.x, matrix_from_json)
-    value = metrics.petz_metric(_load_json(args.rho, matrix_from_json), x, x, _parse_kind(args.kind))
+    x = load_json(args.x, matrix_from_json)
+    value = metrics.petz_metric(load_json(args.rho, matrix_from_json), x, x, _parse_kind(args.kind))
     print(_fmt(value))
     return 0
 

@@ -25,16 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-from .linalg import validate_density
-from .mechanisms import QldpMechanism, require_epsilon, require_eta, tilde_family
-from .metrics import (
-    chernoff_information,
-    classical_chernoff,
-    classical_relative_entropy,
-    golden_min,
-    relative_entropy,
-    xlogx,
-)
+from .mechanisms import require_epsilon, require_eta, require_inputs, tilde_family
+from .metrics import golden_min, xlogx
 
 
 # Points in the rank-ratio grid that isoclinic_bound scans before refining.
@@ -73,18 +65,14 @@ class SweepRecord:
 def sym_exponent(mech, eta: float = 1.0) -> float:
     """min over pairs of the Chernoff information of the eta-mixed family."""
     fam = tilde_family(mech, eta)
-    pairwise = chernoff_information if isinstance(fam, QldpMechanism) else classical_chernoff
-    return min(pairwise(a, b) for a, b in itertools.combinations(fam.members, 2))
+    return min(fam.chernoff(a, b) for a, b in itertools.combinations(fam.members, 2))
 
 
 def asym_exponent(mech, eta: float = 1.0) -> float:
     """min over inputs of the relative entropy of a mixed state vs the family average."""
     fam = tilde_family(mech, eta)
-    if isinstance(fam, QldpMechanism):
-        avg, divergence = validate_density(fam.average), relative_entropy
-    else:
-        avg, divergence = fam.average, classical_relative_entropy
-    return min(divergence(m, avg) for m in fam.members)
+    avg = fam.average
+    return min(fam.divergence(m, avg) for m in fam.members)
 
 
 # Closed forms for isoclinic mechanisms.
@@ -151,6 +139,7 @@ def stretch_factor(n: int, k: int, epsilon: float) -> float:
 
 def classical_sym_term(n: int, k: int, epsilon: float) -> float:
     """Symmetric exponent attained by the k-subset mechanism (eta = 1)."""
+    require_inputs(n)
     if not 0 <= k <= n:
         raise ValidationError("split size out of range")
     xi = math.exp(epsilon / 2.0)
@@ -162,16 +151,19 @@ def classical_sym_term(n: int, k: int, epsilon: float) -> float:
 
 def classical_opt_sym(n: int, epsilon: float) -> float:
     """Exact optimum of the symmetric exponent over eps-LDP mechanisms."""
+    require_inputs(n)
     require_epsilon(epsilon)
     return max(classical_sym_term(n, k, epsilon) for k in range(n + 1))
 
 
 def classical_sym_argmax(n: int, epsilon: float) -> int:
+    require_inputs(n)
     return max(range(n + 1), key=lambda k: classical_sym_term(n, k, epsilon))
 
 
 def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
     """Upper bound on the symmetric optimum for eta-tilted priors; tight at eta = 1."""
+    require_inputs(n)
     require_eta(eta)
     require_epsilon(epsilon)
     xi = math.exp(epsilon / 2.0)
@@ -181,6 +173,7 @@ def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
 
 def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> float:
     """Asymmetric exponent of the optimal k-block split under an eta-tilted prior."""
+    require_inputs(n)
     if not 0 <= k <= n:
         raise ValidationError("split size out of range")
     f = stretch_factor(n, k, epsilon)
@@ -192,6 +185,7 @@ def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> flo
 
 def classical_opt_asym(n: int, epsilon: float, eta: float = 1.0) -> float:
     """Exact optimum of the asymmetric exponent over eps-LDP mechanisms."""
+    require_inputs(n)
     require_eta(eta)
     require_epsilon(epsilon)
     return max(classical_asym_term(n, k, epsilon, eta) for k in range(n + 1))
@@ -268,9 +262,6 @@ def isoclinic_bound(n: int, epsilon: float, eta: float = 1.0) -> IsoclinicBound:
     def pair_at(u: float) -> ExponentPair:
         return closed_form_exponents(n, u, epsilon, eta)
 
-    if hi - lo < 1e-15:
-        pair = pair_at(lo)
-        return IsoclinicBound(sym=pair.sym, asym=pair.asym, u_sym=lo, u_asym=lo)
     us = [lo + (hi - lo) * i / (U_GRID_SIZE - 1) for i in range(U_GRID_SIZE)]
     pairs = [pair_at(u) for u in us]
     u_s, s_val = _refine_max(lambda u: pair_at(u).sym, us, [p.sym for p in pairs])
@@ -295,8 +286,6 @@ def ratio_sweep(n: int, eps_grid, eta: float = 1.0, alt_u: float | None = None) 
     ``alt_u`` adds a second isoclinic mechanism (e.g. u = 0.4) in the
     ``*_qalt`` columns.
     """
-    if n < 2:
-        raise ValidationError(f"a sweep needs n >= 2 inputs, got n={n}")
     records = []
     for epsilon in eps_grid:
         require_epsilon(epsilon)

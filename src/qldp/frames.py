@@ -18,28 +18,42 @@ exactly when n <= 2a + 4 (Radon-Hurwitz bound).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ExistenceError, ValidationError
-from .linalg import as_matrix, matrix_from_json, matrix_to_json, operator_norm, validate_hermitian
+from .linalg import matrix_from_json, matrix_to_json, operator_norm, validate_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# What a frame file declares beside its projections; FusionFrame derives each from them.
+FRAME_FIELDS = ("d", "r", "n", "c")
 
 
 @dataclass(frozen=True)
 class FusionFrame:
-    """n rank-r orthogonal projections on C^d with isoclinicity constant c."""
+    """n rank-r orthogonal projections on C^d; d, n, r and the constant c = frame_constant(d, r, n)
+    are all read off ``projections`` (r is the rounded trace of the first)."""
 
-    d: int
-    r: int
-    n: int
     projections: tuple
-    c: float
+    d: int = field(init=False)
+    r: int = field(init=False)
+    n: int = field(init=False)
+    c: float = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.projections)
+        d = self.projections[0].shape[0] if n else 0
+        if n < 2 or d < 1:
+            raise ValidationError(f"a frame needs n >= 2 and d >= 1, got n={n}, d={d}")
+        if any(p.shape[0] != d for p in self.projections):
+            raise ValidationError("projections have mixed dimensions")
+        r = int(round(np.trace(self.projections[0]).real))
+        for key, value in (("d", d), ("r", r), ("n", n), ("c", frame_constant(d, r, n))):
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,6 @@ def _cached_eitff(n: int, a: int) -> FusionFrame:
         raise ExistenceError(f"no equi-isoclinic family with n={n} at rank 2^{a}: need n <= {2 * a + 4}")
     m = a + 1
     d = 2**m
-    r = 2**a
     if d > 64:
         raise ValidationError(f"dimension {d} exceeds the supported dense-matrix range (<= 64)")
     gens = clifford_generators(m)[: n - 1]
@@ -138,28 +151,22 @@ def _cached_eitff(n: int, a: int) -> FusionFrame:
     projections = tuple(0.5 * (eye + sum(vs[i, k] * gens[k] for k in range(n - 1))) for i in range(n))
     for p in projections:
         p.setflags(write=False)
-    return FusionFrame(d=d, r=r, n=n, projections=projections, c=frame_constant(d, r, n))
+    return FusionFrame(projections)
 
 
 def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:
     """Certify tightness, equi-chordality, and equi-isoclinicity of a projection family.
 
-    The rank is inferred by rounding Tr P_1; tolerance violations show up as
-    certificate failures rather than exceptions.  Mixed dimensions or inputs
-    far from projections (||P^2 - P|| > 100 tol) are rejected.
+    d, n, r and c are those :class:`FusionFrame` reads off the family;
+    tolerance violations show up as certificate failures rather than
+    exceptions.  Mixed dimensions or inputs far from projections
+    (||P^2 - P|| > 100 tol) are rejected.
     """
-    ps = [validate_hermitian(p) for p in projections]
-    n = len(ps)
-    if n < 2:
-        raise ValidationError("need at least two projections")
-    d = ps[0].shape[0]
-    if any(p.shape[0] != d for p in ps):
-        raise ValidationError("projections have mixed dimensions")
+    frame = FusionFrame(tuple(validate_hermitian(p) for p in projections))
+    ps, d, r, n, c = frame.projections, frame.d, frame.r, frame.n, frame.c
     for p in ps:
         if operator_norm(p @ p - p) > 100 * tol:
             raise ValidationError("input is not close to an orthogonal projection")
-    r = int(round(np.trace(ps[0]).real))
-    c = frame_constant(d, r, n)
 
     tight_res = operator_norm(sum(ps) - (n * r / d) * np.eye(d))
     residuals = [tight_res]
@@ -187,20 +194,16 @@ def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:
 
 
 def frame_to_json(frame: FusionFrame) -> dict:
-    return {
-        "d": frame.d,
-        "r": frame.r,
-        "n": frame.n,
-        "c": frame.c,
-        "projections": [matrix_to_json(p) for p in frame.projections],
-    }
+    declared = {key: getattr(frame, key) for key in FRAME_FIELDS}
+    return {**declared, "projections": [matrix_to_json(p) for p in frame.projections]}
 
 
 def frame_from_json(obj: dict) -> FusionFrame:
-    projections = tuple(as_matrix(matrix_from_json(p)) for p in obj["projections"])
-    d, r, n = int(obj["d"]), int(obj["r"]), int(obj["n"])
-    if n < 2 or d < 1:
-        raise ValidationError(f"frame JSON needs n >= 2 and d >= 1, got n={n}, d={d}")
-    if any(p.shape[0] != d for p in projections) or len(projections) != n:
-        raise ValidationError("frame JSON is inconsistent")
-    return FusionFrame(d=d, r=r, n=n, projections=projections, c=frame_constant(d, r, n))
+    """Parse a frame and check that the d, r, n and c it declares are the ones it holds."""
+    if obj["n"] < 2 or obj["d"] < 1:
+        raise ValidationError(f"frame JSON needs n >= 2 and d >= 1, got n={obj['n']}, d={obj['d']}")
+    frame = FusionFrame(tuple(matrix_from_json(p) for p in obj["projections"]))
+    for key in FRAME_FIELDS:
+        if obj[key] != getattr(frame, key):
+            raise ValidationError(f"frame JSON declares {key}={obj[key]} but holds {key}={getattr(frame, key)}")
+    return frame

@@ -14,6 +14,7 @@ eigenvalues; passed back in place of the matrix, either is used as it is.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -164,3 +165,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValidationError(f"matrix JSON: expected {d * d} entries, got {len(entries)}")
     flat = np.array([complex(re, im) for re, im in entries])
     return as_matrix(flat.reshape(d, d))
+
+
+def load_json(path, parse):
+    """Read a JSON file and ``parse`` it; a missing or mistyped field is a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc

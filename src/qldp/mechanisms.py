@@ -3,7 +3,10 @@
 A classical mechanism is a column-stochastic matrix q(y|x); it is eps-LDP
 when q(y|x') <= e^eps q(y|x) for all y, x, x'.  A quantum mechanism is a
 tuple of full-rank density matrices; it is eps-QLDP when
-rho_{x'} <= e^eps rho_x (PSD order) for every ordered pair.
+rho_{x'} <= e^eps rho_x (PSD order) for every ordered pair.  LDP is the
+commuting case: both classes give their ``kind``, ``sizes``, audited ``level``,
+``members``, ``average`` and pairwise ``chernoff`` and ``divergence``, so other
+modules never ask which class they hold.
 
 Isoclinic mechanisms mix each frame projection with white noise,
 sigma_x = (mu/d) I + ((1-mu)/r) P_x.  For a frame with constant c the
@@ -14,6 +17,7 @@ low-noise endpoint, so the audited privacy level equals eps exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -25,13 +29,16 @@ import numpy as np
 from .errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from .frames import FusionFrame, build_eitff
 from .linalg import (
+    State,
     as_matrix,
     is_psd,
+    load_json,
     matrix_from_json,
     matrix_to_json,
     validate_density,
     validate_hermitian,
 )
+from .metrics import chernoff_information, classical_chernoff, classical_relative_entropy, relative_entropy
 
 COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
@@ -44,6 +51,12 @@ def require_epsilon(epsilon: float) -> None:
     """Reject a privacy level that is not positive with a finite e^eps (NaN included)."""
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValidationError(f"privacy level must be positive and at most {MAX_EPSILON:.6f}, got {epsilon}")
+
+
+def require_inputs(n: int) -> None:
+    """Reject an input alphabet of fewer than two letters."""
+    if n < 2:
+        raise ValidationError(f"need at least two inputs (n >= 2), got n={n}")
 
 
 def require_eta(eta: float) -> None:
@@ -82,6 +95,11 @@ class LdpMechanism:
     q: np.ndarray
     epsilon: float
 
+    kind = "ldp"
+    # Looked up at call time, so a wrapper installed on the metric's name sees these calls too.
+    chernoff = staticmethod(lambda a, b: classical_chernoff(a, b))
+    divergence = staticmethod(lambda a, b: classical_relative_entropy(a, b))
+
     def __post_init__(self):
         require_epsilon(self.epsilon)
         object.__setattr__(self, "q", _column_stochastic(self.q))
@@ -93,6 +111,14 @@ class LdpMechanism:
     @property
     def n_outputs(self) -> int:
         return self.q.shape[0]
+
+    @property
+    def sizes(self) -> dict:
+        return {"n": self.n_inputs, "outputs": self.n_outputs}
+
+    @functools.cached_property
+    def level(self) -> float:
+        return ldp_level(self)
 
     @property
     def members(self) -> np.ndarray:
@@ -108,12 +134,18 @@ class LdpMechanism:
 class QldpMechanism:
     """Tuple of same-dimension full-rank density matrices with a declared level.
 
-    ``members`` holds them as :class:`~qldp.linalg.State` objects with their spectra.
+    ``members`` holds them as :class:`~qldp.linalg.State` objects with their spectra,
+    and ``average`` is their mean as a State too.
     """
 
     states: tuple
     epsilon: float
     members: tuple = field(init=False, repr=False, compare=False)
+
+    kind = "qldp"
+    # Looked up at call time, so a wrapper installed on the metric's name sees these calls too.
+    chernoff = staticmethod(lambda a, b: chernoff_information(a, b))
+    divergence = staticmethod(lambda a, b: relative_entropy(a, b))
 
     def __post_init__(self):
         require_epsilon(self.epsilon)
@@ -133,8 +165,16 @@ class QldpMechanism:
         return self.states[0].shape[0]
 
     @property
-    def average(self) -> np.ndarray:
-        return sum(self.states) / self.n
+    def sizes(self) -> dict:
+        return {"n": self.n, "dim": self.dim}
+
+    @functools.cached_property
+    def level(self) -> float:
+        return qldp_level(self)
+
+    @functools.cached_property
+    def average(self) -> State:
+        return validate_density(sum(self.states) / self.n)
 
 
 def qldp_level(states) -> float:
@@ -250,12 +290,9 @@ def jordan_eigenvalues(p_i, p_j, epsilon: float) -> tuple[float, float]:
     two projections decompose into identical 2x2 blocks of overlap c, so the
     pair spectrum is determined by c = Tr P_i P_j / r alone.
     """
-    a = validate_hermitian(p_i)
-    b = validate_hermitian(p_j)
-    if a.shape != b.shape:
-        raise ValidationError("projections have mixed dimensions")
-    r = int(round(np.trace(a).real))
-    c = float(np.trace(a @ b).real / r)
+    pair = FusionFrame((validate_hermitian(p_i), validate_hermitian(p_j)))
+    a, b = pair.projections
+    c = float(np.trace(a @ b).real / pair.r)
     sh = math.sinh(epsilon / 2)
     root = math.sqrt(sh * sh + 1.0 - c)
     scale = math.exp(epsilon / 2)
@@ -285,8 +322,7 @@ def binary_mechanism(n: int, epsilon: float, split=None) -> LdpMechanism:
     ``split`` lists the inputs of the first block (1-based); it defaults to
     {1, ..., floor(n/2)}.
     """
-    if n < 2:
-        raise ValidationError("need at least two inputs")
+    require_inputs(n)
     block = set(range(1, n // 2 + 1)) if split is None else set(split)
     if not block.issubset(range(1, n + 1)):
         raise ValidationError("split must be a subset of the input alphabet")
@@ -313,11 +349,11 @@ def tilde_family(mech, eta: float):
     Returns the same-shaped mechanism with rho_k replaced by
     eta rho_k + (1 - eta) rho_avg and the same declared level, which mixing
     cannot raise: rho~_{x'} <= eta e^eps rho_x + (1 - eta) rho_avg <= e^eps rho~_x.
-    Its audited level is :func:`qldp_level` (or :func:`ldp_level`) of the result.
+    Its audited level is the ``level`` of the result.
     """
     require_eta(eta)
     if isinstance(mech, QldpMechanism):
-        avg = mech.average
+        avg = mech.average.matrix
         states = tuple(eta * s + (1.0 - eta) * avg for s in mech.states)
         return QldpMechanism(states=states, epsilon=mech.epsilon)
     if isinstance(mech, LdpMechanism):
@@ -347,22 +383,12 @@ def induced_mechanism(mech: QldpMechanism, povm) -> LdpMechanism:
 
 def mechanism_to_json(mech) -> dict:
     if isinstance(mech, QldpMechanism):
-        return {
-            "kind": "qldp",
-            "n": mech.n,
-            "dim": mech.dim,
-            "epsilon": mech.epsilon,
-            "states": [matrix_to_json(s) for s in mech.states],
-        }
-    if isinstance(mech, LdpMechanism):
-        return {
-            "kind": "ldp",
-            "n": mech.n_inputs,
-            "outputs": mech.n_outputs,
-            "epsilon": mech.epsilon,
-            "q": [[float(v) for v in column] for column in mech.members],
-        }
-    raise ValidationError("expected an LdpMechanism or QldpMechanism")
+        payload = {"states": [matrix_to_json(s) for s in mech.states]}
+    elif isinstance(mech, LdpMechanism):
+        payload = {"q": [[float(v) for v in column] for column in mech.members]}
+    else:
+        raise ValidationError("expected an LdpMechanism or QldpMechanism")
+    return {"kind": mech.kind, **mech.sizes, "epsilon": mech.epsilon, **payload}
 
 
 def mechanism_from_json(obj: dict):
@@ -371,13 +397,13 @@ def mechanism_from_json(obj: dict):
     epsilon = float(obj["epsilon"])
     if kind == "qldp":
         mech = QldpMechanism(states=tuple(matrix_from_json(s) for s in obj["states"]), epsilon=epsilon)
-        sizes, audit = {"n": mech.n, "dim": mech.dim}, audit_qldp
+        audit = audit_qldp
     elif kind == "ldp":
         mech = LdpMechanism(q=np.array(obj["q"], dtype=float).T, epsilon=epsilon)
-        sizes, audit = {"n": mech.n_inputs, "outputs": mech.n_outputs}, audit_ldp
+        audit = audit_ldp
     else:
         raise ValidationError(f"unknown mechanism kind {kind!r}")
-    for key, held in sizes.items():
+    for key, held in mech.sizes.items():
         if obj[key] != held:
             raise ValidationError(f"mechanism JSON declares {key}={obj[key]} but holds {key}={held}")
     if not audit(mech, epsilon):
@@ -391,5 +417,4 @@ def save_mechanism(mech, path) -> None:
 
 
 def load_mechanism(path):
-    with open(path, encoding="utf-8") as fh:
-        return mechanism_from_json(json.load(fh))
+    return load_json(path, mechanism_from_json)

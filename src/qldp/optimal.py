@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .mechanisms import LdpMechanism, require_epsilon
+from .mechanisms import LdpMechanism, require_epsilon, require_inputs
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def estimate_beta0(evaluate, n: int) -> float:
 def mutual_information_utility(n: int) -> SublinearUtility:
     """phi(z) = -L(mean z) + mean L(z); summed over outputs this is the mutual
     information of the uniform-prior joint distribution."""
-    if n < 2:
-        raise ValidationError("need at least two inputs")
+    require_inputs(n)
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)
@@ -79,8 +78,7 @@ def mutual_information_utility(n: int) -> SublinearUtility:
 def pairwise_sqrt_utility(n: int) -> SublinearUtility:
     """phi(z) = -(1/(n(n-1))) sum_{i != j} sqrt(z_i z_j); the negated mean
     pairwise Bhattacharyya affinity."""
-    if n < 2:
-        raise ValidationError("need at least two inputs")
+    require_inputs(n)
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)

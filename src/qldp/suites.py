@@ -26,15 +26,7 @@ from .expansions import (
 )
 from .frames import build_eitff
 from .linalg import checked_hermitian, validate_density
-from .mechanisms import (
-    QldpMechanism,
-    induced_mechanism,
-    isoclinic_mechanism,
-    ldp_level,
-    qldp_level,
-    sigma_star,
-    tilde_family,
-)
+from .mechanisms import QldpMechanism, induced_mechanism, isoclinic_mechanism, sigma_star, tilde_family
 from .metrics import (
     KL,
     RLD,
@@ -129,8 +121,8 @@ def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
 
 
 @functools.cache
-def _measured_pool() -> tuple[tuple[QldpMechanism, float], ...]:
-    """Five fixed mechanisms with their audited levels, built once; every state array is read-only."""
+def _measured_pool() -> tuple[QldpMechanism, ...]:
+    """Five fixed mechanisms, built once, each keeping its audited level; every state array is read-only."""
     pool = (
         sigma_star(2, 0.8),
         sigma_star(3, 1.0),
@@ -140,7 +132,7 @@ def _measured_pool() -> tuple[tuple[QldpMechanism, float], ...]:
     )
     for array in (a for mech in pool for s in mech.members for a in (s.matrix, s.eigenvalues, s.eigenvectors)):
         array.setflags(write=False)
-    return tuple((mech, qldp_level(mech)) for mech in pool)
+    return pool
 
 
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
@@ -148,11 +140,10 @@ def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResul
     pool = _measured_pool()
     margins = []
     for i in range(count):
-        mech, level = pool[i % len(pool)]
+        mech = pool[i % len(pool)]
         outcomes = 2 + (i % 3)
         povm = random_povm(rng, mech.dim, outcomes)
-        induced = induced_mechanism(mech, povm)
-        margins.append(level + 1e-9 - ldp_level(induced))
+        margins.append(mech.level + 1e-9 - induced_mechanism(mech, povm).level)
     return SuiteResult.tally("measurement_reduction", margins)
 
 
@@ -164,8 +155,7 @@ def eta_mixing_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult
         n = ns[i % len(ns)]
         epsilon = float(rng.uniform(0.01, 0.25))
         eta = float(rng.uniform(0.05, 1.0))
-        mech = sigma_star(n, epsilon)
-        level = qldp_level(tilde_family(mech, eta))
+        level = tilde_family(sigma_star(n, epsilon), eta).level
         bound = eta * epsilon * (1.0 + math.sqrt(epsilon))
         margins.append(bound + 1e-9 - level)
     return SuiteResult.tally("eta_mixing_level", margins)

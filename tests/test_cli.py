@@ -194,6 +194,11 @@ def test_exp_sweep_closed_form_failure_names_eps(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, text", [(None, ""), (math.inf, "inf"), (0.1, "0.10000000000000001"), (3, "3")])
+def test_fmt(value, text):
+    assert cli._fmt(value) == text
+
+
 @pytest.mark.parametrize(
     "text, expected", [("4", [4]), ("3,6,10", [3, 6, 10]), ("3..5", [3, 4, 5]), ("7..7", [7])]
 )
@@ -539,3 +544,67 @@ def test_failing_table_commands_print_nothing(capsys, argv, message):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+MECH_ARGV = {
+    "sigma-star": ["--n", 4, "--eps", "0.7"],
+    "binary": ["--n", 3, "--eps", "1.0"],
+    "subset": ["--n", 4, "--k", 2, "--eps", "0.5"],
+}
+# sha256 of the stdout of `qldp mech KIND ARGS` (the JSON, so its key order too), then of the
+# stdout of `qldp mech audit` on that JSON saved to a file
+MECH_SHA256 = {
+    "sigma-star": [
+        "1e229b1c7409c6e9b2acf7d2329fb11b21734535bad031bc19d0276fc1c2faa0",
+        "f4461bc415469302068bb48c20637b5c3c0a20c29bd012907242f0ddccb95dd3",
+    ],
+    "binary": [
+        "5def0a84d973c81209bbffd0a6344553dcad97d3e2de10229052f787c0ec4c3c",
+        "e2481a284e4ca4253dabb80d2e6f517557e6b61a0fbcd77fb77c6c290d5cabad",
+    ],
+    "subset": [
+        "c3b90288e7e156d2585601f3cac455801d6303300c0bfd61859e173c8fa885e6",
+        "f6a313b7476171dad3392db1de22300ed48eda57a4c97956d6aa8df97443dea4",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MECH_SHA256))
+def test_mech_json_and_audit_pinned(tmp_path, capsys, kind):
+    assert run(["mech", kind, *MECH_ARGV[kind]]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "m.json"
+    path.write_text(printed)
+    assert run(["mech", "audit", path]) == 0
+    outputs = [printed, capsys.readouterr().out]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in outputs] == MECH_SHA256[kind]
+
+
+# sha256 of the file `qldp frame build --n 7 --out FILE` writes, then of the stdout of the
+# build and of `qldp frame verify FILE`, with the file name replaced by FILE
+FRAME_SHA256 = [
+    "5de25c43a38e67fb474823859cab93e0c4a1fa62305e741a4861a55dc2dd846b",
+    "f3168f5572aab15c30dfed8ab2dda073f7c2bcd9380c12a167a8b041f2ebb3a5",
+]
+
+
+def test_frame_build_and_verify_pinned(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    assert run(["frame", "build", "--n", 7, "--out", path]) == 0
+    assert run(["frame", "verify", path]) == 0
+    printed = capsys.readouterr().out.replace(str(path), "FILE")
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(printed.encode()).hexdigest()]
+    assert digests == FRAME_SHA256
+
+
+@pytest.mark.parametrize("edit", [{"r": 5, "c": 123.0}, {"r": 0}, {"r": -1}], ids=["r5-c123", "r0", "r-1"])
+def test_frame_verify_of_misdeclared_fields_exits_one(tmp_path, capsys, edit):
+    path = tmp_path / "frame.json"
+    assert run(["frame", "build", "--n", 3, "--out", path]) == 0
+    obj = json.loads(path.read_text())
+    obj.update(edit)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["frame", "verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "frame JSON declares" in captured.err

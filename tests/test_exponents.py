@@ -254,10 +254,13 @@ def test_isoclinic_bound_interior_argmax_at_large_eps():
 
 
 def test_isoclinic_bound_degenerate_n_two():
-    bound = isoclinic_bound(2, 1.0)
-    star = closed_form_exponents(2, 0.5, 1.0)
-    assert bound.sym == pytest.approx(star.sym, abs=1e-12)
-    assert bound.u_sym == 0.5
+    # u ranges over [1/2, 1/2]: the bound is the half-rank mechanism itself
+    for epsilon in (1e-3, 1.0, 20.0):
+        for eta in (1.0, 0.5, 0.05):
+            bound = isoclinic_bound(2, epsilon, eta)
+            star = closed_form_exponents(2, 0.5, epsilon, eta)
+            assert (bound.sym, bound.asym) == pytest.approx((star.sym, star.asym), abs=1e-12)
+            assert bound.u_sym == bound.u_asym == 0.5
 
 
 def test_ratio_sweep_contents():
@@ -281,6 +284,43 @@ def test_ratio_sweep_small_eps_limit():
         limit = n * (n - 1) / (2.0 * (n // 2) * ((n + 1) // 2))
         assert record.s_ratio == pytest.approx(limit, rel=0.01)
         assert record.a_ratio == pytest.approx(limit, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classical_opt_sym(1, 0.5),
+        lambda: classical_opt_sym(0, 0.5),
+        lambda: classical_opt_sym_bound(1, 0.5, 0.5),
+        lambda: classical_opt_asym(0, 0.5),
+        lambda: classical_opt_asym(1, 0.5),
+        lambda: classical_sym_argmax(1, 0.5),
+        lambda: classical_sym_term(1, 0, 0.5),
+        lambda: classical_asym_term(1, 1, 0.5),
+    ],
+    ids=["sym-1", "sym-0", "sym-bound-1", "asym-0", "asym-1", "argmax-1", "sym-term-1", "asym-term-1"],
+)
+def test_classical_optima_need_two_inputs(call):
+    with pytest.raises(ValidationError, match="n >= 2"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: classical_sym_term(3, -1, 0.5), "split size out of range"),
+        (lambda: classical_sym_term(3, 4, 0.5), "split size out of range"),
+        (lambda: classical_asym_term(3, -1, 0.5), "split size out of range"),
+        (lambda: classical_asym_term(3, 4, 0.5), "split size out of range"),
+        (lambda: advantage_threshold_sym(2), "degenerate below n = 3"),
+        (lambda: advantage_threshold_asym(2), "degenerate below n = 3"),
+        (lambda: quantum_classical_gap(3, 0.5, "both"), "mode must be"),
+    ],
+    ids=["sym-term-low", "sym-term-high", "asym-term-low", "asym-term-high", "sym-thr-2", "asym-thr-2", "gap-mode"],
+)
+def test_scalar_forms_reject_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_ratio_sweep_validation():

@@ -155,6 +155,9 @@ def test_verify_rejects_bad_inputs():
         verify_eitff([p, np.eye(3)])
     with pytest.raises(ValidationError):
         verify_eitff([p, 0.5 * np.eye(2)])
+    for family in ([], [p]):
+        with pytest.raises(ValidationError, match="n >= 2 and d >= 1"):
+            verify_eitff(family)
 
 
 def test_existence_violation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
 from qldp.frames import build_eitff
-from qldp.linalg import operator_norm
+from qldp.linalg import State, operator_norm
 from qldp.mechanisms import (
     MAX_EPSILON,
     LdpMechanism,
@@ -123,7 +123,11 @@ def test_ldp_level_support_mismatch():
     assert audit_ldp(q, 1.0) is False
 
 
-@pytest.mark.parametrize("q", [np.array([[0.5, math.nan], [0.5, 0.5]]), np.array([0.5, 0.5])], ids=["nan", "1-d"])
+@pytest.mark.parametrize(
+    "q",
+    [np.array([[0.5, math.nan], [0.5, 0.5]]), np.array([0.5, 0.5]), np.array([[1.5, 0.5], [-0.5, 0.5]])],
+    ids=["nan", "1-d", "negative"],
+)
 def test_ldp_level_rejects_what_ldp_mechanism_rejects(q):
     # both used to read as level 0, and the NaN matrix passed audit_ldp at eps = 1
     with pytest.raises(ValidationError):
@@ -211,6 +215,8 @@ def test_jordan_eigenvalues_orthogonal_pair():
     lam_plus, lam_minus = jordan_eigenvalues(p1, p2, math.log(3.0))
     assert lam_plus == pytest.approx(3.0, abs=1e-12)
     assert lam_minus == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(ValidationError, match="projections have mixed dimensions"):
+        jordan_eigenvalues(p1, np.eye(3) / 3, 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 10])
@@ -263,8 +269,12 @@ def test_subset_mechanism_examples():
         assert col[x] == pytest.approx(grow / (grow + 2.0), rel=1e-12)
         assert col.sum() == pytest.approx(1.0, abs=1e-12)
     assert ldp_level(mech) == pytest.approx(epsilon, abs=1e-12)
-    with pytest.raises(ValidationError):
-        subset_mechanism(3, 3, 1.0)
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (3, 0), (5, 5), (5, 6)])
+def test_subset_mechanism_rejects_sizes_outside_one_to_n_minus_one(n, k):
+    with pytest.raises(ValidationError, match="subset size must lie in"):
+        subset_mechanism(n, k, 1.0)
 
 
 def test_subset_mechanism_lexicographic_outputs():
@@ -306,7 +316,7 @@ def test_tilde_family_collapses_at_small_eta():
     mech = sigma_star(3, 1.0)
     mixed = tilde_family(mech, 1e-6)
     assert qldp_level(mixed.states) <= 1e-5
-    avg = mech.average
+    avg = mech.average.matrix
     for s in mixed.states:
         assert operator_norm(s - avg) <= 1e-5
 
@@ -362,6 +372,28 @@ def test_induced_mechanism_rejects_non_psd_element():
         induced_mechanism(mech, povm)
 
 
+@pytest.mark.parametrize(
+    "povm,message",
+    [([np.eye(3) / 2, np.eye(3) / 2], "dimension mismatch"), ([np.eye(2) / 2, np.eye(2) / 4], "sum to the identity")],
+    ids=["wrong-dim", "not-identity"],
+)
+def test_induced_mechanism_rejects_an_incomplete_measurement(povm, message):
+    with pytest.raises(ValidationError, match=message):
+        induced_mechanism(sigma_star(3, 1.0), povm)  # dim 2
+
+
+@pytest.mark.parametrize("mech", [sigma_star(3, 1.0), binary_mechanism(3, 1.0)], ids=["qldp", "ldp"])
+def test_mechanism_reads_its_kind_sizes_level_and_average(mech):
+    obj = mechanism_to_json(mech)
+    assert obj["kind"] == mech.kind and {key: obj[key] for key in mech.sizes} == mech.sizes
+    level = qldp_level(mech.states) if mech.kind == "qldp" else ldp_level(mech.q)
+    assert float.hex(mech.level) == float.hex(level)
+    assert mech.level is mech.level  # computed once, then kept
+    if mech.kind == "qldp":
+        assert isinstance(mech.average, State) and mech.average is mech.average
+        assert np.array_equal(mech.average.matrix, sum(mech.states) / mech.n)
+
+
 def test_mechanism_json_roundtrip_qldp(tmp_path):
     mech = sigma_star(4, 0.7)
     obj = mechanism_to_json(mech)
@@ -413,6 +445,21 @@ def test_deserialization_reaudits():
     bad["epsilon"] = 0.9
     with pytest.raises(PrivacyViolationError):
         mechanism_from_json(bad)
+    bad["kind"] = "quantum"
+    with pytest.raises(ValidationError, match="unknown mechanism kind 'quantum'"):
+        mechanism_from_json(bad)
+
+
+def test_load_mechanism_of_a_malformed_file_is_a_validation_error(tmp_path):
+    path = tmp_path / "m.json"
+    obj = mechanism_to_json(binary_mechanism(3, 1.0))
+    del obj["epsilon"]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValidationError, match="malformed .*epsilon"):
+        load_mechanism(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(ValidationError, match="malformed"):
+        load_mechanism(path)
 
 
 def test_qldp_mechanism_validation():

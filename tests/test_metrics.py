@@ -260,6 +260,8 @@ def test_holevo_validation():
         holevo_information([0.6, 0.6], [rho, rho])
     with pytest.raises(ValidationError):
         holevo_information([0.5, 0.5], [rho, np.eye(3) / 3])
+    with pytest.raises(ValidationError, match="prior length"):
+        holevo_information([0.5, 0.25, 0.25], [rho, rho])
 
 
 def test_chernoff_equal_states():

@@ -355,6 +355,14 @@ def test_lp_rejects_mismatched_arity():
         kairouz_lp(3, 0.5, mutual_information_utility(4))
     with pytest.raises(ValidationError):
         kairouz_lp_symmetric(3, 0.5, mutual_information_utility(4))
+    with pytest.raises(ValidationError, match="arity"):
+        utility_of_mechanism(binary_mechanism(3, 0.5), mutual_information_utility(4))
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+def test_utilities_need_two_inputs(factory):
+    with pytest.raises(ValidationError, match="at least two inputs"):
+        factory(1)
 
 
 def test_full_lp_vertex_structure():

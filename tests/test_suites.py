@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qldp import suites
+from qldp import mechanisms, suites
 from qldp.metrics import KL, SQUARE, classical_f_divergence, neg_ratio
 from qldp.suites import (
     SuiteResult,
@@ -143,8 +143,8 @@ def test_posterior_grid_matches_the_per_instance_loop(monkeypatch):
 def test_measurement_pool_is_built_once_and_read_only(monkeypatch):
     pool = suites._measured_pool()
     assert suites._measured_pool() is pool
-    for mech, level in pool:
-        assert float.hex(level) == float.hex(suites.qldp_level(suites.QldpMechanism(mech.states, mech.epsilon)))
+    for mech in pool:
+        assert float.hex(mech.level) == float.hex(mechanisms.qldp_level(mechanisms.QldpMechanism(mech.states, mech.epsilon)))
         with pytest.raises(ValueError):
             mech.states[0][0, 0] = 0.0
         with pytest.raises(ValueError):
