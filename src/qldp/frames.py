@@ -52,6 +52,8 @@ class FusionFrame:
         if any(p.shape[0] != d for p in self.projections):
             raise ValidationError("projections have mixed dimensions")
         r = int(round(np.trace(self.projections[0]).real))
+        if r < 1:
+            raise ValidationError(f"a frame needs projections of rank r >= 1, got r={r}")
         for key, value in (("d", d), ("r", r), ("n", n), ("c", frame_constant(d, r, n))):
             object.__setattr__(self, key, value)
 

@@ -153,9 +153,7 @@ def is_psd(m, tol: float = 1e-9) -> bool:
 def matrix_to_json(m) -> dict:
     """Encode a square complex matrix as {"dim": d, "entries": [[re, im], ...]} row-major."""
     a = as_matrix(m)
-    d = a.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-    return {"dim": d, "entries": entries}
+    return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -73,6 +73,13 @@ def test_metric_chernoff(tmp_path, capsys):
     assert value == pytest.approx(math.log(2.0 / math.sqrt(3.0)), abs=1e-10)
 
 
+def test_metric_chernoff_of_a_state_with_itself_prints_zero(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    write_matrix(a, np.diag([0.75, 0.25]).astype(complex))
+    assert run(["metric", "chernoff", a, a]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_metric_holevo_on_mechanism_file(tmp_path, capsys):
     out = tmp_path / "m.json"
     run(["mech", "binary", "--n", 2, "--eps", str(math.log(3.0)), "--out", out])
@@ -280,7 +287,7 @@ VERIFY_SHA256 = {
     # stdout of `qldp verify all --seed 7 --count 50`
     "all": "12fbe44b93f4a090df7fcccdf2744e3b9408fb8dd8c169276c296117b7b84d4d",
     # the JSON written by `qldp verify taylor --seed 7 --out FILE`
-    "taylor": "90ab86f650c74715390e77d32f78d237ce0c3493a3b8589970b249f30d23a0ba",
+    "taylor": "1321aa524aa85f6aff0dab82a7dc9e2efe8e46b534d0769e228c59cf5bf4165f",
 }
 
 
@@ -608,3 +615,16 @@ def test_frame_verify_of_misdeclared_fields_exits_one(tmp_path, capsys, edit):
     assert run(["frame", "verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "frame JSON declares" in captured.err
+
+
+def test_frame_verify_of_zero_projections_exits_one(tmp_path, capsys):
+    path = tmp_path / "frame.json"
+    assert run(["frame", "build", "--n", 3, "--out", path]) == 0
+    obj = json.loads(path.read_text())
+    for p in obj["projections"]:
+        p["entries"] = [[0.0, 0.0]] * len(p["entries"])
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["frame", "verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rank r >= 1" in captured.err

@@ -376,3 +376,9 @@ def test_exponents_run_no_privacy_audit(monkeypatch):
             sym_exponent(mech, eta)
             asym_exponent(mech, eta)
     assert calls == []
+
+
+def test_sym_exponent_of_a_mechanism_with_equal_columns_is_positive_zero():
+    # inputs 1 and 2 of the 3-input binary mechanism share a column
+    value = sym_exponent(binary_mechanism(3, 1.0))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0

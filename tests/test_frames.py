@@ -232,3 +232,9 @@ def test_cached_frame_gives_the_states_of_a_fresh_build(n):
     cached = isoclinic_mechanism(frame, 0.7)
     fresh = isoclinic_mechanism(_cached_eitff.__wrapped__(n, frame.r.bit_length() - 1), 0.7)  # r = 2^a
     assert all(np.array_equal(a, b) for a, b in zip(cached.states, fresh.states))
+
+
+def test_zero_projections_are_not_a_frame():
+    # rank r = 0 would give c = -1/2 and a division by r in the Jordan eigenvalues
+    with pytest.raises(ValidationError, match="rank r >= 1"):
+        verify_eitff([np.zeros((2, 2))] * 3)

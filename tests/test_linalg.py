@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -173,3 +174,14 @@ def test_matrix_json_roundtrip():
     assert len(obj["entries"]) == 9
     back = matrix_from_json(obj)
     assert np.array_equal(back, m)
+
+
+def test_matrix_json_entries_match_the_elementwise_encoding():
+    # the byte-exact reference: one [re, im] pair of Python floats per entry, row-major
+    special = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [complex(3.0, -0.0), 5e-324 + 1e308j]])
+    rng = np.random.default_rng(5)
+    for m in (special, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))):
+        entries = matrix_to_json(m)["entries"]
+        expected = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+        assert json.dumps(entries) == json.dumps(expected)
+        assert all(type(x) is float for pair in entries for x in pair)

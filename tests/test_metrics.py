@@ -270,6 +270,28 @@ def test_chernoff_equal_states():
     assert chernoff_information(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_chernoff_search_evaluation_budget(monkeypatch):
+    # each overlap evaluation is one np.exp; a Newton step that lands on the
+    # bracket end it converged to must not trigger a run of bisections
+    calls = []
+
+    def counting_exp(x, *args, **kwargs):
+        calls[-1] += 1
+        return real_exp(x, *args, **kwargs)
+
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", counting_exp)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        d = int(rng.integers(2, 5))
+        a = random_density(rng, d)
+        for b in (random_density(rng, d), depolarize(a, 0.3)):
+            calls.append(0)
+            chernoff_information(a, b)
+    # f(0), f(1) and at least one iterate: the counter sees every evaluation
+    assert 3 <= min(calls) and max(calls) <= 10 and sorted(calls)[len(calls) // 2] <= 6
+
+
 def test_chernoff_commuting_value():
     a = np.diag([0.75, 0.25]).astype(complex)
     b = np.diag([0.25, 0.75]).astype(complex)
