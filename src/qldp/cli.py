@@ -11,21 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from . import exponents, frames, mechanisms, metrics, optimal, suites
+# Each handler imports the modules it runs, so that the scalar commands
+# (reproduce, exp thresholds|crossover, --help) start without numpy.
+from . import exponents
 from .errors import ValidationError
-from .expansions import DEFAULT_T_GRID
-from .linalg import load_json, matrix_from_json
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(exponents.SweepRecord))
 THRESHOLD_COLUMNS = ("n", "sym_threshold", "asym_threshold")
+# The keys of optimal.BUILTIN_UTILITIES, sorted; spelled out so that building the parser loads no numpy.
+UTILITY_CHOICES = ("mi", "pairwise_sqrt")
 
 
 class _UsageError(Exception):
@@ -79,6 +78,8 @@ def _write_csv(path: str, header, rows) -> int:
 
 
 def _sidecar(path: str, target: str, params: dict, rows: int) -> None:
+    import hashlib
+
     digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
     meta = {"target": target, "params": params, "rows": rows, "sha256": digest}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
@@ -159,13 +160,13 @@ def build_parser() -> _Parser:
     lp = osub.add_parser("lp")
     lp.add_argument("--n", type=int, required=True)
     lp.add_argument("--eps", type=float, required=True)
-    lp.add_argument("--utility", choices=sorted(optimal.BUILTIN_UTILITIES), default="mi")
+    lp.add_argument("--utility", choices=UTILITY_CHOICES, default="mi")
     mode = lp.add_mutually_exclusive_group()
     mode.add_argument("--full", action="store_true")
     mode.add_argument("--symmetric", action="store_true")
     pr = osub.add_parser("predict")
     pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--utility", choices=sorted(optimal.BUILTIN_UTILITIES), default="mi")
+    pr.add_argument("--utility", choices=UTILITY_CHOICES, default="mi")
 
     p = sub.add_parser("verify", help="run verification suites")
     vsub = p.add_subparsers(dest="action", required=True)
@@ -184,6 +185,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_frame(args) -> int:
+    from . import frames
+    from .linalg import load_json
+
     if args.action == "build":
         frame = frames.build_eitff(args.n, args.a)
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -200,6 +204,8 @@ def _cmd_frame(args) -> int:
 
 
 def _cmd_mech(args) -> int:
+    from . import mechanisms
+
     if args.action == "audit":
         mech = mechanisms.load_mechanism(args.path)
         sizes = " ".join(f"{key}={value}" for key, value in mech.sizes.items())
@@ -219,13 +225,12 @@ def _cmd_mech(args) -> int:
     return 0
 
 
-def _parse_kind(text: str) -> metrics.MetricKind:
-    if text.startswith("wyd:"):
-        return metrics.wyd(float(text.split(":", 1)[1]))
-    return metrics.MetricKind(text)
-
-
 def _cmd_metric(args) -> int:
+    import numpy as np
+
+    from . import mechanisms, metrics
+    from .linalg import load_json, matrix_from_json
+
     if args.action == "chernoff":
         a, b = (load_json(path, matrix_from_json) for path in (args.a, args.b))
         value = metrics.chernoff_information(a, b)
@@ -240,8 +245,9 @@ def _cmd_metric(args) -> int:
         value = metrics.holevo_information(np.full(n, 1.0 / n), states)
         print(_fmt(value))
         return 0
+    kind = metrics.wyd(float(args.kind[4:])) if args.kind.startswith("wyd:") else metrics.MetricKind(args.kind)
     x = load_json(args.x, matrix_from_json)
-    value = metrics.petz_metric(load_json(args.rho, matrix_from_json), x, x, _parse_kind(args.kind))
+    value = metrics.petz_metric(load_json(args.rho, matrix_from_json), x, x, kind)
     print(_fmt(value))
     return 0
 
@@ -261,6 +267,8 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_opt(args) -> int:
+    from . import optimal
+
     utility = optimal.BUILTIN_UTILITIES[args.utility](args.n)
     if args.action == "predict":
         classical, quantum, ratio = optimal.asymptotic_prediction(args.n, utility.beta0)
@@ -280,6 +288,9 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import suites
+    from .expansions import DEFAULT_T_GRID
+
     seed = args.seed if args.seed is not None else int(os.environ.get("QLOCAL_SEED", "0"))
     if args.action == "all" and args.count < 1:
         raise ValidationError(f"--count must be at least 1, got {args.count}")
@@ -332,8 +343,7 @@ def _cmd_reproduce(args) -> int:
         table = []
         for n in range(2, 11):
             (record,) = exponents.ratio_sweep(n, [params["epsilon"]])
-            limit = optimal.asymptotic_prediction(n, optimal.mutual_information_utility(n).beta0)[2]
-            table.append([str(n), _fmt(record.s_ratio), _fmt(record.a_ratio), _fmt(limit)])
+            table.append([str(n), _fmt(record.s_ratio), _fmt(record.a_ratio), _fmt(exponents.limit_ratio(n))])
         rows = _write_csv(out, ("n", "sym_ratio", "asym_ratio", "limit_ratio"), table)
     _sidecar(out, args.target, params, rows)
     print(f"wrote {out}")

@@ -24,13 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, ValidationError
-from .mechanisms import require_epsilon, require_eta, require_inputs, tilde_family
-from .metrics import golden_min, xlogx
-
+from .errors import DomainError, ValidationError, require_epsilon, require_eta, require_inputs
 
 # Points in the rank-ratio grid that isoclinic_bound scans before refining.
 U_GRID_SIZE = 2048
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class ExponentPair(NamedTuple):
@@ -64,18 +62,27 @@ class SweepRecord:
 
 def sym_exponent(mech, eta: float = 1.0) -> float:
     """min over pairs of the Chernoff information of the eta-mixed family."""
+    from .mechanisms import tilde_family  # here, so that the scalar closed forms load without numpy
+
     fam = tilde_family(mech, eta)
     return min(fam.chernoff(a, b) for a, b in itertools.combinations(fam.members, 2))
 
 
 def asym_exponent(mech, eta: float = 1.0) -> float:
     """min over inputs of the relative entropy of a mixed state vs the family average."""
+    from .mechanisms import tilde_family
+
     fam = tilde_family(mech, eta)
     avg = fam.average
     return min(fam.divergence(m, avg) for m in fam.members)
 
 
 # Closed forms for isoclinic mechanisms.
+
+
+def xlogx(t: float) -> float:
+    """L(t) = t ln t, extended by continuity to L(0) = 0."""
+    return t * math.log(t) if t > 0.0 else 0.0
 
 
 def isoclinic_constant(n: int, u: float) -> float:
@@ -85,9 +92,19 @@ def isoclinic_constant(n: int, u: float) -> float:
     return (n * u - 1.0) / (n - 1.0)
 
 
+def boundary_root(c: float, epsilon: float) -> float:
+    """sqrt(1 + (1-c)/sinh^2(eps/2)), the root in both ends of the admissible noise interval.
+
+    Below eps ~ 3e-154 sinh^2(eps/2) underflows to 0; the root is then its
+    eps -> 0 limit, +inf, which puts both ends at mu = 1 (white noise).
+    """
+    sinh2 = math.sinh(epsilon / 2.0) ** 2
+    return math.sqrt(1.0 + (1.0 - c) / sinh2) if sinh2 > 0.0 else math.inf
+
+
 def boundary_mu(u: float, c: float, epsilon: float) -> float:
     """Low-noise endpoint: (1-mu)^{-1} = 1 - 1/(2u) + (1/(2u)) sqrt(1 + (1-c)/sinh^2(eps/2))."""
-    root = math.sqrt(1.0 + (1.0 - c) / math.sinh(epsilon / 2.0) ** 2)
+    root = boundary_root(c, epsilon)
     return 1.0 - 1.0 / (1.0 - 0.5 / u + 0.5 / u * root)
 
 
@@ -191,6 +208,28 @@ def classical_opt_asym(n: int, epsilon: float, eta: float = 1.0) -> float:
     return max(classical_asym_term(n, k, epsilon, eta) for k in range(n + 1))
 
 
+# Small-eps asymptotics.
+
+
+def limit_ratio(n: int) -> float:
+    """n (n-1) / (2 floor(n/2) ceil(n/2)), the eps -> 0 limit of the quantum/classical exponent ratio."""
+    halves = (n // 2) * ((n + 1) // 2)
+    return n * (n - 1) / (2.0 * halves)
+
+
+def asymptotic_prediction(n: int, beta0: float) -> tuple[float, float, float]:
+    """Leading quadratic coefficients of the classical and quantum optima and their limit ratio.
+
+    Returns (floor(n/2) ceil(n/2) beta0 / (2 (n-1)), beta0 n / 4,
+    :func:`limit_ratio` (n)) for a utility with curvature beta0; the ratio
+    applies when phi(1) = 0 and n >= 3.
+    """
+    if beta0 <= 0:
+        raise ValidationError("beta0 must be positive")
+    classical = (n // 2) * ((n + 1) // 2) * beta0 / (2.0 * (n - 1))
+    return classical, beta0 * n / 4.0, limit_ratio(n)
+
+
 # Advantage thresholds and crossover search.
 
 
@@ -267,6 +306,25 @@ def isoclinic_bound(n: int, epsilon: float, eta: float = 1.0) -> IsoclinicBound:
     u_s, s_val = _refine_max(lambda u: pair_at(u).sym, us, [p.sym for p in pairs])
     u_a, a_val = _refine_max(lambda u: pair_at(u).asym, us, [p.asym for p in pairs])
     return IsoclinicBound(sym=s_val, asym=a_val, u_sym=u_s, u_asym=u_a)
+
+
+def golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of a unimodal function; returns (argmin, min)."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    s = 0.5 * (a + b)
+    return s, fn(s)
 
 
 def _refine_max(fn, grid: list[float], values: list[float]) -> tuple[float, float]:

@@ -21,12 +21,20 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrivacyViolationError, SupportMismatchError, ValidationError
+from .errors import (  # MAX_EPSILON is re-exported for callers that import it from here
+    MAX_EPSILON,
+    PrivacyViolationError,
+    SupportMismatchError,
+    ValidationError,
+    require_epsilon,
+    require_eta,
+    require_inputs,
+)
+from .exponents import boundary_root
 from .frames import FusionFrame, build_eitff
 from .linalg import (
     State,
@@ -43,26 +51,6 @@ from .metrics import chernoff_information, classical_chernoff, classical_relativ
 COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
 POVM_TOL = 1e-9
-# The largest eps whose e^eps is a finite double.
-MAX_EPSILON = math.log(sys.float_info.max)
-
-
-def require_epsilon(epsilon: float) -> None:
-    """Reject a privacy level that is not positive with a finite e^eps (NaN included)."""
-    if not 0.0 < epsilon <= MAX_EPSILON:
-        raise ValidationError(f"privacy level must be positive and at most {MAX_EPSILON:.6f}, got {epsilon}")
-
-
-def require_inputs(n: int) -> None:
-    """Reject an input alphabet of fewer than two letters."""
-    if n < 2:
-        raise ValidationError(f"need at least two inputs (n >= 2), got n={n}")
-
-
-def require_eta(eta: float) -> None:
-    """Reject a mixing weight outside (0, 1] (NaN included)."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError("eta must lie in (0, 1]")
 
 
 def _column_stochastic(q) -> np.ndarray:
@@ -250,7 +238,7 @@ def admissible_mu_interval(frame: FusionFrame, epsilon: float) -> tuple[float, f
     (mu_lo, mu_hi); mu_lo is the low-noise endpoint used by default.
     """
     half = frame.d / (2 * frame.r)
-    root = math.sqrt(1.0 + (1.0 - frame.c) / math.sinh(epsilon / 2) ** 2)
+    root = boundary_root(frame.c, epsilon)
     h_plus = half * (1.0 + root)
     h_minus = half * (1.0 - root)
     mu_lo = 1.0 - 1.0 / (1.0 - h_minus)

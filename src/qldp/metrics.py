@@ -32,7 +32,6 @@ from .linalg import RANK_TOL, validate_density, validate_hermitian
 DEGENERACY_RTOL = 1e-12
 CHERNOFF_TOL = 1e-12
 CHERNOFF_MAX_ITER = 100
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -214,30 +213,6 @@ def holevo_information(prior, states) -> float:
     if value < -1e-10:
         raise ValidationError(f"negative information {value:.3e}")
     return value
-
-
-def xlogx(t: float) -> float:
-    """L(t) = t ln t, extended by continuity to L(0) = 0."""
-    return t * math.log(t) if t > 0.0 else 0.0
-
-
-def golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function; returns (argmin, min)."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    s = 0.5 * (a + b)
-    return s, fn(s)
 
 
 def overlap(rho1, rho2, s: float) -> float:

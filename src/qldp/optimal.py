@@ -27,8 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .mechanisms import LdpMechanism, require_epsilon, require_inputs
+from .errors import ValidationError, require_epsilon, require_inputs
+from .exponents import asymptotic_prediction  # re-exported: part of this module's API
+from .mechanisms import LdpMechanism
 
 
 @dataclass(frozen=True)
@@ -240,19 +241,3 @@ def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> f
     vertices = np.where(np.arange(n) < np.arange(n + 1)[:, None], 1.0, math.exp(-epsilon))
     vertices[0] = 1.0
     return float(np.max(utility.evaluate(vertices) / vertices.mean(axis=1)))
-
-
-def asymptotic_prediction(n: int, beta0: float) -> tuple[float, float, float]:
-    """Leading quadratic coefficients of the classical and quantum optima and their limit ratio.
-
-    Returns (floor(n/2) ceil(n/2) beta0 / (2 (n-1)), beta0 n / 4,
-    n (n-1) / (2 floor(n/2) ceil(n/2))) for a utility with curvature beta0;
-    the ratio applies when phi(1) = 0 and n >= 3.
-    """
-    if beta0 <= 0:
-        raise ValidationError("beta0 must be positive")
-    halves = (n // 2) * ((n + 1) // 2)
-    classical = halves * beta0 / (2.0 * (n - 1))
-    quantum = beta0 * n / 4.0
-    ratio = n * (n - 1) / (2.0 * halves)
-    return classical, quantum, ratio

@@ -24,6 +24,7 @@ from .expansions import (
     check_overlap_expansion,
     check_quadratic_assumption,
 )
+from .exponents import xlogx
 from .frames import build_eitff
 from .linalg import checked_hermitian, validate_density
 from .mechanisms import QldpMechanism, induced_mechanism, isoclinic_mechanism, sigma_star, tilde_family
@@ -44,7 +45,6 @@ from .metrics import (
     petz_metric,
     relative_entropy,
     wyd,
-    xlogx,
 )
 from .optimal import mutual_information_utility, pairwise_sqrt_utility
 from .sampling import (

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -628,3 +629,19 @@ def test_frame_verify_of_zero_projections_exits_one(tmp_path, capsys):
     assert run(["frame", "verify", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "rank r >= 1" in captured.err
+
+
+@pytest.mark.parametrize("epsilon", ["1e-300", "5e-324"])
+def test_tiny_epsilon_commands_exit_zero(tmp_path, capsys, epsilon):
+    # below eps ~ 3e-154 sinh^2(eps/2) underflows to 0; these exited 2 with a division by zero
+    out = tmp_path / "s.csv"
+    assert run(["exp", "sweep", "--n", 3, "--eps", epsilon, "--out", out]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["epsilon"]) == float(epsilon)
+    assert float(row["s_qstar"]) == float(row["a_qstar"]) == 0.0
+    capsys.readouterr()
+    assert run(["mech", "sigma-star", "--n", 3, "--eps", epsilon]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["epsilon"] == float(epsilon)
+    assert captured.err == ""

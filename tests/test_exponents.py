@@ -10,6 +10,7 @@ from qldp.exponents import (
     advantage_threshold_asym,
     advantage_threshold_sym,
     asym_exponent,
+    boundary_mu,
     classical_asym_term,
     classical_opt_asym,
     classical_opt_sym,
@@ -382,3 +383,14 @@ def test_sym_exponent_of_a_mechanism_with_equal_columns_is_positive_zero():
     # inputs 1 and 2 of the 3-input binary mechanism share a column
     value = sym_exponent(binary_mechanism(3, 1.0))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
+def test_closed_forms_below_sinh_underflow_take_the_eps_to_zero_limit(epsilon):
+    # sinh(eps/2)^2 underflows to 0 below eps ~ 3e-154: the weight is white noise and both exponents vanish,
+    # as they do just above the underflow
+    assert boundary_mu(0.5, 0.0, epsilon) == 1.0
+    assert closed_form_exponents(3, 0.5, epsilon) == (0.0, 0.0)
+    assert closed_form_exponents(3, 0.5, epsilon) == closed_form_exponents(3, 0.5, 1e-150)
+    (record,) = ratio_sweep(3, [epsilon])
+    assert (record.s_qstar, record.a_qstar, record.s_ratio, record.a_ratio) == (0.0, 0.0, None, None)

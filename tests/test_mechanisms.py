@@ -538,3 +538,15 @@ def test_ldp_mechanism_rejects_non_finite_q(bad):
     # NaN passes both q < 0 and the column-sum check, so it needs its own test
     with pytest.raises(ValidationError):
         LdpMechanism(q=np.array([[bad, 0.5], [0.5, 0.5]]), epsilon=1.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
+def test_isoclinic_weights_below_sinh_underflow_take_the_white_noise_limit(epsilon):
+    # sinh(eps/2)^2 underflows to 0 below eps ~ 3e-154; both ends of the interval tend to mu = 1
+    frame = build_eitff(3)
+    assert admissible_mu_interval(frame, epsilon) == (1.0, 1.0)
+    assert boundary_mu(frame.r / frame.d, frame.c, epsilon) == 1.0
+    mech = sigma_star(3, epsilon)
+    assert mech.epsilon == epsilon
+    for state in mech.states:
+        np.testing.assert_array_equal(state, np.eye(frame.d) / frame.d)

@@ -1,0 +1,123 @@
+"""Start-up contract: the lazy package namespace, and which commands run without numpy."""
+
+import csv
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import qldp
+from qldp import cli, optimal
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# What ``qldp`` exported when its __init__ imported every name eagerly, by home module.
+EXPORTS = {
+    "errors": "DomainError ExistenceError PrivacyViolationError SupportMismatchError ValidationError",
+    "exponents": "ExponentPair IsoclinicBound SweepRecord advantage_crossover advantage_threshold_asym "
+    "advantage_threshold_sym asym_exponent boundary_mu classical_asym_term classical_opt_asym "
+    "classical_opt_sym classical_opt_sym_bound classical_sym_term closed_form_exponents isoclinic_bound "
+    "isoclinic_constant ratio_sweep sym_exponent",
+    "frames": "FrameCertificate FusionFrame build_eitff clifford_generators frame_from_json frame_to_json "
+    "radon_hurwitz simplex_vectors verify_eitff",
+    "linalg": "Spectrum eigh is_psd matrix_from_json matrix_function matrix_to_json norms",
+    "mechanisms": "LdpMechanism QldpMechanism admissible_mu_interval binary_mechanism induced_mechanism "
+    "isoclinic_mechanism jordan_eigenvalues ldp_level load_mechanism mechanism_from_json mechanism_to_json "
+    "qldp_level save_mechanism sigma_star subset_mechanism tilde_family",
+    "metrics": "BKM KL RLD SLD SQUARE SQUARED_DIFF MetricKind OperatorConvexF chernoff_information "
+    "classical_chernoff classical_f_divergence classical_relative_entropy depolarize holevo_information "
+    "neg_ratio overlap petz_f_divergence petz_metric relative_entropy von_neumann_entropy wyd",
+    "optimal": "LpSolution SublinearUtility asymptotic_prediction estimate_beta0 kairouz_lp "
+    "kairouz_lp_symmetric mutual_information_utility pairwise_sqrt_utility utility_of_mechanism",
+}
+HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
+SUBMODULES = ("cli", "errors", "expansions", "exponents", "frames", "linalg", "mechanisms", "metrics",
+              "optimal", "sampling", "suites")
+
+# Every command whose output comes from the scalar closed forms alone.
+SCALAR_COMMANDS = [
+    ["reproduce", "fig1", "--out", "fig1.csv"],
+    ["reproduce", "fig2", "--out", "fig2.csv"],
+    ["reproduce", "thresholds", "--out", "thresholds.csv"],
+    ["reproduce", "ratios", "--out", "ratios.csv"],
+    ["exp", "thresholds", "--n", "3..12"],
+    ["exp", "crossover", "--n", "5", "--mode", "sym"],
+    ["exp", "sweep", "--n", "3", "--eps", "0.5", "--out", "sweep.csv"],
+    ["--help"],
+]
+
+
+def run_fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports qldp from this checkout; returns its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def numpy_modules_after(code, cwd):
+    """The numpy modules loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    return run_fresh(code, cwd).strip().splitlines()[-1]
+
+
+def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
+    assert numpy_modules_after("import sys, qldp", tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=lambda argv: "_".join(argv[:2]).strip("-"))
+def test_scalar_command_leaves_numpy_unloaded(tmp_path, argv):
+    # the same module run as `python -m qldp ...`
+    code = (
+        f"import runpy, sys\nsys.argv = {['qldp', *argv]!r}\n"
+        "try:\n    runpy.run_module('qldp', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+    )
+    assert numpy_modules_after(code, tmp_path) == "[]"
+
+
+def test_every_export_resolves_to_its_home_object():
+    assert sorted(qldp.__all__) == sorted(HOME)
+    star = {}
+    exec("from qldp import *", star)
+    for name, module in HOME.items():
+        home = importlib.import_module(f"qldp.{module}")
+        assert getattr(qldp, name) is getattr(home, name), name
+        assert star[name] is getattr(home, name), name
+        assert name in dir(qldp), name
+
+
+def test_every_submodule_resolves_after_a_bare_import(tmp_path):
+    code = (
+        f"import sys, qldp\nfor name in {SUBMODULES!r}:\n"
+        "    assert name in dir(qldp), name\n"
+        "    assert getattr(qldp, name) is sys.modules['qldp.' + name], name\n"
+    )
+    run_fresh(code, tmp_path)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qldp.no_such_name
+    assert not hasattr(qldp, "__main__")
+
+
+def test_utility_choices_are_the_builtin_utilities():
+    assert list(cli.UTILITY_CHOICES) == sorted(optimal.BUILTIN_UTILITIES)
+
+
+def test_ratios_limit_column_is_the_mi_limit_ratio(tmp_path):
+    out = tmp_path / "ratios.csv"
+    assert cli.main(["reproduce", "ratios", "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == list(range(2, 11))
+    for row in rows:
+        n = int(row["n"])
+        expected = optimal.asymptotic_prediction(n, optimal.mutual_information_utility(n).beta0)[2]
+        assert expected == n * (n - 1) / (2 * (n // 2) * ((n + 1) // 2))
+        assert row["limit_ratio"] == cli._fmt(expected)
