@@ -143,7 +143,7 @@ def closed_form_exponents(n: int, u: float, epsilon: float, eta: float = 1.0, mu
     t = eta * mu + 1.0 - eta
     if not 0.0 < t < 1.0 / (1.0 - u):
         raise DomainError(f"n={n}, u={u}, eps={epsilon}, eta={eta}: mixed noise weight {t} leaves the state space")
-    return ExponentPair(sym=-math.log(sym_overlap(t, u, c)), asym=asym_divergence(t, u))
+    return ExponentPair(sym=0.0 - math.log(sym_overlap(t, u, c)), asym=asym_divergence(t, u))
 
 
 # Exact classical optima over eps-LDP mechanisms.
@@ -163,7 +163,7 @@ def classical_sym_term(n: int, k: int, epsilon: float) -> float:
     inner = 1.0 - (xi - 1.0) ** 2 * k * (n - k) / ((n - 1.0) * (k * xi * xi + n - k))
     if not 0.0 < inner < math.inf:
         raise ValidationError(f"symmetric exponent underflows at eps={epsilon}: 1 - overlap rounds to {inner}")
-    return -math.log(inner)
+    return 0.0 - math.log(inner)
 
 
 def classical_opt_sym(n: int, epsilon: float) -> float:
@@ -185,7 +185,7 @@ def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
     require_epsilon(epsilon)
     xi = math.exp(epsilon / 2.0)
     best = max(k * (n - k) / stretch_factor(n, k, epsilon) for k in range(n + 1))
-    return -math.log(1.0 - (n + eta * eta - 1.0) * (xi - 1.0) ** 2 / (n * n * (n - 1.0)) * best)
+    return 0.0 - math.log(1.0 - (n + eta * eta - 1.0) * (xi - 1.0) ** 2 / (n * n * (n - 1.0)) * best)
 
 
 def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> float:

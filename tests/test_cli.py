@@ -639,7 +639,8 @@ def test_tiny_epsilon_commands_exit_zero(tmp_path, capsys, epsilon):
     with open(out, encoding="utf-8", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert float(row["epsilon"]) == float(epsilon)
-    assert float(row["s_qstar"]) == float(row["a_qstar"]) == 0.0
+    # an overlap of exactly 1 gives +0.0, not -ln 1 = -0.0, which would be written as "-0"
+    assert [row[c] for c in ("s_classical", "a_classical", "s_qstar", "a_qstar")] == ["0"] * 4
     capsys.readouterr()
     assert run(["mech", "sigma-star", "--n", 3, "--eps", epsilon]) == 0
     captured = capsys.readouterr()

@@ -16,13 +16,11 @@ from qldp.metrics import BKM, KL, SQUARE, SQUARED_DIFF, holevo_information, over
 from qldp.sampling import random_density, random_mean_zero_directions, random_traceless_hermitian
 from qldp.suites import expansion_suite, scalar_selftests
 
+from oracles import xlogx
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 FLAT2 = np.eye(2) / 2
-
-
-def xlogx(t):
-    return t * math.log(t)
 
 
 def test_fdiv_flat_center_prediction():

@@ -26,6 +26,7 @@ from qldp.exponents import (
 )
 from qldp.frames import build_eitff
 from qldp.mechanisms import (
+    MAX_EPSILON,
     QldpMechanism,
     admissible_mu_interval,
     binary_mechanism,
@@ -35,9 +36,7 @@ from qldp.mechanisms import (
 )
 from qldp.metrics import classical_chernoff
 
-
-def xlogx(t):
-    return t * math.log(t)
+import oracles
 
 
 def test_exponents_vanish_for_identical_states():
@@ -94,7 +93,7 @@ def test_half_rank_forms_match_general_expression():
         for c in (0.0, 0.25, 4.0 / 9.0):
             general = 1.0 - (1.0 - c) * (math.sqrt(0.5 * t + 1.0 - t) - math.sqrt(0.5 * t)) ** 2
             assert sym_overlap(t, 0.5, c) == pytest.approx(general, abs=1e-14)
-        general = 0.5 * (xlogx(t + 2.0 * (1.0 - t)) + xlogx(t))
+        general = 0.5 * (oracles.xlogx(t + 2.0 * (1.0 - t)) + oracles.xlogx(t))
         assert asym_divergence(t, 0.5) == pytest.approx(general, abs=1e-14)
 
 
@@ -131,7 +130,7 @@ def test_sym_bound_tight_at_eta_one():
 
 def test_classical_asym_hand_value():
     # n = 2, eps = ln 2: best split k = 1 gives (L(2) - 2 L(3/2)) / 3
-    expected = (xlogx(2.0) - 2.0 * xlogx(1.5)) / 3.0
+    expected = (oracles.xlogx(2.0) - 2.0 * oracles.xlogx(1.5)) / 3.0
     assert classical_opt_asym(2, math.log(2.0)) == pytest.approx(expected, abs=1e-14)
     assert expected == pytest.approx(0.0566330122, abs=1e-9)
 
@@ -394,3 +393,70 @@ def test_closed_forms_below_sinh_underflow_take_the_eps_to_zero_limit(epsilon):
     assert closed_form_exponents(3, 0.5, epsilon) == closed_form_exponents(3, 0.5, 1e-150)
     (record,) = ratio_sweep(3, [epsilon])
     assert (record.s_qstar, record.a_qstar, record.s_ratio, record.a_ratio) == (0.0, 0.0, None, None)
+    # an overlap of exactly 1 gives +0.0, not -ln 1 = -0.0, which `exp sweep` would write as "-0"
+    for value in (
+        classical_sym_term(3, 1, epsilon),
+        classical_opt_sym(3, epsilon),
+        classical_opt_sym_bound(3, epsilon, 0.5),
+        closed_form_exponents(3, 0.5, epsilon).sym,
+    ):
+        assert math.copysign(1.0, value) == 1.0
+
+
+# The scalar closed forms against oracles.py on a quarter-decade grid of eps over [1e-8, MAX_EPSILON],
+# n = 2..10.  Each form holds 1e-12 relative on the part of the grid named beside it and loses digits
+# outside it, like u/eps^2 as eps -> 0 and to cancellation against e^eps at large eps.
+SCALAR_GRID = [10.0 ** (e / 4) for e in range(-32, 12)] + [MAX_EPSILON]
+SCALAR_DOMAINS = [
+    # worst inside 7.3e-13 at 0.0316; 6.4e-12 at 0.01 and 2.5e-11 at 31.6; raises from about 74
+    pytest.param(classical_opt_sym, oracles.classical_opt_sym, 0.0316, 17.8, id="opt-sym"),
+    # worst inside 5.6e-13 at 0.0562; 1.0e-12 at 0.0316; NaN from about 703, where eps e^eps overflows
+    pytest.param(classical_opt_asym, oracles.classical_opt_asym, 0.0562, 563.0, id="opt-asym"),
+    # worst inside 4.7e-13 at 0.0316; 3.3e-12 at 0.01 and 1.6e-10 at 17.8
+    pytest.param(
+        lambda n, eps: closed_form_exponents(n, 0.5, eps).sym,
+        lambda n, eps: oracles.isoclinic_pair(n, eps)[0],
+        0.0316,
+        10.0,
+        id="isoclinic-sym",
+    ),
+    # worst inside 9.7e-13 at 5.62e-4; 1.5e-12 at 3.16e-4; DomainError (noise weight 0) above about 37
+    pytest.param(
+        lambda n, eps: closed_form_exponents(n, 0.5, eps).asym,
+        lambda n, eps: oracles.isoclinic_pair(n, eps)[1],
+        5.6e-4,
+        31.7,
+        id="isoclinic-asym",
+    ),
+]
+
+
+@pytest.mark.parametrize("form,oracle,lo,hi", SCALAR_DOMAINS)
+def test_scalar_closed_forms_hold_1e_12_on_their_domain(form, oracle, lo, hi):
+    for epsilon in (e for e in SCALAR_GRID if lo <= e <= hi):
+        for n in range(2, 11):
+            exact = oracle(n, epsilon)
+            assert abs(form(n, epsilon) - exact) <= 1e-12 * exact, (n, epsilon, exact)
+
+
+# The numeric exponents lose relative accuracy like u/eps^2 as eps -> 0: 1 - overlap and the relative
+# entropy are O(eps^2) sums of O(1) terms.  This pins that floor; the largest K measured is 78
+# (sigma_star asym, n = 8, eps = 1e-2).
+FLOOR_K = 200.0
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_matrix_exponents_hold_the_u_over_eps_squared_floor(n):
+    k = n // 2
+    for epsilon in (1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
+        bound = FLOOR_K * 2.0**-53 / epsilon**2
+        cases = {
+            "sigma_star": (sigma_star(n, epsilon), oracles.isoclinic_pair(n, epsilon)),
+            "subset": (
+                subset_mechanism(n, k, epsilon),
+                (oracles.classical_sym_term(n, k, epsilon), oracles.classical_asym_term(n, k, epsilon)),
+            ),
+        }
+        for name, (mech, (sym, asym)) in cases.items():
+            assert abs(sym_exponent(mech) - sym) <= bound * sym, (name, epsilon)
+            assert abs(asym_exponent(mech) - asym) <= bound * asym, (name, epsilon)

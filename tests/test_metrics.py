@@ -36,10 +36,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ALL_KINDS = [SLD, RLD, BKM, wyd(0.3), wyd(0.5), wyd(0.7)]
 
 
-def xlogx(t):
-    return t * math.log(t)
-
-
 def test_metric_kind_validation():
     with pytest.raises(ValidationError):
         MetricKind("fisher")

@@ -27,10 +27,6 @@ from qldp.optimal import (
 )
 
 
-def xlogx(t):
-    return t * math.log(t)
-
-
 def per_pattern_lp(n, epsilon, utility):
     """The staircase LP built one pattern at a time and handed to HiGHS whole:
     the oracle for the in-package simplex over the batched build."""
