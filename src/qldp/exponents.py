@@ -194,10 +194,19 @@ def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> flo
     if not 0 <= k <= n:
         raise ValidationError("split size out of range")
     f = stretch_factor(n, k, epsilon)
-    d1 = eta * math.exp(epsilon) + (1.0 - eta) * f
-    d2 = eta + (1.0 - eta) * f
-    big_f = k * xlogx(d1) + (n - k) * xlogx(d2) - n * xlogx(f)
-    return big_f / (n * f)
+    term = _split_term(n, k, f, eta * math.exp(epsilon) + (1.0 - eta) * f, eta + (1.0 - eta) * f)
+    if math.isfinite(term):
+        return term
+    # Above eps ~ 703.2, L(e^eps) = eps e^eps overflows. k d1 + (n - k) d2 = n f, so the
+    # eps-linear parts of L cancel and the term is unchanged when f, d1 and d2 are divided by e^eps.
+    low = math.exp(-epsilon)
+    f = k / n + (1.0 - k / n) * low
+    return _split_term(n, k, f, eta + (1.0 - eta) * f, eta * low + (1.0 - eta) * f)
+
+
+def _split_term(n: int, k: int, f: float, d1: float, d2: float) -> float:
+    """[k L(d1) + (n - k) L(d2) - n L(f)] / (n f), the asymmetric exponent of a k-block split."""
+    return (k * xlogx(d1) + (n - k) * xlogx(d2) - n * xlogx(f)) / (n * f)
 
 
 def classical_opt_asym(n: int, epsilon: float, eta: float = 1.0) -> float:

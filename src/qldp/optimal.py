@@ -10,10 +10,13 @@ binary patterns z:
 
 The LP has n equality rows, so an optimal vertex uses at most n patterns.
 ``kairouz_lp`` finds one with a dense revised simplex, written in numpy, on
-n x n bases that prices all 2^n patterns at every pivot, and it returns a
-certificate of optimality computed over every pattern. Every phi here is
-symmetric, so the LP also collapses to a maximum over the pattern weight k of
-phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
+n x n bases that prices all 2^n patterns at every pivot. A pattern's price
+is the sum of the prices of its leading n // 2 and its trailing coordinates,
+so each pivot prices two half tables and writes their outer sum into one
+buffer kept for the whole solve. The certificate of optimality is computed
+over every pattern from the dense rows @ y, not from that sum. Every phi
+here is symmetric, so the LP also collapses to a maximum over the pattern
+weight k of phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
 
 A kernel's ``evaluate`` is batched: it takes an array whose last axis has
 length n and returns phi of each row, so every LP here makes one call.
@@ -109,8 +112,9 @@ PIVOT_RTOL = 1e-9
 # Ratios within this of the smallest count as tied, and the largest pivot
 # among them leaves the basis.
 RATIO_TOL = 1e-12
-# Every LP with n <= 14 and eps in [1e-5, MAX_EPSILON] ends within about 50
-# pivots; one stopped at this limit is left for the certificate to reject.
+# No LP on the grid n = 2..14 x both utilities x 21 eps geomspaced over
+# [1e-5, MAX_EPSILON] takes more than 40 pivots; one stopped at this limit
+# is left for the certificate to reject.
 MAX_PIVOTS = 1000
 
 
@@ -121,8 +125,9 @@ class LpSolution:
     ``residual`` is the largest violation of the equality rows by the
     weights, ``gap`` the distance between the primal value and the dual
     value sum(y), and ``reduced_cost`` the largest phi_z - row_z . y over
-    all 2^n patterns (rows scaled to entries in {e^-eps, 1}). A status
-    other than "optimal" names the bound that failed; the value is then NaN.
+    all 2^n patterns (rows scaled to entries in {e^-eps, 1}). ``pivots``
+    counts the simplex pivots. A status other than "optimal" names the
+    bound that failed; the value is then NaN.
     """
 
     value: float
@@ -131,6 +136,7 @@ class LpSolution:
     residual: float = math.nan
     gap: float = math.nan
     reduced_cost: float = math.nan
+    pivots: int = 0
 
 
 def utility_of_mechanism(mech: LdpMechanism, utility: SublinearUtility) -> float:
@@ -149,6 +155,27 @@ class Vertex(NamedTuple):
     nit: int
 
 
+def price(rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows @ y for every pattern of :func:`kairouz_lp`, written into ``out`` without a 2^n x n product.
+
+    Pattern (a, b), a its leading n // 2 coordinates and b the rest, is row
+    a 2^len(b) + b, and its price is lead_a . y + trail_b . y. The two half
+    tables are read off rows whose other half is nonzero, so the all-ones
+    row 0 is in neither; its price is sum(y). The outer sum is the rank-2
+    product of [lead y, 1] and [1; trail y], which BLAS writes into ``out``
+    with one rounded sum per entry and no 2^n temporary.
+    """
+    lead = rows.shape[1] // 2
+    block = 1 << (rows.shape[1] - lead)
+    left = np.ones((len(rows) // block, 2))
+    right = np.ones((2, block))
+    np.matmul(rows[1::block, :lead], y[:lead], out=left[:, 0])
+    np.matmul(rows[block : 2 * block, lead:], y[lead:], out=right[1])
+    np.matmul(left, right, out=out.reshape(len(left), block))
+    out[0] = y.sum()
+    return out
+
+
 def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
     """Maximize coeffs . alpha subject to rows.T @ alpha = 1, alpha >= 0, by the revised primal simplex.
 
@@ -156,19 +183,20 @@ def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
     n weight-one patterns form a feasible basis: e^-eps J + (1 - e^-eps) I,
     with weights 1 / (1 + (n - 1) e^-eps) > 0. Each pivot solves the n x n
     systems for the basic weights and the duals y from the exact rows,
-    prices every pattern as coeffs - rows @ y, and brings in the largest
-    reduced cost above PRICE_TOL. The leaving pattern has the largest pivot
-    among the near-smallest ratios. After MAX_PIVOTS pivots the current
-    vertex is returned as it is.
+    prices every pattern with :func:`price` into one buffer kept for the
+    whole solve, and brings in the largest reduced cost above PRICE_TOL. The
+    leaving pattern has the largest pivot among the near-smallest ratios.
+    After MAX_PIVOTS pivots the current vertex is returned as it is.
     """
     n = rows.shape[1]
     basis = 1 << np.arange(n - 1, -1, -1)
     ones = np.ones(n)
+    reduced = np.empty(len(rows))
     for nit in range(MAX_PIVOTS + 1):
         block = rows[basis]
         x = np.linalg.solve(block.T, ones)
         y = np.linalg.solve(block, coeffs[basis])
-        reduced = coeffs - rows @ y
+        np.subtract(coeffs, price(rows, y, reduced), out=reduced)
         reduced[basis] = -np.inf
         enter = int(np.argmax(reduced))
         if reduced[enter] <= PRICE_TOL or nit == MAX_PIVOTS:
@@ -178,7 +206,8 @@ def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
         ratio = np.maximum(x[rising], 0.0) / d[rising]
         tied = rising[ratio <= ratio.min() + RATIO_TOL]
         basis[tied[np.argmax(d[tied])]] = enter
-    alpha = np.zeros(len(rows))
+    alpha = reduced  # the pricing buffer, spent
+    alpha.fill(0.0)
     alpha[basis] = np.clip(x, 0.0, None)
     return Vertex(alpha, y, nit)
 
@@ -203,15 +232,17 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
         raise ValidationError("LP limited to n <= 14 (2^n variables)")
     low = math.exp(-epsilon)
     # Row i is the binary expansion of i, first coordinate most significant:
-    # the order of itertools.product((0, 1), repeat=n).
-    patterns = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    rows = np.where(patterns == 1, 1.0, low)
+    # the order of itertools.product((0, 1), repeat=n). The bits are the last
+    # n of the 16 in i as a big-endian uint16.
+    bits = np.unpackbits(np.arange(2**n, dtype=">u2").view(np.uint8).reshape(-1, 2), axis=1)[:, 16 - n :]
+    rows = np.where(bits.view(bool), 1.0, low)
     rows[0] = 1.0
     coeffs = utility.evaluate(rows)
-    alpha, y, _ = linprog(coeffs, rows)
+    alpha, y, pivots = linprog(coeffs, rows)
     value = float(coeffs @ alpha)
     residual = float(np.max(np.abs(rows.T @ alpha - 1.0)))
     gap = abs(value - float(y.sum()))
+    # The dense rows @ y, so that the split pricing of linprog never certifies itself.
     reduced_cost = float((coeffs - rows @ y).max())
     bound = gap + n * max(reduced_cost, 0.0)
     if residual > RESIDUAL_TOL:
@@ -221,9 +252,9 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     else:
         # Support by scaled mass: the unscaled alpha_z = e^-eps alpha'_z can be ~1e-217.
         support = np.flatnonzero(alpha > 1e-12)
-        weights = {tuple(patterns[i].tolist()): float(alpha[i] * (low if i else 1.0)) for i in support}
-        return LpSolution(value, weights, "optimal", residual, gap, reduced_cost)
-    return LpSolution(math.nan, {}, status, residual, gap, reduced_cost)
+        weights = {tuple(bits[i].tolist()): float(alpha[i] * (low if i else 1.0)) for i in support}
+        return LpSolution(value, weights, "optimal", residual, gap, reduced_cost, pivots)
+    return LpSolution(math.nan, {}, status, residual, gap, reduced_cost, pivots)
 
 
 def kairouz_lp_symmetric(n: int, epsilon: float, utility: SublinearUtility) -> float:

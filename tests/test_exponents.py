@@ -410,8 +410,8 @@ SCALAR_GRID = [10.0 ** (e / 4) for e in range(-32, 12)] + [MAX_EPSILON]
 SCALAR_DOMAINS = [
     # worst inside 7.3e-13 at 0.0316; 6.4e-12 at 0.01 and 2.5e-11 at 31.6; raises from about 74
     pytest.param(classical_opt_sym, oracles.classical_opt_sym, 0.0316, 17.8, id="opt-sym"),
-    # worst inside 5.6e-13 at 0.0562; 1.0e-12 at 0.0316; NaN from about 703, where eps e^eps overflows
-    pytest.param(classical_opt_asym, oracles.classical_opt_asym, 0.0562, 563.0, id="opt-asym"),
+    # worst inside 5.6e-13 at 0.0562; 1.0e-12 at 0.0316; 2.0e-16 at MAX_EPSILON, past the overflow of eps e^eps
+    pytest.param(classical_opt_asym, oracles.classical_opt_asym, 0.0562, MAX_EPSILON, id="opt-asym"),
     # worst inside 4.7e-13 at 0.0316; 3.3e-12 at 0.01 and 1.6e-10 at 17.8
     pytest.param(
         lambda n, eps: closed_form_exponents(n, 0.5, eps).sym,

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def assert_certified(sol, n, epsilon, utility):
     assert float(utility.evaluate(columns) @ alpha) == pytest.approx(sol.value, abs=1e-12)
     assert sol.residual <= 1e-9
     assert sol.gap + n * max(sol.reduced_cost, 0.0) <= 1e-10
+
+
+def product_rows(n, epsilon):
+    """The scaled pattern rows built from itertools.product, row 0 all ones: the order kairouz_lp promises."""
+    patterns = np.array(list(itertools.product((0, 1), repeat=n)))
+    rows = np.where(patterns == 1, 1.0, math.exp(-epsilon))
+    rows[0] = 1.0
+    return rows
 
 
 def counting(utility):
@@ -237,14 +246,16 @@ def test_solving_the_lp_leaves_scipy_unloaded(code):
 @pytest.mark.parametrize("n", [2, 5, 9, 12, 14])
 def test_lp_certifies_at_edge_epsilons(factory, n):
     # n = 12 pairwise_sqrt at eps = 1e-5 and 1e-4 reaches a singular basis when
-    # the ratio test takes pivots above an absolute threshold (d > 0, or d > 1e-12)
+    # the ratio test takes pivots above an absolute threshold (d > 0, or d > 1e-12);
+    # every solve here ends within 50 pivots, far below MAX_PIVOTS
     utility = factory(n)
-    for epsilon in (1e-5, 1e-4, 21.0, 40.0, MAX_EPSILON):
+    for epsilon in (1e-5, 1e-4, 1e-3, 0.5, 2.0, 21.0, 40.0, MAX_EPSILON):
         sol = kairouz_lp(n, epsilon, utility)
         assert sol.status == "optimal", (epsilon, sol.status)
         assert sol.residual <= 1e-9
         assert sol.gap + n * max(sol.reduced_cost, 0.0) <= 1e-10
         assert sol.value == pytest.approx(kairouz_lp_symmetric(n, epsilon, utility), abs=1e-9)
+        assert type(sol.pivots) is int and 0 <= sol.pivots <= 50, (epsilon, sol.pivots)
 
 
 def test_pivot_limit_leaves_the_certificate_to_fail(monkeypatch):
@@ -254,6 +265,85 @@ def test_pivot_limit_leaves_the_certificate_to_fail(monkeypatch):
     sol = kairouz_lp(n, epsilon, utility)
     assert sol.status != "optimal" and math.isnan(sol.value)
     assert "reduced cost" in sol.status
+    assert sol.pivots == 1
+
+
+def test_pricing_that_finds_nothing_leaves_the_certificate_to_fail(monkeypatch):
+    # every price +inf: no pattern improves, so the simplex stops at its first
+    # basis, and only the dense rows @ y of the certificate can reject it
+    def blind(rows, y, out):
+        out.fill(math.inf)
+        return out
+
+    n, epsilon = 8, 0.5
+    monkeypatch.setattr(optimal, "price", blind)
+    sol = kairouz_lp(n, epsilon, mutual_information_utility(n))
+    assert sol.pivots == 0
+    assert sol.status != "optimal" and math.isnan(sol.value)
+    assert "reduced cost" in sol.status
+    assert sol.reduced_cost > optimal.CERTIFICATE_TOL
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_split_pricing_matches_the_dense_matvec(n):
+    rng = np.random.default_rng(n)
+    for epsilon in (1e-5, 0.5, 40.0, MAX_EPSILON):
+        rows = product_rows(n, epsilon)
+        out = np.empty(len(rows))
+        for _ in range(3):
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            assert optimal.price(rows, y, out) is out
+            dense = rows @ y
+            bound = 4 * n * 2.0**-53 * np.abs(y).sum()
+            # every row, so also row 0 (all ones) and the rows below 2^(n - n // 2),
+            # whose leading half is all zeros
+            assert np.max(np.abs(out - dense)) <= bound, epsilon
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_rows_follow_the_itertools_product_order(monkeypatch, n):
+    epsilon = 0.7
+    seen = []
+
+    def recording(coeffs, rows):
+        seen.append(rows.copy())
+        return real(coeffs, rows)
+
+    real = optimal.linprog
+    monkeypatch.setattr(optimal, "linprog", recording)
+    sol = kairouz_lp(n, epsilon, mutual_information_utility(n))
+    (rows,) = seen
+    expected = product_rows(n, epsilon)
+    assert rows.dtype == expected.dtype and rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    assert all(type(z) is tuple and len(z) == n and all(type(b) is int for b in z) for z in sol.weights)
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+def test_one_solve_stays_within_its_memory(factory):
+    # An n = 14 solve peaks below 2.5 times its float rows, which an int64
+    # pattern matrix breaks; the simplex alone stays below 1.5 pricing
+    # buffers, which a second 2^n array at any pivot breaks.
+    n, epsilon = 14, 0.5
+    utility = factory(n)
+    kairouz_lp(n, epsilon, utility)
+    sol, peak = traced_peak(lambda: kairouz_lp(n, epsilon, utility))
+    assert sol.status == "optimal"
+    assert peak <= 2.5 * 2**n * n * 8, peak
+    rows = product_rows(n, epsilon)
+    coeffs = utility.evaluate(rows)
+    vertex, peak = traced_peak(lambda: optimal.linprog(coeffs, rows))
+    assert vertex.nit == sol.pivots
+    assert peak <= 1.5 * 2**n * 8, peak
 
 
 def test_lp_weights_are_feasible():
@@ -292,6 +382,14 @@ def test_symmetric_reduction_equals_asym_optimum_for_mi():
             assert kairouz_lp_symmetric(n, epsilon, mutual_information_utility(n)) == pytest.approx(
                 classical_opt_asym(n, epsilon), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("epsilon", [700.0, 705.0, MAX_EPSILON])
+def test_lp_matches_asym_optimum_where_eps_e_eps_overflows(epsilon):
+    # above eps ~ 703.2 the closed form used to return NaN (n = 2, eps = 705)
+    for n in range(2, 11):
+        lp = kairouz_lp(n, epsilon, mutual_information_utility(n)).value
+        assert abs(lp - classical_opt_asym(n, epsilon)) <= 1e-9, n
 
 
 def test_symmetric_reduction_covers_flat_pattern():
