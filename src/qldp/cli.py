@@ -228,26 +228,24 @@ def _cmd_mech(args) -> int:
 def _cmd_metric(args) -> int:
     import numpy as np
 
-    from . import mechanisms, metrics
+    from . import metrics
     from .linalg import load_json, matrix_from_json
 
     if args.action == "chernoff":
-        a, b = (load_json(path, matrix_from_json) for path in (args.a, args.b))
-        value = metrics.chernoff_information(a, b)
-        print(_fmt(value))
-        return 0
-    if args.action == "holevo":
+        value = metrics.chernoff_information(*(load_json(path, matrix_from_json) for path in (args.a, args.b)))
+    elif args.action == "holevo":
+        from . import mechanisms
+
         mech = mechanisms.load_mechanism(args.mech)
         states = mech.members
         if mech.kind == "ldp":  # a classical distribution is the diagonal state that commutes with the rest
             states = [np.diag(column.astype(complex)) for column in states]
         n = len(states)
         value = metrics.holevo_information(np.full(n, 1.0 / n), states)
-        print(_fmt(value))
-        return 0
-    kind = metrics.wyd(float(args.kind[4:])) if args.kind.startswith("wyd:") else metrics.MetricKind(args.kind)
-    x = load_json(args.x, matrix_from_json)
-    value = metrics.petz_metric(load_json(args.rho, matrix_from_json), x, x, kind)
+    else:
+        kind = metrics.wyd(float(args.kind[4:])) if args.kind.startswith("wyd:") else metrics.MetricKind(args.kind)
+        x = load_json(args.x, matrix_from_json)
+        value = metrics.petz_metric(load_json(args.rho, matrix_from_json), x, x, kind)
     print(_fmt(value))
     return 0
 

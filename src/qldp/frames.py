@@ -18,13 +18,13 @@ exactly when n <= 2a + 4 (Radon-Hurwitz bound).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ExistenceError, ValidationError
-from .linalg import matrix_from_json, matrix_to_json, operator_norm, validate_hermitian
+from .linalg import checked_hermitian, matrix_from_json, matrix_to_json, operator_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -71,19 +71,15 @@ class FrameCertificate:
 
 
 def frame_constant(d: int, r: int, n: int) -> float:
-    """c = (nr - d) / (d (n - 1)), computed in exact rational arithmetic."""
-    return float(Fraction(n * r - d, d * (n - 1)))
+    """c = (nr - d) / (d (n - 1)); int true division rounds the exact quotient once."""
+    return (n * r - d) / (d * (n - 1))
 
 
 def radon_hurwitz(r: int) -> int:
     """2a + 2, where 2^a is the largest power of two dividing r."""
     if r < 1:
         raise ValidationError("rank must be a positive integer")
-    a = 0
-    while r % 2 == 0:
-        r //= 2
-        a += 1
-    return 2 * a + 2
+    return 2 * (r & -r).bit_length()  # r & -r = 2^a
 
 
 def clifford_generators(m: int) -> list[np.ndarray]:
@@ -141,8 +137,9 @@ def _cached_eitff(n: int, a: int) -> FusionFrame:
         raise ValidationError("need at least two projections")
     if a < 0:
         raise ValidationError("a must be non-negative")
-    if n > 2 * a + 4:
-        raise ExistenceError(f"no equi-isoclinic family with n={n} at rank 2^{a}: need n <= {2 * a + 4}")
+    bound = radon_hurwitz(2**a) + 2
+    if n > bound:
+        raise ExistenceError(f"no equi-isoclinic family with n={n} at rank 2^{a}: need n <= {bound}")
     m = a + 1
     d = 2**m
     if d > 64:
@@ -161,38 +158,26 @@ def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:
 
     d, n, r and c are those :class:`FusionFrame` reads off the family;
     tolerance violations show up as certificate failures rather than
-    exceptions.  Mixed dimensions or inputs far from projections
-    (||P^2 - P|| > 100 tol) are rejected.
+    exceptions.  Mixed dimensions or inputs far from projections (||P^2 - P||
+    > 100 tol, read as max |lambda^2 - lambda| off the hermiticity check's
+    spectrum) are rejected.
     """
-    frame = FusionFrame(tuple(validate_hermitian(p) for p in projections))
+    checked = [checked_hermitian(p) for p in projections]
+    frame = FusionFrame(tuple(h.matrix for h in checked))
     ps, d, r, n, c = frame.projections, frame.d, frame.r, frame.n, frame.c
-    for p in ps:
-        if operator_norm(p @ p - p) > 100 * tol:
-            raise ValidationError("input is not close to an orthogonal projection")
+    if any(np.max(np.abs(h.eigenvalues**2 - h.eigenvalues)) > 100 * tol for h in checked):
+        raise ValidationError("input is not close to an orthogonal projection")
 
     tight_res = operator_norm(sum(ps) - (n * r / d) * np.eye(d))
-    residuals = [tight_res]
+    chordal_res = isoclinic_res = 0.0
+    for p_i, p_j in itertools.permutations(ps, 2):
+        chordal_res = max(chordal_res, abs(np.trace(p_i @ p_j).real - r * c))
+        isoclinic_res = max(isoclinic_res, operator_norm(p_j @ p_i @ p_j - c * p_j))
+
     is_tight = bool(tight_res <= tol)
-
-    chordal_res = 0.0
-    isoclinic_res = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            chordal_res = max(chordal_res, abs(np.trace(ps[i] @ ps[j]).real - r * c))
-            isoclinic_res = max(isoclinic_res, operator_norm(ps[j] @ ps[i] @ ps[j] - c * ps[j]))
-    residuals += [chordal_res, isoclinic_res]
-
     is_ectff = bool(is_tight and chordal_res <= tol)
     is_eitff = bool(is_ectff and isoclinic_res <= tol)
-    return FrameCertificate(
-        is_tight=is_tight,
-        is_ectff=is_ectff,
-        is_eitff=is_eitff,
-        c_observed=c,
-        max_residual=float(max(residuals)),
-    )
+    return FrameCertificate(is_tight, is_ectff, is_eitff, c, float(max(tight_res, chordal_res, isoclinic_res)))
 
 
 def frame_to_json(frame: FusionFrame) -> dict:

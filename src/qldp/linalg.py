@@ -65,7 +65,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValidationError("matrix has non-finite entries")
     return a
 

@@ -76,6 +76,15 @@ def _state_family(matrices: list) -> list:
     return matrices
 
 
+def _qldp_members(states) -> tuple:
+    """Each state validated once as a :class:`~qldp.linalg.State`: at least 2, of one shape, all full rank."""
+    members = tuple(validate_density(s) for s in states)
+    _state_family([s.matrix for s in members])
+    if not all(s.full_rank for s in members):
+        raise SupportMismatchError("mechanism states must be full rank")
+    return members
+
+
 @dataclass(frozen=True)
 class LdpMechanism:
     """Column-stochastic matrix of shape (n_outputs, n_inputs) with a declared level."""
@@ -137,10 +146,7 @@ class QldpMechanism:
 
     def __post_init__(self):
         require_epsilon(self.epsilon)
-        members = tuple(validate_density(s) for s in self.states)
-        _state_family([s.matrix for s in members])
-        if not all(s.full_rank for s in members):
-            raise SupportMismatchError("mechanism states must be full rank")
+        members = _qldp_members(self.states)
         object.__setattr__(self, "states", tuple(s.matrix for s in members))
         object.__setattr__(self, "members", members)
 
@@ -168,22 +174,27 @@ class QldpMechanism:
 def qldp_level(states) -> float:
     """Smallest eps such that rho_{x'} <= e^eps rho_x holds for all ordered pairs.
 
-    Computed as the max over pairs of ln lambda_max(rho_x^{-1/2} rho_{x'} rho_x^{-1/2}).
-    Raises :class:`SupportMismatchError` on rank-deficient states.
+    The max over pairs of log1p(lambda_max(L^{-1} (rho_{x'} - rho_x) L^{-dag})), rho_x = L L^dag: the spectrum of
+    rho_x^{-1/2} (rho_{x'} - rho_x) rho_x^{-1/2}, with relative accuracy as eps -> 0 and exactly 0 for identical
+    states. L is factored in np.longdouble (a 64-bit significand on x86-64) and rounded once; a double factor, or
+    rho^{-1/2} from eigh, loses relative accuracy like u * cond(rho_x). Raw states are checked as QldpMechanism
+    checks them.
     """
-    if isinstance(states, QldpMechanism):
-        valid = states.members
-    else:
-        valid = [validate_density(s) for s in states]
-        _state_family([s.matrix for s in valid])
-    if not all(s.full_rank for s in valid):
-        raise SupportMismatchError("state is rank deficient; privacy level undefined")
-    inv_sqrts = [(s.eigenvectors * s.eigenvalues**-0.5) @ s.eigenvectors.conj().T for s in valid]
+    valid = states.members if isinstance(states, QldpMechanism) else _qldp_members(states)
+    mats = np.array([s.matrix for s in valid])
+    factor = mats.astype(np.clongdouble)  # overwritten by L, one column at a time
+    for j in range(factor.shape[-1]):
+        row = factor[:, j, :j]
+        factor[:, j, j] = np.sqrt(factor[:, j, j].real - np.sum(row * row.conj(), axis=-1).real)
+        factor[:, j + 1 :, j] -= (factor[:, j + 1 :, :j] @ row.conj()[..., None])[..., 0]
+        factor[:, j + 1 :, j] /= factor[:, j, j, None]
+        factor[:, j, j + 1 :] = 0.0
     level = 0.0
-    for x, x2 in itertools.permutations(range(len(valid)), 2):
-        sim = inv_sqrts[x] @ valid[x2].matrix @ inv_sqrts[x]
-        lam_max = np.linalg.eigvalsh(0.5 * (sim + sim.conj().T))[-1]
-        level = max(level, math.log(lam_max))
+    for x, inv in enumerate(np.linalg.inv(factor.astype(complex))):
+        # every x' in one stack; x' = x adds a zero matrix, whose log1p(0) = 0 leaves the max unchanged
+        sims = inv @ (mats - mats[x]) @ inv.conj().T
+        lam_max = np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]
+        level = max(level, float(np.log1p(lam_max).max()))
     return level
 
 
@@ -197,9 +208,10 @@ def ldp_level(q) -> float:
             continue
         if bot <= 0.0:
             raise SupportMismatchError("zero entry in a row with positive entries")
-        # The ratio overflows only when bot is subnormal; the log difference is then exact enough.
-        ratio = top / bot
-        level = max(level, math.log(ratio) if ratio < math.inf else math.log(top) - math.log(bot))
+        # log1p of the excess is exactly 0 for a constant row. The excess overflows only when bot is
+        # subnormal, and the log difference is then exact enough.
+        excess = (top - bot) / bot
+        level = max(level, math.log1p(excess) if excess < math.inf else math.log(top) - math.log(bot))
     return level
 
 

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError, require_epsilon, require_inputs
 from .exponents import asymptotic_prediction  # re-exported: part of this module's API
-from .mechanisms import LdpMechanism
+
+if TYPE_CHECKING:  # the LP never builds a mechanism, so it does not load that layer
+    from .mechanisms import LdpMechanism
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,8 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     rows = np.where(bits.view(bool), 1.0, low)
     rows[0] = 1.0
     coeffs = utility.evaluate(rows)
-    alpha, y, pivots = linprog(coeffs, rows)
+    # Below eps ~ 1.1e-16 every row is all ones and the first basis singular; the all-ones pattern alone is optimal.
+    alpha, y, pivots = linprog(coeffs, rows) if low < 1.0 else (np.eye(1, len(rows))[0], np.full(n, coeffs[0] / n), 0)
     value = float(coeffs @ alpha)
     residual = float(np.max(np.abs(rows.T @ alpha - 1.0)))
     gap = abs(value - float(y.sum()))

@@ -111,3 +111,30 @@ def isoclinic_pair(n: int, epsilon: float) -> tuple[float, float]:
         t = 1 - 1 / mp.sqrt(1 + (1 - c) / mp.sinh(mp.mpf(epsilon) / 2) ** 2)
         sym = -mp.log(1 - (1 - c) * (1 - mp.sqrt(t * (2 - t))))
         return float(sym), float((xlogx(2 - t) + xlogx(t)) / 2)
+
+
+# Privacy levels of stored states and columns.
+
+
+def qldp_level(states) -> float:
+    """max over ordered pairs (A, B) of ln lambda_max(A^{-1} B) at DIGITS digits; keep d <= 8.
+
+    One decomposition per unordered pair: with A + B = L L^dag, the eigenvalues delta of
+    L^{-1} (B - A) L^{-dag} give the generalized eigenvalues (1 + delta) / (1 - delta) of
+    (B, A), so the two orders have levels 2 atanh(max delta) and 2 atanh(-min delta). The
+    float states are taken exactly, so B - A carries no rounding.
+    """
+    with mp.workdps(DIGITS):
+        best = mp.mpf(0)
+        for a, b in itertools.combinations([mp.matrix(s.tolist()) for s in states], 2):
+            inv = mp.inverse(mp.cholesky(a + b))
+            sim = inv * (b - a) * inv.transpose_conj()
+            delta = mp.eighe((sim + sim.transpose_conj()) / 2, eigvals_only=True)
+            best = max(best, max(delta), -min(delta))
+        return float(2 * mp.atanh(best))
+
+
+def ldp_level(q) -> float:
+    """max over rows of ln(max/min) of a column-stochastic (outputs, inputs) array at DIGITS digits."""
+    with mp.workdps(DIGITS):
+        return float(max(mp.log(mp.mpf(max(row)) / mp.mpf(min(row))) for row in q.tolist()))

@@ -168,6 +168,18 @@ def test_opt_lp_at_large_eps(capsys, eps):
     assert int(fields["support"]) >= 1
 
 
+@pytest.mark.parametrize("utility", ["mi", "pairwise_sqrt"])
+@pytest.mark.parametrize("n", [2, 5, 14])
+@pytest.mark.parametrize("eps", ["1e-17", "1e-300", "5e-324"])
+def test_opt_lp_where_e_to_the_minus_eps_rounds_to_one(capsys, utility, n, eps):
+    # these exited 1 with "error: Singular matrix" from the simplex's first basis
+    assert run(["opt", "lp", "--n", n, "--eps", eps, "--utility", utility]) == 0
+    fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+    value = optimal.BUILTIN_UTILITIES[utility](n).value_at_ones
+    assert float(fields["symmetric"]) == float(fields["full"]) == value
+    assert fields["support"] == "1"
+
+
 def test_opt_lp_uncertified_exits_two(monkeypatch, capsys):
     # The solver stops at z = 0 alone, whose duals (phi(1) / n) 1 leave
     # positive reduced costs, so the certificate must fail
@@ -560,11 +572,13 @@ MECH_ARGV = {
     "subset": ["--n", 4, "--k", 2, "--eps", "0.5"],
 }
 # sha256 of the stdout of `qldp mech KIND ARGS` (the JSON, so its key order too), then of the
-# stdout of `qldp mech audit` on that JSON saved to a file
+# stdout of `qldp mech audit` on that JSON saved to a file. The sigma-star audit line prints
+# level=0.70000000000000029 from the difference-form level; the ratio form printed
+# 0.70000000000000073, and oracles.qldp_level of the stored states is 0.7000000000000002.
 MECH_SHA256 = {
     "sigma-star": [
         "1e229b1c7409c6e9b2acf7d2329fb11b21734535bad031bc19d0276fc1c2faa0",
-        "f4461bc415469302068bb48c20637b5c3c0a20c29bd012907242f0ddccb95dd3",
+        "975be39998f999721ce8b8722c6e75a0832efbb0fbe7a118d382e6f1da0f905d",
     ],
     "binary": [
         "5def0a84d973c81209bbffd0a6344553dcad97d3e2de10229052f787c0ec4c3c",

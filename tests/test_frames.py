@@ -3,11 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qldp import frames
 from qldp.errors import ExistenceError, ValidationError
 from qldp.frames import (
     _cached_eitff,
     build_eitff,
     clifford_generators,
+    frame_constant,
     frame_from_json,
     frame_to_json,
     radon_hurwitz,
@@ -238,3 +240,45 @@ def test_zero_projections_are_not_a_frame():
     # rank r = 0 would give c = -1/2 and a division by r in the Jordan eigenvalues
     with pytest.raises(ValidationError, match="rank r >= 1"):
         verify_eitff([np.zeros((2, 2))] * 3)
+
+
+def test_frame_constant_is_the_rounded_rational():
+    # int true division rounds the exact quotient once, as Fraction.__float__ does; c < 0 when nr < d
+    for d in (2, 4, 8, 16, 32, 64, 128):
+        for r in range(1, d + 1):
+            for n in range(2, 40):
+                assert frame_constant(d, r, n) == float(Fraction(n * r - d, d * (n - 1))), (d, r, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_verify_takes_one_norm_per_residual(monkeypatch, n):
+    # the tight residual and one isoclinic residual per ordered pair; ||P^2 - P|| comes off the spectrum
+    calls = []
+    monkeypatch.setattr(frames, "operator_norm", lambda m: calls.append(1) or operator_norm(m))
+    assert verify_eitff(build_eitff(n).projections).is_eitff
+    assert len(calls) == 1 + n * (n - 1)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("direction", ["scaled", "random"])
+def test_projection_check_agrees_with_the_svd_rule(factor, direction):
+    # perturb each projection so that ||P^2 - P|| is about factor * 100 tol, then compare the verdict
+    # with the SVD rule operator_norm(P @ P - P) <= 100 tol
+    tol = 1e-10
+    rng = np.random.default_rng(4)
+    family = []
+    for p in build_eitff(4).projections:
+        if direction == "scaled":
+            e = p  # (1 + t) P gives ||P^2 - P|| = t (1 + t)
+        else:
+            g = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
+            e = (g + g.conj().T) / operator_norm(g + g.conj().T)
+        t = factor * 100 * tol / operator_norm(p @ e + e @ p - e)
+        family.append(p + t * e)
+    svd_accepts = all(operator_norm(q @ q - q) <= 100 * tol for q in family)
+    assert svd_accepts == (factor < 1)
+    if svd_accepts:
+        assert not verify_eitff(family, tol).is_eitff  # residuals of ~1e-8 exceed tol
+    else:
+        with pytest.raises(ValidationError, match="not close to an orthogonal projection"):
+            verify_eitff(family, tol)

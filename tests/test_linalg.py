@@ -51,6 +51,17 @@ def test_eigh_rejects_non_square_and_nonfinite():
         eigh(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_non_contiguous_input_is_checked_like_its_copy():
+    # the finiteness check viewed the array as floats, which raised numpy's "last axis must be
+    # contiguous" ValueError for a transpose or a reversed view
+    rho = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    for view in (rho.T, rho[::-1, ::-1]):
+        assert np.array_equal(validate_density(view).matrix, np.ascontiguousarray(view))
+        assert matrix_to_json(view) == matrix_to_json(np.ascontiguousarray(view))
+    with pytest.raises(ValidationError, match="non-finite"):
+        eigh(np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex).T)
+
+
 def test_reconstruction_and_unitarity_bulk():
     rng = np.random.default_rng(0)
     for i in range(1000):

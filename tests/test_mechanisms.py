@@ -33,6 +33,8 @@ from qldp.mechanisms import (
 )
 from qldp.sampling import random_povm
 
+import oracles
+
 
 def test_isoclinic_reduces_to_randomized_response():
     # two orthogonal projections: the states commute and carry the classical
@@ -103,8 +105,33 @@ def test_qldp_level_examples():
 
 
 def test_qldp_level_rejects_rank_deficiency():
-    with pytest.raises(SupportMismatchError):
+    with pytest.raises(SupportMismatchError, match="mechanism states must be full rank"):
         qldp_level([np.diag([1.0, 0.0]), np.eye(2) / 2])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])  # d = 2, 4, 8
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-8, 1e-4, 0.1, 1.0, 5.0])
+def test_qldp_level_matches_the_oracle_of_the_stored_states(n, epsilon):
+    # the ratio form log(lambda_max(...)) kept only absolute accuracy: 2e-3 relative at n = 7, eps = 1e-12
+    mech = sigma_star(n, epsilon)
+    assert mech.level == pytest.approx(oracles.qldp_level(mech.states), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-4, 1.0, 5.0, 100.0, MAX_EPSILON])
+@pytest.mark.parametrize("build", [lambda e: binary_mechanism(5, e), lambda e: subset_mechanism(5, 2, e)],
+                         ids=["binary", "subset"])
+def test_ldp_level_matches_the_oracle_of_the_stored_columns(build, epsilon):
+    mech = build(epsilon)
+    assert mech.level == pytest.approx(oracles.ldp_level(mech.q), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-160, 1e-300, 5e-324])
+def test_identical_states_have_level_exactly_zero(epsilon):
+    # every state is exactly I/2 here; the ratio form read 2.2e-16
+    assert sigma_star(3, epsilon).level == 0.0
+    state = np.diag([0.3, 0.7]).astype(complex)
+    assert qldp_level([state, state, state]) == 0.0
+    assert ldp_level(np.tile([[0.2], [0.3], [0.5]], 4)) == 0.0
 
 
 def test_ldp_level_examples():

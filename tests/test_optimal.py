@@ -182,6 +182,19 @@ def test_lp_certifies_at_every_epsilon(factory, n):
 
 
 @pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+@pytest.mark.parametrize("n", [2, 5, 14])
+@pytest.mark.parametrize("epsilon", [1e-17, 1e-300, 5e-324])
+def test_lp_where_e_to_the_minus_eps_rounds_to_one(factory, n, epsilon):
+    # every scaled row is all ones there, and the simplex's first basis raised LinAlgError
+    utility = factory(n)
+    sol = kairouz_lp(n, epsilon, utility)
+    assert sol.status == "optimal"
+    assert sol.value == kairouz_lp_symmetric(n, epsilon, utility) == utility.value_at_ones
+    assert sol.weights == {(0,) * n: 1.0}
+    assert sol.pivots == 0
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
 def test_symmetric_value_is_certified_by_a_uniform_dual(factory):
     # y = (v/n) 1 is dual feasible for every pattern, so v bounds the full LP
     # without solving it; columns are scaled by their largest entry

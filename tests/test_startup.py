@@ -1,16 +1,21 @@
-"""Start-up contract: the lazy package namespace, and which commands run without numpy."""
+"""Start-up contract: the lazy package namespace, which commands run without numpy, and which layers each loads."""
 
+import ast
 import csv
 import importlib
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qldp
 from qldp import cli, optimal
+from qldp.linalg import matrix_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -59,25 +64,57 @@ def run_fresh(code, cwd):
     return proc.stdout
 
 
+def modules_after(code, cwd):
+    """The names in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
+    return set(ast.literal_eval(run_fresh(code + "\nprint(sorted(sys.modules))", cwd).strip().splitlines()[-1]))
+
+
 def numpy_modules_after(code, cwd):
     """The numpy modules loaded once ``code`` has run in a fresh interpreter."""
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    return run_fresh(code, cwd).strip().splitlines()[-1]
+    return sorted(m for m in modules_after(code, cwd) if m.split(".")[0] == "numpy")
 
 
-def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
-    assert numpy_modules_after("import sys, qldp", tmp_path) == "[]"
-
-
-@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=lambda argv: "_".join(argv[:2]).strip("-"))
-def test_scalar_command_leaves_numpy_unloaded(tmp_path, argv):
-    # the same module run as `python -m qldp ...`
-    code = (
+def command(argv):
+    """Code that runs ``qldp ARGV`` as ``python -m qldp`` does and checks that it exits 0."""
+    return (
         f"import runpy, sys\nsys.argv = {['qldp', *argv]!r}\n"
         "try:\n    runpy.run_module('qldp', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
     )
-    assert numpy_modules_after(code, tmp_path) == "[]"
+
+
+def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
+    assert numpy_modules_after("import sys, qldp", tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=lambda argv: "_".join(argv[:2]).strip("-"))
+def test_scalar_command_leaves_numpy_unloaded(tmp_path, argv):
+    assert numpy_modules_after(command(argv), tmp_path) == []
+
+
+# Each command loads only the layers it computes with.
+UNUSED_LAYERS = [
+    (["opt", "lp", "--n", "10", "--eps", "0.7", "--full"], {"mechanisms", "frames", "metrics", "linalg"}),
+    (["opt", "predict", "--n", "3"], {"mechanisms", "frames", "metrics", "linalg"}),
+    (["metric", "chernoff", "a.json", "b.json"], {"mechanisms", "frames"}),
+    (["metric", "petz", "--kind", "sld", "a.json", "x.json"], {"mechanisms", "frames"}),
+]
+
+
+@pytest.mark.parametrize("argv,unused", UNUSED_LAYERS, ids=["-".join(argv[:2]) for argv, _ in UNUSED_LAYERS])
+def test_command_leaves_the_layers_it_does_not_use_unloaded(tmp_path, argv, unused):
+    a = np.diag([0.7, 0.3]).astype(complex)
+    b = np.diag([0.4, 0.6]).astype(complex)
+    x = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex)
+    for name, m in (("a.json", a), ("b.json", b), ("x.json", x)):
+        (tmp_path / name).write_text(json.dumps(matrix_to_json(m)))
+    loaded = modules_after(command(argv), tmp_path)
+    assert "qldp.cli" in loaded
+    assert not {f"qldp.{layer}" for layer in unused} & loaded
+
+
+def test_frame_build_leaves_fractions_unloaded(tmp_path):
+    assert "fractions" not in modules_after(command(["frame", "build", "--n", "5", "--out", "f.json"]), tmp_path)
 
 
 def test_every_export_resolves_to_its_home_object():
@@ -121,3 +158,11 @@ def test_ratios_limit_column_is_the_mi_limit_ratio(tmp_path):
         expected = optimal.asymptotic_prediction(n, optimal.mutual_information_utility(n).beta0)[2]
         assert expected == n * (n - 1) / (2 * (n // 2) * ((n + 1) // 2))
         assert row["limit_ratio"] == cli._fmt(expected)
+
+
+def test_every_module_parses_at_the_python_floor():
+    # requires-python names the oldest grammar the package may use
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted((ROOT / "src" / "qldp").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

@@ -91,11 +91,15 @@ def test_scalar_suite_keeps_a_nan_worst_margin(monkeypatch, position):
 
 
 # float.hex of every worst margin, computed before the scalar grid was evaluated in one batch.
+# Two moved with the difference-form levels, each nearer the margin of the oracles.qldp_level and
+# oracles.ldp_level values of the same arrays: measurement_reduction (instance 47, sigma_star(4, 0.5))
+# is 2.7e-17 from it, where the ratio forms were 8.3e-17; eta_mixing_level (instance 22, n = 4,
+# eps = 0.0516, eta = 0.0925) is 6.6e-19 from it, where the ratio form was 2.2e-16.
 SUITE_MARGINS_SEED7_COUNT50 = [
     ("monotone_metric_sandwich", 200, 0, "0x1.bf6684bc3855dp-8"),
     ("data_processing", 600, 0, "0x1.749f74bb9aca1p-8"),
-    ("measurement_reduction", 50, 0, "0x1.1fae0b467e058p-5"),
-    ("eta_mixing_level", 50, 0, "0x1.1c6e1cf967e58p-10"),
+    ("measurement_reduction", 50, 0, "0x1.1fae0b467e050p-5"),
+    ("eta_mixing_level", 50, 0, "0x1.1c6e1cf967a60p-10"),
     ("scalar_selftests", 14499, 0, "0x1.770cd39800000p-43"),
 ]
 SCALAR_MARGINS = [
