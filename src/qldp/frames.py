@@ -137,13 +137,13 @@ def _cached_eitff(n: int, a: int) -> FusionFrame:
         raise ValidationError("need at least two projections")
     if a < 0:
         raise ValidationError("a must be non-negative")
+    if a > 5:  # d = 2^(a + 1) > 64, refused before a power of two is formed
+        raise ValidationError(f"dimension 2^{a + 1} exceeds the supported dense-matrix range (<= 64)")
     bound = radon_hurwitz(2**a) + 2
     if n > bound:
         raise ExistenceError(f"no equi-isoclinic family with n={n} at rank 2^{a}: need n <= {bound}")
     m = a + 1
     d = 2**m
-    if d > 64:
-        raise ValidationError(f"dimension {d} exceeds the supported dense-matrix range (<= 64)")
     gens = clifford_generators(m)[: n - 1]
     vs = simplex_vectors(n)
     eye = np.eye(d, dtype=complex)

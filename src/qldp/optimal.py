@@ -10,7 +10,9 @@ binary patterns z:
 
 The LP has n equality rows, so an optimal vertex uses at most n patterns.
 ``kairouz_lp`` finds one with a dense revised simplex, written in numpy, on
-n x n bases that prices all 2^n patterns at every pivot. A pattern's price
+n x n bases that prices all 2^n patterns at every pivot. It starts at n
+cyclic shifts of a pattern of the weight class with the best phi_k / w_k
+(below), a vertex that is optimal when phi is symmetric. A pattern's price
 is the sum of the prices of its leading n // 2 and its trailing coordinates,
 so each pivot prices two half tables and writes their outer sum into one
 buffer kept for the whole solve. The certificate of optimality is computed
@@ -24,6 +26,8 @@ length n and returns phi of each row, so every LP here makes one call.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -114,9 +118,10 @@ PIVOT_RTOL = 1e-9
 # Ratios within this of the smallest count as tied, and the largest pivot
 # among them leaves the basis.
 RATIO_TOL = 1e-12
-# No LP on the grid n = 2..14 x both utilities x 21 eps geomspaced over
-# [1e-5, MAX_EPSILON] takes more than 40 pivots; one stopped at this limit
-# is left for the certificate to reject.
+# Of the LPs on the grid n = 2..14 x both utilities x 21 eps geomspaced over
+# [1e-5, MAX_EPSILON], only 27 at n = 4 and 8 take any pivot from the start
+# of linprog, at most 17; one stopped at this limit is left for the
+# certificate to reject.
 MAX_PIVOTS = 1000
 
 
@@ -178,20 +183,45 @@ def price(rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _cyclic_generator(n: int, k: int) -> tuple[int, ...]:
+    """The lexicographically first k-subset G of Z_n with 0 in G whose 0/1 circulant is nonsingular; () if none.
+
+    Row s of the circulant is the indicator of G + s (mod n). Its determinant
+    is an integer; for n <= 14 a singular one computes to at most 1.5e-12,
+    and no G exists only at (n, k) = (4, 2), (8, 2) and (8, 6).
+    """
+    shifts = np.arange(n)[:, None]
+    for rest in itertools.combinations(range(1, n), k - 1):
+        circulant = np.zeros((n, n))
+        circulant[shifts, (shifts + (0, *rest)) % n] = 1.0
+        if abs(np.linalg.det(circulant)) > 0.5:
+            return (0, *rest)
+    return ()
+
+
 def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
     """Maximize coeffs . alpha subject to rows.T @ alpha = 1, alpha >= 0, by the revised primal simplex.
 
-    ``rows`` holds the (2^n, n) scaled patterns of :func:`kairouz_lp`, whose
-    n weight-one patterns form a feasible basis: e^-eps J + (1 - e^-eps) I,
-    with weights 1 / (1 + (n - 1) e^-eps) > 0. Each pivot solves the n x n
-    systems for the basic weights and the duals y from the exact rows,
-    prices every pattern with :func:`price` into one buffer kept for the
-    whole solve, and brings in the largest reduced cost above PRICE_TOL. The
-    leaving pattern has the largest pivot among the near-smallest ratios.
+    ``rows`` holds the (2^n, n) scaled patterns of :func:`kairouz_lp`. The
+    first basis is the weight class k whose row with k leading ones has the
+    largest coeffs / mean(row), the phi_k / w_k of :func:`kairouz_lp_symmetric`:
+    the patterns with ones at G + s (mod n), s < n, G from :func:`_cyclic_generator`
+    (weight one where it has none). Their block is e^-eps J + (1 - e^-eps) C,
+    C the circulant of G, so each basic weight is 1 / (n e^-eps + k (1 - e^-eps)),
+    positive, and the vertex is optimal when phi is symmetric. Each pivot solves
+    the n x n systems for the basic weights and the duals y from the exact
+    rows, prices every pattern with :func:`price` into one buffer kept for
+    the whole solve, and brings in the largest reduced cost above PRICE_TOL.
+    The leaving pattern has the largest pivot among the near-smallest ratios.
     After MAX_PIVOTS pivots the current vertex is returned as it is.
     """
     n = rows.shape[1]
-    basis = 1 << np.arange(n - 1, -1, -1)
+    ks = np.arange(1, n)
+    representatives = ((1 << ks) - 1) << (n - ks)
+    k = 1 + int(np.argmax(coeffs[representatives] / rows[representatives].mean(axis=1)))
+    ones_at = (np.arange(n)[:, None] + (_cyclic_generator(n, k) or (0,))) % n
+    basis = np.sum(1 << (n - 1 - ones_at), axis=1)
     ones = np.ones(n)
     reduced = np.empty(len(rows))
     for nit in range(MAX_PIVOTS + 1):

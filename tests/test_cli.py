@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -32,6 +33,16 @@ def test_frame_build_and_verify(tmp_path, capsys):
 
 def test_frame_build_invalid_exits_one(tmp_path):
     assert run(["frame", "build", "--n", 6, "--a", 0, "--out", tmp_path / "x.json"]) == 1
+
+
+def test_frame_build_of_a_huge_a_exits_one_at_once(tmp_path, capsys):
+    # 2^a with a = 10^8 took about a second and 79 MB before the dimension was checked
+    start = time.perf_counter()
+    assert run(["frame", "build", "--n", 3, "--a", 100000000, "--out", tmp_path / "x.json"]) == 1
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the supported dense-matrix range (<= 64)" in captured.err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_mech_roundtrip_through_audit(tmp_path, capsys):

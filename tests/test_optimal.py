@@ -62,6 +62,11 @@ def product_rows(n, epsilon):
     return rows
 
 
+def tilted(utility, weight):
+    """``utility`` plus ``weight`` times its first argument: still sublinear, no longer symmetric."""
+    return SublinearUtility(utility.n, lambda z: utility.evaluate(z) + weight * np.asarray(z)[..., 0], utility.beta0)
+
+
 def counting(utility):
     """``utility`` with an ``evaluate`` that records how often it is called."""
     calls = []
@@ -156,8 +161,10 @@ def test_lp_two_inputs_reference_value():
 
 @pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
 def test_lp_matches_per_pattern_oracle(factory):
-    for n in range(2, 9):
-        utility = factory(n)
+    # the first basis is read off the symmetric weight classes; a tilted
+    # utility starts off its optimum and pivots to it (up to 18 pivots here)
+    for n, weight in itertools.product(range(2, 9), (0.0, 0.05, -0.2)):
+        utility = tilted(factory(n), weight)
         for epsilon in (0.05, 0.4, 1.1, 2.0, 3.5):
             status, value, weights = per_pattern_lp(n, epsilon, utility)
             sol = kairouz_lp(n, epsilon, utility)
@@ -258,9 +265,9 @@ def test_solving_the_lp_leaves_scipy_unloaded(code):
 @pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
 @pytest.mark.parametrize("n", [2, 5, 9, 12, 14])
 def test_lp_certifies_at_edge_epsilons(factory, n):
-    # n = 12 pairwise_sqrt at eps = 1e-5 and 1e-4 reaches a singular basis when
-    # the ratio test takes pivots above an absolute threshold (d > 0, or d > 1e-12);
-    # every solve here ends within 50 pivots, far below MAX_PIVOTS
+    # n = 12 pairwise_sqrt at eps = 1e-5 and 1e-4 reached a singular basis when
+    # the ratio test took pivots above an absolute threshold (d > 0, or d > 1e-12);
+    # every solve here starts at its optimal weight class and takes no pivot
     utility = factory(n)
     for epsilon in (1e-5, 1e-4, 1e-3, 0.5, 2.0, 21.0, 40.0, MAX_EPSILON):
         sol = kairouz_lp(n, epsilon, utility)
@@ -268,12 +275,13 @@ def test_lp_certifies_at_edge_epsilons(factory, n):
         assert sol.residual <= 1e-9
         assert sol.gap + n * max(sol.reduced_cost, 0.0) <= 1e-10
         assert sol.value == pytest.approx(kairouz_lp_symmetric(n, epsilon, utility), abs=1e-9)
-        assert type(sol.pivots) is int and 0 <= sol.pivots <= 50, (epsilon, sol.pivots)
+        assert type(sol.pivots) is int and sol.pivots == 0, (epsilon, sol.pivots)
 
 
 def test_pivot_limit_leaves_the_certificate_to_fail(monkeypatch):
+    # a symmetric utility starts at its optimum; this tilted one needs 15 pivots
     n, epsilon = 8, 0.5
-    utility = mutual_information_utility(n)
+    utility = tilted(mutual_information_utility(n), 0.05)
     monkeypatch.setattr(optimal, "MAX_PIVOTS", 1)
     sol = kairouz_lp(n, epsilon, utility)
     assert sol.status != "optimal" and math.isnan(sol.value)
@@ -283,18 +291,57 @@ def test_pivot_limit_leaves_the_certificate_to_fail(monkeypatch):
 
 def test_pricing_that_finds_nothing_leaves_the_certificate_to_fail(monkeypatch):
     # every price +inf: no pattern improves, so the simplex stops at its first
-    # basis, and only the dense rows @ y of the certificate can reject it
+    # basis, and only the dense rows @ y of the certificate can reject it; the
+    # utility is tilted so that the first basis is not optimal
     def blind(rows, y, out):
         out.fill(math.inf)
         return out
 
     n, epsilon = 8, 0.5
     monkeypatch.setattr(optimal, "price", blind)
-    sol = kairouz_lp(n, epsilon, mutual_information_utility(n))
+    sol = kairouz_lp(n, epsilon, tilted(mutual_information_utility(n), 0.05))
     assert sol.pivots == 0
     assert sol.status != "optimal" and math.isnan(sol.value)
     assert "reduced cost" in sol.status
     assert sol.reduced_cost > optimal.CERTIFICATE_TOL
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_cyclic_generator_gives_a_nonsingular_circulant(n):
+    fallbacks = []
+    for k in range(1, n):
+        generator = optimal._cyclic_generator(n, k)
+        if not generator:
+            fallbacks.append(k)
+            continue
+        assert len(generator) == k and len(set(generator)) == k and 0 in generator
+        assert all(0 <= g < n for g in generator)
+        circulant = np.array([[float((j - s) % n in generator) for j in range(n)] for s in range(n)])
+        assert abs(np.linalg.det(circulant)) >= 1.0 - 1e-9, k
+    assert fallbacks == {4: [2], 8: [2, 6]}.get(n, [])
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_first_basis_is_one_weight_class_with_equal_weights(monkeypatch, n):
+    # with coefficients that rank class k first, the vertex before any pivot holds n
+    # patterns of weight k (weight one where k has no cyclic basis), each with
+    # weight 1 / (n e^-eps + k (1 - e^-eps))
+    monkeypatch.setattr(optimal, "MAX_PIVOTS", 0)
+    epsilon = 0.7
+    low = math.exp(-epsilon)
+    rows = product_rows(n, epsilon)
+    for k in range(1, n):
+        coeffs = np.zeros(len(rows))
+        coeffs[((1 << k) - 1) << (n - k)] = 1.0
+        vertex = optimal.linprog(coeffs, rows)
+        assert vertex.nit == 0
+        support = np.flatnonzero(vertex.alpha)
+        weight = k if optimal._cyclic_generator(n, k) else 1
+        assert len(support) == n
+        assert all(bin(i).count("1") == weight for i in support), (k, support)
+        expected = 1.0 / (n * low + weight * (1.0 - low))
+        np.testing.assert_allclose(vertex.alpha[support], expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rows.T @ vertex.alpha, 1.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 15))

@@ -117,6 +117,11 @@ def test_frame_build_leaves_fractions_unloaded(tmp_path):
     assert "fractions" not in modules_after(command(["frame", "build", "--n", "5", "--out", "f.json"]), tmp_path)
 
 
+def test_opt_lp_leaves_numpy_fft_unloaded(tmp_path):
+    # the start of the simplex tests its cyclic bases by determinant, not by FFT or SVD
+    assert "numpy.fft" not in modules_after(command(["opt", "lp", "--n", "10", "--eps", "0.7", "--full"]), tmp_path)
+
+
 def test_every_export_resolves_to_its_home_object():
     assert sorted(qldp.__all__) == sorted(HOME)
     star = {}
