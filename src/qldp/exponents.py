@@ -157,6 +157,7 @@ def stretch_factor(n: int, k: int, epsilon: float) -> float:
 def classical_sym_term(n: int, k: int, epsilon: float) -> float:
     """Symmetric exponent attained by the k-subset mechanism (eta = 1)."""
     require_inputs(n)
+    require_epsilon(epsilon)
     if not 0 <= k <= n:
         raise ValidationError("split size out of range")
     xi = math.exp(epsilon / 2.0)
@@ -191,6 +192,8 @@ def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
 def classical_asym_term(n: int, k: int, epsilon: float, eta: float = 1.0) -> float:
     """Asymmetric exponent of the optimal k-block split under an eta-tilted prior."""
     require_inputs(n)
+    require_eta(eta)
+    require_epsilon(epsilon)
     if not 0 <= k <= n:
         raise ValidationError("split size out of range")
     f = stretch_factor(n, k, epsilon)

@@ -10,15 +10,13 @@ binary patterns z:
 
 The LP has n equality rows, so an optimal vertex uses at most n patterns.
 ``kairouz_lp`` finds one with a dense revised simplex, written in numpy, on
-n x n bases that prices all 2^n patterns at every pivot. It starts at n
-cyclic shifts of a pattern of the weight class with the best phi_k / w_k
-(below), a vertex that is optimal when phi is symmetric. A pattern's price
-is the sum of the prices of its leading n // 2 and its trailing coordinates,
-so each pivot prices two half tables and writes their outer sum into one
-buffer kept for the whole solve. The certificate of optimality is computed
-over every pattern from the dense rows @ y, not from that sum. Every phi
-here is symmetric, so the LP also collapses to a maximum over the pattern
-weight k of phi_k / w_k with w_k = 1 + (e^eps - 1) k / n.
+n x n bases that prices all 2^n patterns with rows @ y at every pivot. It
+starts at n cyclic shifts of a pattern of the weight class with the best
+phi_k / w_k (below), a vertex that is optimal when phi is symmetric. The
+certificate of optimality recomputes rows @ y over every pattern from the
+duals the simplex returns. Every phi here is symmetric, so the LP also
+collapses to a maximum over the pattern weight k of phi_k / w_k with
+w_k = 1 + (e^eps - 1) k / n.
 
 A kernel's ``evaluate`` is batched: it takes an array whose last axis has
 length n and returns phi of each row, so every LP here makes one call.
@@ -56,6 +54,9 @@ class SublinearUtility:
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     beta0: float
+
+    def __post_init__(self):
+        require_inputs(self.n)
 
     @property
     def value_at_ones(self) -> float:
@@ -120,7 +121,7 @@ PIVOT_RTOL = 1e-9
 RATIO_TOL = 1e-12
 # Of the LPs on the grid n = 2..14 x both utilities x 21 eps geomspaced over
 # [1e-5, MAX_EPSILON], only 27 at n = 4 and 8 take any pivot from the start
-# of linprog, at most 17; one stopped at this limit is left for the
+# of linprog, at most 18; one stopped at this limit is left for the
 # certificate to reject.
 MAX_PIVOTS = 1000
 
@@ -162,27 +163,6 @@ class Vertex(NamedTuple):
     nit: int
 
 
-def price(rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rows @ y for every pattern of :func:`kairouz_lp`, written into ``out`` without a 2^n x n product.
-
-    Pattern (a, b), a its leading n // 2 coordinates and b the rest, is row
-    a 2^len(b) + b, and its price is lead_a . y + trail_b . y. The two half
-    tables are read off rows whose other half is nonzero, so the all-ones
-    row 0 is in neither; its price is sum(y). The outer sum is the rank-2
-    product of [lead y, 1] and [1; trail y], which BLAS writes into ``out``
-    with one rounded sum per entry and no 2^n temporary.
-    """
-    lead = rows.shape[1] // 2
-    block = 1 << (rows.shape[1] - lead)
-    left = np.ones((len(rows) // block, 2))
-    right = np.ones((2, block))
-    np.matmul(rows[1::block, :lead], y[:lead], out=left[:, 0])
-    np.matmul(rows[block : 2 * block, lead:], y[lead:], out=right[1])
-    np.matmul(left, right, out=out.reshape(len(left), block))
-    out[0] = y.sum()
-    return out
-
-
 @functools.cache
 def _cyclic_generator(n: int, k: int) -> tuple[int, ...]:
     """The lexicographically first k-subset G of Z_n with 0 in G whose 0/1 circulant is nonsingular; () if none.
@@ -211,8 +191,8 @@ def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
     C the circulant of G, so each basic weight is 1 / (n e^-eps + k (1 - e^-eps)),
     positive, and the vertex is optimal when phi is symmetric. Each pivot solves
     the n x n systems for the basic weights and the duals y from the exact
-    rows, prices every pattern with :func:`price` into one buffer kept for
-    the whole solve, and brings in the largest reduced cost above PRICE_TOL.
+    rows, prices every pattern with rows @ y into one buffer kept for the
+    whole solve, and brings in the largest reduced cost above PRICE_TOL.
     The leaving pattern has the largest pivot among the near-smallest ratios.
     After MAX_PIVOTS pivots the current vertex is returned as it is.
     """
@@ -228,7 +208,7 @@ def linprog(coeffs: np.ndarray, rows: np.ndarray) -> Vertex:
         block = rows[basis]
         x = np.linalg.solve(block.T, ones)
         y = np.linalg.solve(block, coeffs[basis])
-        np.subtract(coeffs, price(rows, y, reduced), out=reduced)
+        np.subtract(coeffs, np.matmul(rows, y, out=reduced), out=reduced)
         reduced[basis] = -np.inf
         enter = int(np.argmax(reduced))
         if reduced[enter] <= PRICE_TOL or nit == MAX_PIVOTS:
@@ -270,12 +250,14 @@ def kairouz_lp(n: int, epsilon: float, utility: SublinearUtility) -> LpSolution:
     rows = np.where(bits.view(bool), 1.0, low)
     rows[0] = 1.0
     coeffs = utility.evaluate(rows)
-    # Below eps ~ 1.1e-16 every row is all ones and the first basis singular; the all-ones pattern alone is optimal.
-    alpha, y, pivots = linprog(coeffs, rows) if low < 1.0 else (np.eye(1, len(rows))[0], np.full(n, coeffs[0] / n), 0)
+    # While 1 - e^-eps <= n 2^-52 the first basis e^-eps J + (1 - e^-eps) C is singular to
+    # working precision; the all-ones pattern alone is then optimal far within CERTIFICATE_TOL.
+    fallback = 1.0 - low <= n * np.finfo(float).eps
+    alpha, y, pivots = (np.eye(1, len(rows))[0], np.full(n, coeffs[0] / n), 0) if fallback else linprog(coeffs, rows)
     value = float(coeffs @ alpha)
     residual = float(np.max(np.abs(rows.T @ alpha - 1.0)))
     gap = abs(value - float(y.sum()))
-    # The dense rows @ y, so that the split pricing of linprog never certifies itself.
+    # Recomputed from the returned duals, so that the certificate does not trust linprog's pricing.
     reduced_cost = float((coeffs - rows @ y).max())
     bound = gap + n * max(reduced_cost, 0.0)
     if residual > RESIDUAL_TOL:

@@ -191,6 +191,17 @@ def test_opt_lp_where_e_to_the_minus_eps_rounds_to_one(capsys, utility, n, eps):
     assert fields["support"] == "1"
 
 
+@pytest.mark.parametrize("n", [5, 14])
+@pytest.mark.parametrize("eps", ["1.5e-16", "3e-16", "1e-15"])
+def test_opt_lp_where_one_minus_e_to_the_minus_eps_is_a_few_ulps(capsys, n, eps):
+    # these exited 2 with "LP solver failed: primal residual ..." from a first basis
+    # that is singular to working precision
+    assert run(["opt", "lp", "--n", n, "--eps", eps, "--full"]) == 0
+    fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+    utility = optimal.mutual_information_utility(n)
+    assert float(fields["full"]) == pytest.approx(optimal.kairouz_lp_symmetric(n, float(eps), utility), abs=1e-12)
+
+
 def test_opt_lp_uncertified_exits_two(monkeypatch, capsys):
     # The solver stops at z = 0 alone, whose duals (phi(1) / n) 1 leave
     # positive reduced costs, so the certificate must fail
@@ -207,6 +218,23 @@ def test_opt_lp_uncertified_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "reduced cost" in captured.err and "exceeds 1e-10" in captured.err
+
+    def weightless(coeffs, rows):  # misses every row by 1
+        return stuck(coeffs, rows)._replace(alpha=np.zeros(len(rows)))
+
+    monkeypatch.setattr(optimal, "linprog", weightless)
+    assert run(["opt", "lp", "--n", 3, "--eps", "0.5", "--full"]) == 2
+    assert capsys.readouterr().err == "LP solver failed: primal residual 1.000e+00 exceeds 1e-09\n"
+
+
+def test_an_unexpected_error_exits_two(monkeypatch, capsys):
+    def broken(n, epsilon, utility):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(optimal, "kairouz_lp_symmetric", broken)
+    assert run(["opt", "lp", "--n", 3, "--eps", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: float division by zero\n"
 
 
 def test_exp_sweep_underflow_names_eps(tmp_path, capsys):

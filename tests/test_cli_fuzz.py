@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from qldp.cli import main
 from qldp.errors import MAX_EPSILON
 
-EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, -1.0, 5e-324, 1e-300, MAX_EPSILON, 800.0]
+EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, -1.0, 5e-324, 1e-300, 3e-16, MAX_EPSILON, 800.0]
 epsilons = st.one_of(
     st.floats(min_value=-323.3, max_value=math.log10(MAX_EPSILON)).map(lambda x: 10.0**x),  # every decade
     st.floats(min_value=5e-324, max_value=MAX_EPSILON),

@@ -38,6 +38,10 @@ def test_fdiv_zero_direction():
     report = check_fdiv_expansion(FLAT2, x, x, KL)
     # identical perturbations: the divergence itself must sit at numerical zero
     assert all(abs(o) <= 1e-12 for o in report.observed)
+    # every error is below the noise floor, so there is no slope to fit
+    assert report.fitted_order == math.inf
+    with pytest.raises(ValidationError, match="not on the grid"):
+        report.ratio_error_at(0.5)
 
 
 def test_fdiv_requires_centered_f():
@@ -148,6 +152,8 @@ def test_quadratic_assumption_rejects_biased_directions():
     x = random_traceless_hermitian(rng, 2, 0.3)
     with pytest.raises(ValidationError):
         check_quadratic_assumption(lambda s: 0.0, FLAT2, [x, x, x], BKM, 0.2, 0.0)
+    with pytest.raises(ValidationError, match="at least two directions"):
+        check_quadratic_assumption(lambda s: 0.0, FLAT2, [np.zeros((2, 2))], BKM, 0.2, 0.0)
 
 
 def test_default_grid_is_decreasing():

@@ -315,8 +315,24 @@ def test_classical_optima_need_two_inputs(call):
         (lambda: advantage_threshold_sym(2), "degenerate below n = 3"),
         (lambda: advantage_threshold_asym(2), "degenerate below n = 3"),
         (lambda: quantum_classical_gap(3, 0.5, "both"), "mode must be"),
+        (lambda: classical_asym_term(3, 1, -1.0), "privacy level must be positive"),
+        (lambda: classical_asym_term(3, 1, 0.5, eta=2.0), "eta must lie in"),
+        (lambda: classical_sym_argmax(3, -1.0), "privacy level must be positive"),
+        (lambda: classical_sym_term(3, 1, math.nan), "privacy level must be positive"),
     ],
-    ids=["sym-term-low", "sym-term-high", "asym-term-low", "asym-term-high", "sym-thr-2", "asym-thr-2", "gap-mode"],
+    ids=[
+        "sym-term-low",
+        "sym-term-high",
+        "asym-term-low",
+        "asym-term-high",
+        "sym-thr-2",
+        "asym-thr-2",
+        "gap-mode",
+        "asym-term-eps",
+        "asym-term-eta",
+        "argmax-eps",
+        "sym-term-nan",
+    ],
 )
 def test_scalar_forms_reject_arguments_outside_their_domain(call, message):
     with pytest.raises(ValidationError, match=message):

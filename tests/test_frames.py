@@ -37,6 +37,8 @@ def test_radon_hurwitz_formula():
             rr //= 2
             a += 1
         assert radon_hurwitz(r) == 2 * a + 2
+    with pytest.raises(ValidationError, match="positive integer"):
+        radon_hurwitz(0)
 
 
 def test_clifford_single_qubit_is_pauli_triple():
@@ -49,6 +51,8 @@ def test_clifford_single_qubit_is_pauli_triple():
     for i in range(3):
         for j in range(i + 1, 3):
             assert operator_norm(gens[i] @ gens[j] + gens[j] @ gens[i]) <= 1e-14
+    with pytest.raises(ValidationError, match="at least one qubit"):
+        clifford_generators(0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -69,6 +73,8 @@ def test_simplex_vectors_two_points():
     vs = simplex_vectors(2)
     assert vs.shape == (2, 1)
     assert sorted(vs[:, 0]) == pytest.approx([-1.0, 1.0])
+    with pytest.raises(ValidationError, match="at least two vectors"):
+        simplex_vectors(1)
 
 
 def test_simplex_vectors_triangle():

@@ -185,6 +185,8 @@ def test_matrix_json_roundtrip():
     assert len(obj["entries"]) == 9
     back = matrix_from_json(obj)
     assert np.array_equal(back, m)
+    with pytest.raises(ValidationError, match="expected 9 entries, got 8"):
+        matrix_from_json({"dim": 3, "entries": obj["entries"][:-1]})
 
 
 def test_matrix_json_entries_match_the_elementwise_encoding():

@@ -367,6 +367,8 @@ def test_tilde_family_classical():
     mixed = tilde_family(mech, 0.5)
     avg = mech.q.mean(axis=1, keepdims=True)
     assert np.allclose(mixed.q, 0.5 * mech.q + 0.5 * avg)
+    with pytest.raises(ValidationError, match="expected an LdpMechanism or QldpMechanism"):
+        tilde_family(mech.q, 0.5)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -442,6 +444,8 @@ def test_mechanism_json_roundtrip_ldp():
     assert len(obj["q"]) == 4  # column-major: one list per input
     back = mechanism_from_json(obj)
     assert np.allclose(back.q, mech.q)
+    with pytest.raises(ValidationError, match="expected an LdpMechanism or QldpMechanism"):
+        mechanism_to_json(mech.q)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -13,6 +13,7 @@ from qldp.metrics import (
     SQUARE,
     SQUARED_DIFF,
     MetricKind,
+    OperatorConvexF,
     chernoff_information,
     classical_chernoff,
     classical_f_divergence,
@@ -43,6 +44,14 @@ def test_metric_kind_validation():
         wyd(1.5)
     with pytest.raises(ValidationError):
         MetricKind("sld", 0.5)
+    with pytest.raises(ValidationError, match="unknown F tag 'cosh'"):
+        OperatorConvexF("cosh")
+    with pytest.raises(ValidationError, match="neg_ratio needs a parameter"):
+        OperatorConvexF("neg_ratio")
+    with pytest.raises(ValidationError, match="neg_ratio needs a parameter"):
+        neg_ratio(-1.0)
+    with pytest.raises(ValidationError, match="kl takes no parameter"):
+        OperatorConvexF("kl", 1.0)
 
 
 def test_petz_metric_classical_fisher_case():
@@ -90,6 +99,10 @@ def test_metric_sandwich_property():
 def test_petz_metric_rejects_singular_state():
     with pytest.raises(DomainError):
         petz_metric(np.diag([1.0, 0.0]), PAULI_X, PAULI_X, BKM)
+    # a direction within the Hermitian tolerance (deviation 2e-13) at a nearly
+    # singular state: the kernel's 1e6 lifts its imaginary part to 1e-7
+    with pytest.raises(ValidationError, match="large imaginary part"):
+        petz_metric(np.diag([1.0 - 1e-6, 1e-6]), np.eye(2), np.diag([0.0, 1e-13j]), SLD)
 
 
 @pytest.mark.parametrize(
