@@ -292,18 +292,29 @@ def test_lp_certifies_at_edge_epsilons(factory, n):
 
 
 def test_pivot_limit_leaves_the_certificate_to_fail(monkeypatch):
-    # a symmetric utility starts at its optimum; this tilted one needs 17 pivots.
-    # With no pivot the simplex stops at its first basis, so only the rows @ y
-    # that kairouz_lp recomputes from the returned duals can reject it.
+    # a symmetric utility starts at its optimum; this tilted one needs 17 pivots
     n, epsilon = 8, 0.5
     utility = tilted(mutual_information_utility(n), 0.05)
-    for limit in (0, 1):
-        monkeypatch.setattr(optimal, "MAX_PIVOTS", limit)
-        sol = kairouz_lp(n, epsilon, utility)
-        assert sol.status != "optimal" and math.isnan(sol.value)
-        assert "reduced cost" in sol.status
-        assert sol.reduced_cost > optimal.CERTIFICATE_TOL
-        assert sol.pivots == limit
+    monkeypatch.setattr(optimal, "MAX_PIVOTS", 1)
+    sol = kairouz_lp(n, epsilon, utility)
+    assert sol.status != "optimal" and math.isnan(sol.value)
+    assert "reduced cost" in sol.status
+    assert sol.reduced_cost > optimal.CERTIFICATE_TOL
+    assert sol.pivots == 1
+
+
+def test_pricing_that_finds_nothing_leaves_the_certificate_to_fail(monkeypatch):
+    # no reduced cost clears an infinite threshold, so the simplex stops at its
+    # first basis, and only the rows @ y that kairouz_lp recomputes from the
+    # returned duals can reject it; the utility is tilted so that the first
+    # basis is not optimal
+    n, epsilon = 8, 0.5
+    monkeypatch.setattr(optimal, "PRICE_TOL", math.inf)
+    sol = kairouz_lp(n, epsilon, tilted(mutual_information_utility(n), 0.05))
+    assert sol.pivots == 0
+    assert sol.status != "optimal" and math.isnan(sol.value)
+    assert "reduced cost" in sol.status
+    assert sol.reduced_cost > optimal.CERTIFICATE_TOL
 
 
 @pytest.mark.parametrize("n", range(2, 15))
