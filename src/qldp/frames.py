@@ -18,13 +18,12 @@ exactly when n <= 2a + 4 (Radon-Hurwitz bound).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ExistenceError, ValidationError
-from .linalg import checked_hermitian, matrix_from_json, matrix_to_json, operator_norm
+from .linalg import as_matrix, eigh, matrix_from_json, matrix_to_json, operator_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -159,25 +158,64 @@ def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:
     d, n, r and c are those :class:`FusionFrame` reads off the family;
     tolerance violations show up as certificate failures rather than
     exceptions.  Mixed dimensions or inputs far from projections (||P^2 - P||
-    > 100 tol, read as max |lambda^2 - lambda| off the hermiticity check's
-    spectrum) are rejected.
+    > 100 tol, read as max |lambda^2 - lambda| off each projection's
+    spectrum) are rejected.  The residuals are those of :func:`_residuals`.
     """
-    checked = [checked_hermitian(p) for p in projections]
-    frame = FusionFrame(tuple(h.matrix for h in checked))
-    ps, d, r, n, c = frame.projections, frame.d, frame.r, frame.n, frame.c
-    if any(np.max(np.abs(h.eigenvalues**2 - h.eigenvalues)) > 100 * tol for h in checked):
-        raise ValidationError("input is not close to an orthogonal projection")
-
-    tight_res = operator_norm(sum(ps) - (n * r / d) * np.eye(d))
-    chordal_res = isoclinic_res = 0.0
-    for p_i, p_j in itertools.permutations(ps, 2):
-        chordal_res = max(chordal_res, abs(np.trace(p_i @ p_j).real - r * c))
-        isoclinic_res = max(isoclinic_res, operator_norm(p_j @ p_i @ p_j - c * p_j))
-
+    frame = FusionFrame(tuple(as_matrix(p) for p in projections))
+    tight_res, chordal_res, isoclinic_res = _residuals(frame, tol)
     is_tight = bool(tight_res <= tol)
     is_ectff = bool(is_tight and chordal_res <= tol)
     is_eitff = bool(is_ectff and isoclinic_res <= tol)
-    return FrameCertificate(is_tight, is_ectff, is_eitff, c, float(max(tight_res, chordal_res, isoclinic_res)))
+    return FrameCertificate(is_tight, is_ectff, is_eitff, frame.c, max(tight_res, chordal_res, isoclinic_res))
+
+
+def _residuals(frame: FusionFrame, tol: float) -> tuple[float, float, float]:
+    """(tight, chordal, isoclinic) residuals of a frame from one ``eigh`` per projection.
+
+    tight = ||sum P_i - (nr/d) I||, and chordal = max_{i != j} |Tr P_i P_j - rc| with every trace
+    read off one product of the flattened projections.  The isoclinic residual is an upper bound
+    on max_{i != j} ||P_j P_i P_j - c P_j|| that forms no d x d product.
+
+    ``eigh`` decomposes H_i, the Hermitian matrix whose lower triangle is that of P_i; the columns
+    of V_i are its eigenvectors of eigenvalue > 1/2 and Q_i = V_i V_i^dag.  The nonzero spectrum
+    of Q_j Q_i Q_j is sigma^2 over the singular values sigma of V_j^dag V_i, the cosines of the
+    principal angles between the two ranges (Bjorck and Golub, Math. Comp. 27, 1973), so
+    ||Q_j Q_i Q_j - c Q_j|| <= s = max |sigma^2 - c|.  Zero columns pad every V_i to the largest
+    rank; the sigma = 0 they add covers the |c| that a rank gap adds to the left side.  With
+    delta = max |lambda^2 - lambda| and e = max min(|lambda|, |lambda - 1|) over every spectrum,
+    and a = max ||P_i - P_i^dag||_F / sqrt(2) >= ||P_i - H_i||:
+    - H_j (H_i - Q_i) H_j has norm <= (1 + e)^2 e.
+    - In blocks of Q_j, with A = H_j Q_j and D = Q_j Q_i Q_j - c Q_j, H_j Q_i H_j - c H_j has the
+      diagonal blocks c (A^2 - A) + A D A, of norm <= |c| delta + (1 + e)^2 s, and
+      G Q_i G - c G with G = H_j (I - Q_j), of norm <= e^2 + |c| e; its off-diagonal block
+      A Q_i G has norm <= (1 + e) e / 2, since ||Q_j Q_i (I - Q_j)||^2 = max sigma^2 (1 - sigma^2).
+    - Putting each P back for its H adds <= a ((1 + e + a)^2 + (1 + e)(1 + e + a) + (1 + e)^2 + |c|).
+    For delta, a <= 0.01 (the projection check admits delta <= 100 tol, and the hermiticity check
+    keeps a near d 1e-12) every eigenvalue has e_lambda = |lambda^2 - lambda| / max(|lambda|,
+    |lambda - 1|) <= 1.0104 |lambda^2 - lambda|, so e <= 0.0102 and the sum is at most the residual
+    returned, (1 + 2.1 delta) s + (1.6 + 1.1 |c|) delta + (3.1 + |c|) a, up to the rounding of the spectra.
+    """
+    ps, d, r, n, c = frame.projections, frame.d, frame.r, frame.n, frame.c
+    spectra = [eigh(p) for p in ps]
+    lam = np.array([spectrum.eigenvalues for spectrum in spectra])
+    delta = float(np.max(np.abs(lam**2 - lam)))
+    if delta > 100 * tol:
+        raise ValidationError("input is not close to an orthogonal projection")
+    skew = max(float(np.linalg.norm(p - p.conj().T)) for p in ps) * 0.5**0.5
+
+    tight_res = operator_norm(sum(ps) - (n * r / d) * np.eye(d))
+    stack = np.array(ps)
+    traces = stack.reshape(n, -1) @ stack.swapaxes(1, 2).reshape(n, -1).T
+    chordal_res = float(np.max(np.abs(traces.real - r * c)[~np.eye(n, dtype=bool)]))
+    above = lam > 0.5
+    rank = int(above.sum(axis=1).max())
+    bases = np.array([(spectrum.eigenvectors * up)[:, d - rank :] for spectrum, up in zip(spectra, above)])
+    s = 0.0
+    for i in range(n - 1):  # V_j^dag V_i and V_i^dag V_j have the same singular values
+        sigma = np.linalg.svd(bases[i + 1 :].conj().swapaxes(1, 2) @ bases[i], compute_uv=False)
+        s = max(s, float(np.max(np.abs(sigma**2 - c), initial=0.0)))
+    isoclinic_res = (1 + 2.1 * delta) * s + (1.6 + 1.1 * abs(c)) * delta + (3.1 + abs(c)) * skew
+    return tight_res, chordal_res, isoclinic_res
 
 
 def frame_to_json(frame: FusionFrame) -> dict:

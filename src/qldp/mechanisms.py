@@ -191,8 +191,8 @@ def qldp_level(states) -> float:
         factor[:, j, j + 1 :] = 0.0
     level = 0.0
     for x, inv in enumerate(np.linalg.inv(factor.astype(complex))):
-        # every x' in one stack; x' = x adds a zero matrix, whose log1p(0) = 0 leaves the max unchanged
-        sims = inv @ (mats - mats[x]) @ inv.conj().T
+        # every x' != x in one stack
+        sims = inv @ (np.delete(mats, x, 0) - mats[x]) @ inv.conj().T
         lam_max = np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]
         level = max(level, float(np.log1p(lam_max).max()))
     return level

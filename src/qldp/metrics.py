@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SupportMismatchError, ValidationError
-from .linalg import RANK_TOL, validate_density, validate_hermitian
+from .linalg import validate_density, validate_hermitian
 
 DEGENERACY_RTOL = 1e-12
 CHERNOFF_TOL = 1e-12
@@ -192,9 +192,10 @@ def relative_entropy(rho1, rho2) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """-Tr rho ln rho; eigenvalues within rank tolerance of 0 contribute nothing."""
+    """-Tr rho ln rho over every eigenvalue > 0 (the eigenvalues <= 0 that validation admits add nothing); no small
+    eigenvalue is dropped, since one dropped from a state but kept in its mixture can make Holevo information < 0."""
     lam = validate_density(rho).eigenvalues
-    lam = lam[lam > RANK_TOL]
+    lam = lam[lam > 0]
     return float(-np.sum(lam * np.log(lam)))
 
 

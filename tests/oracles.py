@@ -138,3 +138,21 @@ def ldp_level(q) -> float:
     """max over rows of ln(max/min) of a column-stochastic (outputs, inputs) array at DIGITS digits."""
     with mp.workdps(DIGITS):
         return float(max(mp.log(mp.mpf(max(row)) / mp.mpf(min(row))) for row in q.tolist()))
+
+
+# Fusion frames.
+
+
+def isoclinic_residual(projections) -> float:
+    """max over ordered pairs (i, j) of ||P_j P_i P_j - c P_j|| at DIGITS digits; keep d <= 8.
+
+    c = (nr - d) / (d (n - 1)) is taken exactly, with r the rounded trace of the first projection, and
+    the norm is the largest singular value, so projections that are not exactly Hermitian are measured as they are.
+    """
+    with mp.workdps(DIGITS):
+        mats = [mp.matrix(p.tolist()) for p in projections]
+        n, d = len(mats), mats[0].rows
+        r = round(float(mp.re(sum(mats[0][k, k] for k in range(d)))))
+        c = mp.mpf(n * r - d) / (d * (n - 1))
+        pairs = itertools.permutations(mats, 2)
+        return float(max(max(mp.svd_c(p_j * p_i * p_j - c * p_j, compute_uv=False)) for p_i, p_j in pairs))

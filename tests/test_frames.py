@@ -1,12 +1,17 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracles
 from qldp import frames
 from qldp.errors import ExistenceError, ValidationError
 from qldp.frames import (
+    FusionFrame,
     _cached_eitff,
+    _residuals,
     build_eitff,
     clifford_generators,
     frame_constant,
@@ -18,6 +23,7 @@ from qldp.frames import (
 )
 from qldp.linalg import operator_norm
 from qldp.mechanisms import isoclinic_mechanism
+from qldp.sampling import random_unitary
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -257,12 +263,28 @@ def test_frame_constant_is_the_rounded_rational():
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_verify_takes_one_norm_per_residual(monkeypatch, n):
-    # the tight residual and one isoclinic residual per ordered pair; ||P^2 - P|| comes off the spectrum
-    calls = []
-    monkeypatch.setattr(frames, "operator_norm", lambda m: calls.append(1) or operator_norm(m))
+def test_verify_decomposes_each_projection_once(monkeypatch, n):
+    # one eigh per projection and one operator norm, the tight residual; the pairs cost stacked r x r SVDs only
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def norm(x, ord=None, *args, **kwargs):
+        calls["norm2"] += ord == 2
+        return numpy_norm(x, ord, *args, **kwargs)
+
+    numpy_norm = np.linalg.norm
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "norm", norm)
     assert verify_eitff(build_eitff(n).projections).is_eitff
-    assert len(calls) == 1 + n * (n - 1)
+    assert (calls["eigh"], calls["eigvalsh"], calls["norm2"]) == (n, 0, 1)
+    assert calls["svd"] < n
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -288,3 +310,88 @@ def test_projection_check_agrees_with_the_svd_rule(factor, direction):
     else:
         with pytest.raises(ValidationError, match="not close to an orthogonal projection"):
             verify_eitff(family, tol)
+
+
+# Verdict parity with the residuals verify_eitff formed before principal angles: one operator norm of
+# P_j P_i P_j - c P_j per ordered pair.  The isoclinic residual of _residuals bounds that norm from above.
+
+
+def operator_norm_residuals(projections) -> tuple[float, float, float]:
+    frame = FusionFrame(tuple(np.asarray(p, dtype=complex) for p in projections))
+    ps, d, r, n, c = frame.projections, frame.d, frame.r, frame.n, frame.c
+    tight = operator_norm(sum(ps) - (n * r / d) * np.eye(d))
+    chordal = isoclinic = 0.0
+    for p_i, p_j in itertools.permutations(ps, 2):
+        chordal = max(chordal, abs(np.trace(p_i @ p_j).real - r * c))
+        isoclinic = max(isoclinic, operator_norm(p_j @ p_i @ p_j - c * p_j))
+    return tight, chordal, isoclinic
+
+
+def verdicts(residuals, tol: float) -> tuple[bool, bool, bool]:
+    tight, chordal, isoclinic = (x <= tol for x in residuals)
+    return tight, tight and chordal, tight and chordal and isoclinic
+
+
+def perturbed(projections, direction: str, factor: float, tol: float, rng) -> list:
+    """Each P + t E, with E = P ("scaled") or a random Hermitian direction of unit norm ("random"),
+    and t such that the reference max_residual is about factor * tol."""
+    directions = list(projections)
+    if direction == "random":
+        gs = [rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape) for p in projections]
+        directions = [(g + g.conj().T) / operator_norm(g + g.conj().T) for g in gs]
+    probe = 1e-6
+    slope = max(operator_norm_residuals([p + probe * e for p, e in zip(projections, directions)])) / probe
+    return [p + (factor * tol / slope) * e for p, e in zip(projections, directions)]
+
+
+def assert_parity(family, tol: float = 1e-10):
+    reference = operator_norm_residuals(family)
+    tight, chordal, isoclinic = _residuals(FusionFrame(tuple(np.asarray(p, dtype=complex) for p in family)), tol)
+    assert tight == reference[0]
+    assert chordal == pytest.approx(reference[1], abs=1e-12)  # traces summed in another order
+    assert isoclinic >= reference[2]
+    cert = verify_eitff(family, tol)
+    assert (cert.is_tight, cert.is_ectff, cert.is_eitff) == verdicts(reference, tol)
+    assert cert.max_residual == max(tight, chordal, isoclinic)
+    return verdicts(reference, tol)
+
+
+FRAME_CASES = [(n, None) for n in range(2, 15)] + [(n, a) for n in (2, 3, 4) for a in (1, 2)]
+
+
+@pytest.mark.parametrize("n,a", FRAME_CASES, ids=[f"n{n}-a{a}" for n, a in FRAME_CASES])
+def test_verdicts_match_the_operator_norm_residuals(n, a):
+    rng = np.random.default_rng([n, a or 0])
+    frame = build_eitff(n, a)
+    u = random_unitary(rng, frame.d)
+    assert assert_parity(frame.projections) == (True, True, True)
+    assert assert_parity([u @ p @ u.conj().T for p in frame.projections]) == (True, True, True)
+    for direction in ("scaled", "random"):
+        assert assert_parity(perturbed(frame.projections, direction, 0.5, 1e-10, rng)) == (True, True, True)
+        assert not assert_parity(perturbed(frame.projections, direction, 2.0, 1e-10, rng))[2]
+
+
+@pytest.mark.parametrize("n,a", [(3, None), (5, None), (4, 2)])
+def test_a_projection_of_higher_rank_is_not_tight(n, a):
+    # P + v v^dag, v a unit vector of the kernel of P, has rank r + 1: the trace of the sum is nr + 1
+    ps = list(build_eitff(n, a).projections)
+    _, u = np.linalg.eigh(ps[-1])
+    ps[-1] = ps[-1] + np.outer(u[:, 0], u[:, 0].conj())
+    assert assert_parity(ps) == (False, False, False)
+    assert np.isfinite(verify_eitff(ps).max_residual)
+
+
+@pytest.mark.parametrize("n,a", [(3, None), (4, None), (5, None), (3, 2)])  # d = 2, 2, 4, 8
+def test_isoclinic_residual_bounds_the_mpmath_residual(n, a):
+    # oracles.isoclinic_residual is max ||P_j P_i P_j - c P_j|| of the same float projections at 40 digits
+    rng = np.random.default_rng([7, n, a or 0])
+    projections = build_eitff(n, a).projections
+    u = random_unitary(rng, len(projections[0]))
+    families = [[u @ p @ u.conj().T for p in projections]]
+    families += [perturbed(projections, direction, 2.0, 1e-10, rng) for direction in ("scaled", "random")]
+    # a strictly upper part of 1e-12 passes the hermiticity check and is invisible to eigh, which reads
+    # the lower triangle: only the ||P - P^dag|| term of the bound covers it
+    families.append([p + 1e-12 * np.triu(np.ones_like(p), 1) for p in projections])
+    for family in families:
+        bound = _residuals(FusionFrame(tuple(family)), 1e-10)[2]
+        assert bound >= oracles.isoclinic_residual(family) - 1e-14

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -115,6 +116,19 @@ def test_qldp_level_matches_the_oracle_of_the_stored_states(n, epsilon):
     # the ratio form log(lambda_max(...)) kept only absolute accuracy: 2e-3 relative at n = 7, eps = 1e-12
     mech = sigma_star(n, epsilon)
     assert mech.level == pytest.approx(oracles.qldp_level(mech.states), rel=1e-14, abs=0.0)
+
+
+# sha256 of the lines f"{n} {eps!r} {level.hex()}" of qldp_level(sigma_star(n, eps)) over n = 2..14 and
+# LEVEL_GRID_EPS, taken when every stack of the level also held the zero matrix x' = x
+LEVEL_GRID_EPS = [1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
+LEVEL_GRID_SHA256 = "53da8e5b1ab3ec976829d35bead048dd3b95f8a6469303ce17d86e3b0ead8041"
+
+
+def test_qldp_level_is_unchanged_without_the_self_pair():
+    lines = "".join(
+        f"{n} {eps!r} {qldp_level(sigma_star(n, eps)).hex()}\n" for n in range(2, 15) for eps in LEVEL_GRID_EPS
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == LEVEL_GRID_SHA256
 
 
 @pytest.mark.parametrize("epsilon", [1e-12, 1e-4, 1.0, 5.0, 100.0, MAX_EPSILON])

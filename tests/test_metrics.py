@@ -415,3 +415,17 @@ def test_overlap_at_endpoints_and_equal_states():
     assert overlap(a, b, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert overlap(a, b, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert overlap(a, a, 0.5) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_holevo_keeps_eigenvalues_below_the_rank_tolerance():
+    # rho1 has 63 eigenvalues lam = 1.5e-12 above RANK_TOL = 1e-12 and the barycentre 63 of lam / 2 below it;
+    # dropping the latter from one entropy only read -1.3e-9 and raised "negative information".
+    # Diagonal states: chi = H(bar) - H(rho1) / 2 = x ln 2 - (1 - x) ln(1 - x) + (1 - 2x) ln(1 - 2x) / 2, x = 31.5 lam.
+    lam = 1.5e-12
+    rho1 = np.diag([1.0 - 63 * lam] + [lam] * 63).astype(complex)
+    rho2 = np.zeros((64, 64), dtype=complex)
+    rho2[0, 0] = 1.0
+    x = 31.5 * lam
+    expected = x * math.log(2.0) - (1 - x) * math.log1p(-x) + 0.5 * (1 - 2 * x) * math.log1p(-2 * x)
+    assert expected == pytest.approx(3.275e-11, rel=1e-3)
+    assert holevo_information([0.5, 0.5], [rho1, rho2]) == pytest.approx(expected, rel=1e-12)
