@@ -65,24 +65,68 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
 
+def _hermitian_deviations(stack: np.ndarray) -> list[float]:
+    """max |H - H^dag| of each matrix of a stack, with one temporary of the stack's size."""
+    skew = stack.conj()
+    skew -= stack.swapaxes(1, 2)  # conj(H) - H^T, entry by entry the conjugate of H - H^dag
+    return np.abs(skew).max(axis=(1, 2)).tolist()
+
+
+def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
+    """(matrix, ascending eigenvalues, eigenvectors or None) for each of ``ms``, after checking H = H^dag and, for
+    ``density``, unit trace and positivity.
+
+    Members of one shape share one stacked decomposition.  Each member's checks run in the order a check of it
+    alone runs them, and the first member in order that fails is the one reported, with that check's message.
+    A State, and a Hermitian that needs no eigenvectors, is used as it is.
+    """
+    out = [None] * len(ms)
+    groups: dict = {}  # shape -> [(index, matrix, already checked Hermitian)]
+    errors = []  # (index, exception): the first member of each group that fails
+    for k, m in enumerate(ms):
+        if isinstance(m, State):
+            out[k] = (m.matrix, m.eigenvalues, m.eigenvectors)
+        elif isinstance(m, Hermitian) and not (vectors or density):
+            out[k] = (m.matrix, m.eigenvalues, None)
+        else:
+            try:
+                a = m.matrix if isinstance(m, Hermitian) else as_matrix(m)
+            except (ValidationError, ValueError, TypeError) as exc:
+                errors.append((k, exc))  # raised after the members before it are checked
+                break
+            groups.setdefault(a.shape, []).append((k, a, isinstance(m, Hermitian)))
+    for (d, _), members in groups.items():
+        stack = np.array([a for _, a, _ in members])
+        dev = _hermitian_deviations(stack) if d else None
+        lam, u = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
+        if d:
+            lo, hi = lam[:, 0].tolist(), lam[:, -1].tolist()
+        traces = stack.trace(axis1=1, axis2=2).real.tolist() if density else None
+        for j, (k, a, known) in enumerate(members):
+            if d and not known and dev[j] > HERMITIAN_RTOL * (1.0 + max(-lo[j], hi[j])):
+                message = f"matrix is not Hermitian: deviation {dev[j]:.3e}"
+            elif density and abs(traces[j] - 1.0) > DENSITY_TRACE_TOL:
+                message = f"trace {traces[j]} is not 1"
+            elif density and lo[j] < -DENSITY_EIG_TOL:
+                message = f"not positive semi-definite: min eigenvalue {lo[j]:.3e}"
+            else:
+                out[k] = (a, lam[j], None if u is None else u[j])
+                continue
+            errors.append((k, ValidationError(message)))
+            break
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return out
+
+
 def _checked_spectrum(m, vectors: bool = False):
     """(matrix, ascending eigenvalues, eigenvectors or None) after checking H = H^dag."""
-    if isinstance(m, State):
-        return m.matrix, m.eigenvalues, m.eigenvectors
-    if isinstance(m, Hermitian):
-        return (m.matrix, *np.linalg.eigh(m.matrix)) if vectors else (m.matrix, m.eigenvalues, None)
-    a = as_matrix(m)
-    lam, u = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
-    if a.size:
-        dev = np.max(np.abs(a - a.conj().T))
-        if dev > HERMITIAN_RTOL * (1.0 + max(-lam[0], lam[-1])):
-            raise ValidationError(f"matrix is not Hermitian: deviation {dev:.3e}")
-    return a, lam, u
+    return _checked_spectra((m,), vectors)[0]
 
 
 def validate_hermitian(m) -> np.ndarray:
@@ -90,25 +134,33 @@ def validate_hermitian(m) -> np.ndarray:
     return _checked_spectrum(m)[0]
 
 
+def checked_hermitians(ms) -> tuple[Hermitian, ...]:
+    """Check each H = H^dag, one eigvalsh per shape; every later check of a result costs no decomposition."""
+    ms = tuple(ms)
+    spectra = _checked_spectra(ms)
+    return tuple(m if isinstance(m, Hermitian) else Hermitian(a, lam) for m, (a, lam, _) in zip(ms, spectra))
+
+
 def checked_hermitian(m) -> Hermitian:
     """Check H = H^dag once; every later check of the result costs no decomposition."""
-    if isinstance(m, Hermitian):
-        return m
-    a, lam, _ = _checked_spectrum(m)
-    return Hermitian(a, lam)
+    return checked_hermitians((m,))[0]
+
+
+def validate_densities(ms) -> tuple[State, ...]:
+    """Validate density matrices with one stacked eigendecomposition per shape; a State passes unchanged.
+
+    The first invalid member in order raises what validating it alone raises.
+    """
+    ms = tuple(ms)
+    return tuple(
+        m if isinstance(m, State) else State(a, lam, u, bool(lam[0] >= RANK_TOL))
+        for m, (a, lam, u) in zip(ms, _checked_spectra(ms, vectors=True, density=True))
+    )
 
 
 def validate_density(m) -> State:
     """Validate a density matrix with one eigendecomposition; a State passes unchanged."""
-    if isinstance(m, State):
-        return m
-    a, lam, u = _checked_spectrum(m, vectors=True)
-    tr = np.trace(a).real
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise ValidationError(f"trace {tr} is not 1")
-    if lam[0] < -DENSITY_EIG_TOL:
-        raise ValidationError(f"not positive semi-definite: min eigenvalue {lam[0]:.3e}")
-    return State(a, lam, u, bool(lam[0] >= RANK_TOL))
+    return validate_densities((m,))[0]
 
 
 def eigh(m) -> Spectrum:

@@ -39,10 +39,12 @@ from .frames import FusionFrame, build_eitff
 from .linalg import (
     State,
     as_matrix,
+    checked_hermitians,
     is_psd,
     load_json,
     matrix_from_json,
     matrix_to_json,
+    validate_densities,
     validate_density,
     validate_hermitian,
 )
@@ -77,8 +79,9 @@ def _state_family(matrices: list) -> list:
 
 
 def _qldp_members(states) -> tuple:
-    """Each state validated once as a :class:`~qldp.linalg.State`: at least 2, of one shape, all full rank."""
-    members = tuple(validate_density(s) for s in states)
+    """Each state validated as a :class:`~qldp.linalg.State`, one stacked eigh per shape: at least 2, of one shape,
+    all full rank."""
+    members = validate_densities(states)
     _state_family([s.matrix for s in members])
     if not all(s.full_rank for s in members):
         raise SupportMismatchError("mechanism states must be full rank")
@@ -218,17 +221,22 @@ def ldp_level(q) -> float:
 def audit_qldp(states, epsilon: float) -> bool:
     """True iff min eig(e^eps rho_x - rho_{x'}) >= -AUDIT_TOL for every ordered pair.
 
-    Raw states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
+    One ``eigvalsh`` per x takes every x' != x as a stack, written into one buffer that every x reuses.  Raw
+    states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
     """
     require_epsilon(epsilon)
     if isinstance(states, QldpMechanism):
         mats = states.states
     else:
-        mats = _state_family([validate_hermitian(s) for s in states])
+        mats = _state_family([h.matrix for h in checked_hermitians(states)])
     grow = math.exp(epsilon)
-    for x, x2 in itertools.permutations(range(len(mats)), 2):
+    diffs = np.empty((len(mats) - 1, *mats[0].shape), dtype=complex)
+    for x, rho in enumerate(mats):
+        scaled = grow * rho
+        for j, other in enumerate(mats[:x] + mats[x + 1 :]):
+            np.subtract(scaled, other, out=diffs[j])
         # Written so that a NaN eigenvalue counts as a failure.
-        if not np.linalg.eigvalsh(grow * mats[x] - mats[x2])[0] >= -AUDIT_TOL:
+        if not np.all(np.linalg.eigvalsh(diffs)[..., 0] >= -AUDIT_TOL):
             return False
     return True
 
@@ -353,7 +361,7 @@ def tilde_family(mech, eta: float):
     """
     require_eta(eta)
     if isinstance(mech, QldpMechanism):
-        avg = mech.average.matrix
+        avg = sum(mech.states) / mech.n
         states = tuple(eta * s + (1.0 - eta) * avg for s in mech.states)
         return QldpMechanism(states=states, epsilon=mech.epsilon)
     if isinstance(mech, LdpMechanism):
@@ -375,7 +383,9 @@ def induced_mechanism(mech: QldpMechanism, povm) -> LdpMechanism:
         raise ValidationError("measurement dimension mismatch")
     if np.max(np.abs(sum(elements) - np.eye(d))) > POVM_TOL:
         raise ValidationError("measurement elements must sum to the identity")
-    q = np.array([[float(np.trace(s @ m).real) for s in mech.states] for m in elements])
+    stack = np.array(mech.states)
+    product = np.empty_like(stack)  # rho_x M_y for every x, one y at a time: no (outputs, n, d, d) temporary
+    q = np.array([np.trace(np.matmul(stack, m, out=product), axis1=1, axis2=2).real for m in elements])
     q = np.clip(q, 0.0, None)
     q /= q.sum(axis=0, keepdims=True)
     return LdpMechanism(q=q, epsilon=mech.epsilon)

@@ -17,17 +17,25 @@ classically), convex in s; f' and f'' are the same sums weighted by delta_k
 and delta_k^2, so one kernel minimizes it for quantum and classical inputs by
 Newton's method on f' inside a bisection bracket (Audenaert et al., PRL 98,
 160501, 2007).
+
+The spectral kernels work on stacks of states of one shape: the metric
+kernels broadcast over leading axes of the spectra, and the sums reduce over
+the last two axes.  :func:`petz_metrics` evaluates several metrics of a stack
+with each direction rotated once, and :func:`pair_divergences` several
+divergences of a stack of pairs from one W per pair; the Chernoff search
+runs pair by pair.  Each scalar function is the same kernel on a stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SupportMismatchError, ValidationError
-from .linalg import validate_density, validate_hermitian
+from .linalg import checked_hermitians, validate_densities, validate_density
 
 DEGENERACY_RTOL = 1e-12
 CHERNOFF_TOL = 1e-12
@@ -62,19 +70,20 @@ def wyd(s: float) -> MetricKind:
 
 def _divided_difference(lam: np.ndarray, curvature: float, off_diagonal) -> np.ndarray:
     """K[i, j] = off_diagonal(lambda_i, lambda_j), and its limit curvature / lambda_i where
-    |lambda_i - lambda_j| <= DEGENERACY_RTOL lambda_max (lam ascending); the formula sees 1.0 there."""
-    li = lam[:, None]
-    lj = lam[None, :]
-    near = np.abs(li - lj) <= DEGENERACY_RTOL * lam[-1]
+    |lambda_i - lambda_j| <= DEGENERACY_RTOL lambda_max (lam ascending); the formula sees 1.0 there.
+    Leading axes of ``lam`` are a stack of spectra."""
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
+    near = np.abs(li - lj) <= DEGENERACY_RTOL * lam[..., -1, None, None]
     with np.errstate(all="ignore"):
         k = off_diagonal(np.where(near, 1.0, li), np.where(near, 1.0, lj))
     return np.where(near, curvature / li, k)
 
 
 def _metric_kernel(kind: MetricKind, lam: np.ndarray) -> np.ndarray:
-    """Matrix K[i, j] = 1 / (lambda_j f(lambda_i / lambda_j)) on the spectrum grid."""
-    li = lam[:, None]
-    lj = lam[None, :]
+    """Matrix K[i, j] = 1 / (lambda_j f(lambda_i / lambda_j)) on the spectrum grid, one per spectrum of a stack."""
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
     if kind.tag == "sld":
         return 2.0 / (li + lj)
     if kind.tag == "rld":
@@ -87,27 +96,43 @@ def _metric_kernel(kind: MetricKind, lam: np.ndarray) -> np.ndarray:
     )
 
 
-def _spectral_form(rho0, x, y, kernel) -> float:
-    """sum_ij K[i, j] <j|X|i><i|Y|j> with K = kernel(spectrum) at a full-rank state."""
-    state = validate_density(rho0)
-    if not state.full_rank:
+def _spectral_forms(rho0s, xs, ys, kernels) -> np.ndarray:
+    """values[k, m] = sum_ij K[i, j] <j|X_k|i><i|Y_k|j> with K = kernels[m](spectrum of rho0_k), at full-rank
+    states of one shape; ``ys`` None means Y = X.  Each direction is rotated into its state's eigenbasis once."""
+    states = validate_densities(rho0s)
+    if not all(s.full_rank for s in states):
         raise DomainError("metric undefined at a rank-deficient state")
-    xm = validate_hermitian(x)
-    ym = xm if y is x else validate_hermitian(y)
-    if xm.shape != state.matrix.shape or ym.shape != state.matrix.shape:
+    xm = [h.matrix for h in checked_hermitians(xs)]
+    ym = xm if ys is None else [h.matrix for h in checked_hermitians(ys)]
+    shape = states[0].matrix.shape
+    if {len(xm), len(ym)} != {len(states)} or any(m.shape != shape for m in (*(s.matrix for s in states), *xm, *ym)):
         raise ValidationError("dimension mismatch")
-    u = state.eigenvectors
-    xb = u.conj().T @ xm @ u
-    yb = xb if y is x else u.conj().T @ ym @ u
-    value = np.sum(kernel(state.eigenvalues) * xb.T * yb)
-    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
-        raise ValidationError(f"metric value has a large imaginary part {value.imag:.3e}")
-    return float(value.real)
+    u = np.array([s.eigenvectors for s in states])
+    lam = np.array([s.eigenvalues for s in states])
+    uh = u.conj().swapaxes(-2, -1)
+    xb = uh @ np.array(xm) @ u
+    yb = xb if ys is None else uh @ np.array(ym) @ u
+    xt = xb.swapaxes(-2, -1)
+    values = np.stack([np.sum(kernel(lam) * xt * yb, axis=(-2, -1)) for kernel in kernels], axis=-1)
+    large = np.abs(values.imag) > 1e-10 * (1.0 + np.abs(values.real))
+    if large.any():
+        raise ValidationError(f"metric value has a large imaginary part {values.imag[large][0]:.3e}")
+    return values.real
+
+
+def petz_metrics(rho0s, xs, kinds) -> np.ndarray:
+    """J_kind[X_k, X_k] at rho0_k, one row per k and one column per kind, for states and directions of one shape."""
+    return _spectral_forms(rho0s, xs, None, [functools.partial(_metric_kernel, kind) for kind in kinds])
+
+
+def _spectral_form(rho0, x, y, kernel) -> float:
+    """The one value of :func:`_spectral_forms` for a single state, X and Y."""
+    return float(_spectral_forms((rho0,), (x,), None if y is x else (y,), (kernel,))[0, 0])
 
 
 def petz_metric(rho0, x, y, kind: MetricKind) -> float:
     """Monotone metric J[X, Y] of two Hermitian directions at a full-rank state."""
-    return _spectral_form(rho0, x, y, lambda lam: _metric_kernel(kind, lam))
+    return _spectral_form(rho0, x, y, functools.partial(_metric_kernel, kind))
 
 
 @dataclass(frozen=True)
@@ -168,27 +193,52 @@ def induced_metric(rho0, x, y, f: OperatorConvexF) -> float:
     return _spectral_form(rho0, x, y, f.induced_kernel)
 
 
-def _overlap_weights(rho1, rho2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectra (a, b) of both states and W[i, j] = |<u_i|v_j>|^2."""
-    s1, s2 = validate_density(rho1), validate_density(rho2)
-    if not (s1.full_rank and s2.full_rank):
+def _overlap_weights(rho1s, rho2s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectra a[k], b[k] of each pair (rho1_k, rho2_k) of full-rank states of one shape and W[k, i, j] =
+    |<u_ki|v_kj>|^2; each side is validated in one call."""
+    firsts, seconds = validate_densities(rho1s), validate_densities(rho2s)
+    states = firsts + seconds
+    if not all(s.full_rank for s in states):
         raise SupportMismatchError("state is rank deficient")
-    if s1.matrix.shape != s2.matrix.shape:
+    if any(s.matrix.shape != states[0].matrix.shape for s in states) or len(firsts) != len(seconds):
         raise ValidationError("dimension mismatch")
-    w = np.abs(s1.eigenvectors.conj().T @ s2.eigenvectors) ** 2
-    return s1.eigenvalues, s2.eigenvalues, w
+    u, v = (np.array([s.eigenvectors for s in side]) for side in (firsts, seconds))
+    w = np.abs(u.conj().swapaxes(-2, -1) @ v) ** 2
+    return np.array([s.eigenvalues for s in firsts]), np.array([s.eigenvalues for s in seconds]), w
+
+
+def _f_divergence(a, b, w, f: OperatorConvexF) -> np.ndarray:
+    """sum_ij b_j F(a_i / b_j) W[i, j] for each pair of a stack."""
+    return np.sum(b[..., None, :] * f(a[..., :, None] / b[..., None, :]) * w, axis=(-2, -1))
+
+
+def _relative_entropy(a, b, w) -> np.ndarray:
+    """sum_i a_i ln a_i - sum_ij a_i ln b_j W[i, j] for each pair of a stack."""
+    return np.sum(a * np.log(a), axis=-1) - np.sum((a[..., :, None] * np.log(b)[..., None, :]) * w, axis=(-2, -1))
+
+
+def _chernoff_pair(a, b, w) -> float:
+    """Chernoff information of one pair from its spectra and W; see :func:`chernoff_information`."""
+    w = w / w.sum(axis=0)
+    return _chernoff((w * b).ravel(), (w * a[:, None]).ravel(), (np.log(a)[:, None] - np.log(b)).ravel())
+
+
+def pair_divergences(rho1s, rho2s, fs) -> np.ndarray:
+    """One row per pair (rho1_k, rho2_k) of full-rank states of one shape: the relative entropy, the Chernoff
+    information, then the Petz f-divergence for each F in ``fs``, all from one W per pair."""
+    a, b, w = _overlap_weights(rho1s, rho2s)
+    chernoff = [_chernoff_pair(*pair) for pair in zip(a, b, w)]
+    return np.stack([_relative_entropy(a, b, w), chernoff, *(_f_divergence(a, b, w, f) for f in fs)], axis=-1)
 
 
 def petz_f_divergence(rho1, rho2, f: OperatorConvexF) -> float:
     """Spectral double sum sum_{ij} b_j F(a_i / b_j) |<u_i|v_j>|^2."""
-    a, b, w = _overlap_weights(rho1, rho2)
-    return float(np.sum(b[None, :] * f(a[:, None] / b[None, :]) * w))
+    return float(_f_divergence(*_overlap_weights((rho1,), (rho2,)), f)[0])
 
 
 def relative_entropy(rho1, rho2) -> float:
     """Umegaki relative entropy Tr rho_1 (ln rho_1 - ln rho_2) for full-rank states."""
-    a, b, w = _overlap_weights(rho1, rho2)
-    return float(np.sum(a * np.log(a)) - np.sum((a[:, None] * np.log(b)[None, :]) * w))
+    return float(_relative_entropy(*_overlap_weights((rho1,), (rho2,)))[0])
 
 
 def von_neumann_entropy(rho) -> float:
@@ -202,7 +252,7 @@ def von_neumann_entropy(rho) -> float:
 def holevo_information(prior, states) -> float:
     """H(sum_x p(x) rho_x) - sum_x p(x) H(rho_x) for a prior over the states."""
     p = np.asarray(prior, dtype=float)
-    valid = [validate_density(s) for s in states]
+    valid = validate_densities(states)
     if len(valid) != p.size:
         raise ValidationError("prior length must match the number of states")
     if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
@@ -218,8 +268,8 @@ def holevo_information(prior, states) -> float:
 
 def overlap(rho1, rho2, s: float) -> float:
     """Tr rho_1^s rho_2^{1-s} for full-rank states and s in [0, 1]."""
-    a, b, w = _overlap_weights(rho1, rho2)
-    return float(a**s @ w @ b ** (1.0 - s))
+    a, b, w = _overlap_weights((rho1,), (rho2,))
+    return float(a[0] ** s @ w[0] @ b[0] ** (1.0 - s))
 
 
 def chernoff_information(rho1, rho2) -> float:
@@ -231,9 +281,7 @@ def chernoff_information(rho1, rho2) -> float:
     eigensolver's rounding from the overlap at s = 0 (it dominates the error
     when C is small).
     """
-    a, b, w = _overlap_weights(rho1, rho2)
-    w = w / w.sum(axis=0)
-    return _chernoff((w * b).ravel(), (w * a[:, None]).ravel(), (np.log(a)[:, None] - np.log(b)).ravel())
+    return _chernoff_pair(*(array[0] for array in _overlap_weights((rho1,), (rho2,))))
 
 
 def _chernoff(at0: np.ndarray, at1: np.ndarray, delta: np.ndarray) -> float:
@@ -285,9 +333,14 @@ def _chernoff(at0: np.ndarray, at1: np.ndarray, delta: np.ndarray) -> float:
 
 def depolarize(rho, t: float) -> np.ndarray:
     """Depolarizing channel t (Tr rho) I/d + (1 - t) rho."""
-    mat = validate_hermitian(rho)
-    d = mat.shape[0]
-    return t * np.trace(mat) / d * np.eye(d, dtype=complex) + (1.0 - t) * mat
+    return depolarize_each((rho,), t)[0]
+
+
+def depolarize_each(rhos, t: float) -> np.ndarray:
+    """The depolarizing channel t applied to each of ``rhos`` (Hermitian, of one shape), as one stack."""
+    mats = np.array([h.matrix for h in checked_hermitians(rhos)])
+    d = mats.shape[-1]
+    return t * np.trace(mats, axis1=1, axis2=2)[:, None, None] / d * np.eye(d, dtype=complex) + (1.0 - t) * mats
 
 
 # Classical counterparts.  Each has a direct scalar implementation; applying

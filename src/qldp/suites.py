@@ -5,6 +5,10 @@ inequalities behind the advantage thresholds.
 Each check turns its instances (seeded draws or a fixed grid) into a list of
 margins, positive when the property held with room to spare, and
 :meth:`SuiteResult.tally` counts the violations and keeps the worst margin.
+:func:`sandwich_suite` and :func:`dpi_suite` draw every input of a call
+first, in the order a loop over the instances would, then evaluate the
+instances of each dimension as one stack (one stacked ``eigh`` of its
+states) and write the margins back in instance order.
 :func:`expansion_suite` runs the finite-difference checks of
 :mod:`qldp.expansions` on seeded instances.
 """
@@ -26,7 +30,7 @@ from .expansions import (
 )
 from .exponents import xlogx
 from .frames import build_eitff
-from .linalg import checked_hermitian, validate_density
+from .linalg import validate_densities, validate_density
 from .mechanisms import QldpMechanism, induced_mechanism, isoclinic_mechanism, sigma_star, tilde_family
 from .metrics import (
     KL,
@@ -35,15 +39,13 @@ from .metrics import (
     SQUARE,
     SQUARED_DIFF,
     BKM,
-    chernoff_information,
     classical_f_divergence,
-    depolarize,
+    depolarize_each,
     holevo_information,
     neg_ratio,
     overlap,
-    petz_f_divergence,
-    petz_metric,
-    relative_entropy,
+    pair_divergences,
+    petz_metrics,
     wyd,
 )
 from .optimal import mutual_information_utility, pairwise_sqrt_utility
@@ -84,40 +86,46 @@ def _worst(margins) -> float:
     return math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
 
 
+def _dims(count: int) -> list[int]:
+    """The dimension of each instance: DIMS in turn."""
+    return [DIMS[i % len(DIMS)] for i in range(count)]
+
+
+def _dimension_groups(count: int) -> list[np.ndarray]:
+    """The indices of the instances of each dimension, in instance order."""
+    return [np.arange(j, count, len(DIMS)) for j in range(min(count, len(DIMS)))]
+
+
 def sandwich_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """J_sld[X,X] <= J_f[X,X] <= J_rld[X,X] for every normalized kernel."""
     kinds = [BKM, wyd(0.3), wyd(0.5), wyd(0.7)]
-    margins = []
-    for i in range(count):
-        d = DIMS[i % len(DIMS)]
-        rho0 = validate_density(random_density(rng, d))
-        x = checked_hermitian(random_hermitian(rng, d))
-        lo = petz_metric(rho0, x, x, SLD)
-        hi = petz_metric(rho0, x, x, RLD)
-        slack = 1e-9 * (1.0 + abs(hi))
-        for kind in kinds:
-            mid = petz_metric(rho0, x, x, kind)
-            margins.append(min(mid - lo + slack, hi - mid + slack))
-    return SuiteResult.tally("monotone_metric_sandwich", margins)
+    draws = [(random_density(rng, d), random_hermitian(rng, d)) for d in _dims(count)]
+    margins = np.empty((count, len(kinds)))
+    for group in _dimension_groups(count):
+        rhos, xs = zip(*(draws[i] for i in group))
+        values = petz_metrics(rhos, xs, [SLD, RLD, *kinds])
+        lo, hi, mid = values[:, :1], values[:, 1:2], values[:, 2:]
+        slack = 1e-9 * (1.0 + np.abs(hi))
+        margins[group] = np.minimum(mid - lo + slack, hi - mid + slack)
+    return SuiteResult.tally("monotone_metric_sandwich", margins.ravel())
 
 
 def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Divergences do not increase under the depolarizing channel."""
     fs = [KL, SQUARE, SQUARED_DIFF, neg_ratio(1.0)]
-
-    def divergences(a, b) -> list[float]:
-        return [relative_entropy(a, b), chernoff_information(a, b)] + [petz_f_divergence(a, b, f) for f in fs]
-
-    margins = []
-    for i in range(count):
-        d = DIMS[i % len(DIMS)]
-        rho1 = validate_density(random_density(rng, d))
-        rho2 = validate_density(random_density(rng, d))
-        before = divergences(rho1, rho2)
-        for t in (0.1, 0.5):
-            out1, out2 = (validate_density(depolarize(r, t)) for r in (rho1, rho2))
-            margins += [b - a + 1e-9 for b, a in zip(before, divergences(out1, out2))]
-    return SuiteResult.tally("data_processing", margins)
+    ts = (0.1, 0.5)
+    draws = [(random_density(rng, d), random_density(rng, d)) for d in _dims(count)]
+    margins = np.empty((count, len(ts), 2 + len(fs)))
+    for group in _dimension_groups(count):
+        n = len(group)
+        # blocks of 2n states, the drawn pairs and then each t: the first states of the n pairs, then the second
+        states = validate_densities([draws[i][side] for side in (0, 1) for i in group])
+        states += validate_densities([m for t in ts for m in depolarize_each(states, t)])
+        blocks = [states[start : start + 2 * n] for start in range(0, len(states), 2 * n)]
+        values = pair_divergences([s for b in blocks for s in b[:n]], [s for b in blocks for s in b[n:]], fs)
+        values = values.reshape(len(blocks), n, -1)
+        margins[group] = values[0, :, None] - values[1:].swapaxes(0, 1) + 1e-9
+    return SuiteResult.tally("data_processing", margins.ravel())
 
 
 @functools.cache

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qldp.errors import DomainError, ValidationError
+from qldp.errors import DomainError, SupportMismatchError, ValidationError
 from qldp.linalg import (
     checked_hermitian,
+    checked_hermitians,
     eigh,
     is_psd,
     matrix_from_json,
@@ -14,9 +15,11 @@ from qldp.linalg import (
     matrix_to_json,
     norms,
     operator_norm,
+    validate_densities,
     validate_density,
     validate_hermitian,
 )
+from qldp.mechanisms import QldpMechanism
 from qldp.sampling import random_density, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -198,3 +201,111 @@ def test_matrix_json_entries_match_the_elementwise_encoding():
         expected = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
         assert json.dumps(entries) == json.dumps(expected)
         assert all(type(x) is float for pair in entries for x in pair)
+
+
+def _non_hermitian(rho):
+    bad = rho.copy()
+    bad[0, 1] += 1e-3
+    return bad
+
+
+def _nan(rho):
+    bad = rho.copy()
+    bad[1, 1] = np.nan
+    return bad
+
+
+def _inf(rho):
+    bad = rho.copy()
+    bad[0, 0] = np.inf
+    return bad
+
+
+BAD_MEMBERS = {
+    "non-hermitian": _non_hermitian,
+    "trace": lambda rho: 1.2 * rho,
+    "negative-eigenvalue": lambda rho: np.diag([1.2, -0.1, -0.1]).astype(complex),
+    "nan": _nan,
+    "inf": _inf,
+    "rank-deficient": lambda rho: np.diag([0.5, 0.5, 0.0]).astype(complex),
+    "not-square": lambda rho: rho[:2],
+}
+
+
+def _family(position, bad, mixed=False, size=5):
+    rng = np.random.default_rng(31)
+    states = [random_density(rng, 2 if mixed and k % 2 else 3) for k in range(size)]
+    if bad is not None:
+        states[position] = BAD_MEMBERS[bad](random_density(rng, 3))
+    return states
+
+
+def _error(fn, *args):
+    """(exception class, message) of what fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _qldp_family_one_by_one(states):
+    """What checking the QLDP family state by state raises: each state, then the shapes, then the ranks."""
+    members = [validate_density(s) for s in states]
+    if len({s.matrix.shape for s in members}) > 1:
+        raise ValidationError("states have mixed dimensions")
+    if not all(s.full_rank for s in members):
+        raise SupportMismatchError("mechanism states must be full rank")
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
+@pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", list(BAD_MEMBERS))
+def test_stacked_validation_raises_what_the_first_bad_member_raises_alone(bad, position, mixed):
+    states = _family(position, bad, mixed)
+    alone = _error(lambda: [validate_density(s) for s in states])
+    assert (alone is None) == (bad == "rank-deficient")
+    assert _error(validate_densities, states) == alone
+    assert _error(checked_hermitians, states) == _error(lambda: [checked_hermitian(s) for s in states])
+    # the QLDP family check adds the shape and rank checks after every state is validated
+    expected = _error(_qldp_family_one_by_one, states)
+    assert expected is not None
+    assert _error(QldpMechanism, states, 1.0) == expected
+
+
+@pytest.mark.parametrize(
+    "first, second", [("non-hermitian", "trace"), ("trace", "nan"), ("nan", "trace"), ("negative-eigenvalue", "inf")]
+)
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
+def test_stacked_validation_reports_the_first_of_two_bad_members(first, second, mixed):
+    rng = np.random.default_rng(32)
+    states = _family(0, None, mixed)
+    states[1] = BAD_MEMBERS[first](random_density(rng, 3))
+    states[3] = BAD_MEMBERS[second](random_density(rng, 3))
+    with pytest.raises(ValidationError) as alone:
+        validate_density(states[1])
+    with pytest.raises(ValidationError) as stacked:
+        validate_densities(states)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
+def test_stacked_validation_equals_validation_one_by_one(mixed):
+    states = _family(0, None, mixed, size=7)
+    states[3] = validate_density(states[3])
+    stacked = validate_densities(states)
+    assert stacked[3] is states[3]  # a State passes through unchanged
+    for state, raw in zip(stacked, states):
+        alone = validate_density(raw)
+        assert state.matrix is alone.matrix and state.full_rank == alone.full_rank
+        assert np.array_equal(state.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(state.eigenvectors, alone.eigenvectors)
+    known = checked_hermitian(states[1])
+    checked = checked_hermitians([*states, known])
+    assert checked[-1] is known
+    for h, raw in zip(checked, states):
+        assert np.array_equal(h.eigenvalues, checked_hermitian(raw).eigenvalues)
+
+
+def test_stacked_validation_of_no_states():
+    assert validate_densities([]) == () and checked_hermitians([]) == ()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -12,6 +13,7 @@ from qldp.exponents import boundary_mu
 from qldp.frames import build_eitff
 from qldp.linalg import State, operator_norm
 from qldp.mechanisms import (
+    AUDIT_TOL,
     MAX_EPSILON,
     LdpMechanism,
     QldpMechanism,
@@ -595,3 +597,68 @@ def test_isoclinic_weights_below_sinh_underflow_take_the_white_noise_limit(epsil
     assert mech.epsilon == epsilon
     for state in mech.states:
         np.testing.assert_array_equal(state, np.eye(frame.d) / frame.d)
+
+
+def _count_eigh(monkeypatch) -> dict:
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_qldp_mechanism_decomposes_its_family_in_one_stack(monkeypatch, n):
+    states = sigma_star(n, 1.0).states
+    counts = _count_eigh(monkeypatch)
+    mech = QldpMechanism(states, 1.0)
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+    for state, member in zip(states, mech.members):
+        lam, u = np.linalg.eigh(state)
+        assert np.array_equal(member.eigenvalues, lam) and np.array_equal(member.eigenvectors, u)
+
+
+def test_tilde_family_decomposes_only_the_mixed_family(monkeypatch):
+    mech = sigma_star(4, 0.5)
+    counts = _count_eigh(monkeypatch)
+    mixed = tilde_family(mech, 0.3)
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+    for state, raw in zip(mixed.states, mech.states):
+        assert np.array_equal(state, 0.3 * raw + 0.7 * mech.average.matrix)
+
+
+def _audit_pair_by_pair(mats, epsilon) -> bool:
+    grow = math.exp(epsilon)
+    return all(
+        np.linalg.eigvalsh(grow * mats[x] - mats[x2])[0] >= -AUDIT_TOL
+        for x, x2 in itertools.permutations(range(len(mats)), 2)
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_audit_qldp_verdicts_match_the_pair_by_pair_audit(n):
+    for epsilon in (0.05, 0.5, 2.0, 12.0, 15.0):
+        mech = sigma_star(n, epsilon)
+        # the level is epsilon, so 0.9 epsilon is mis-declared (at eps = 15 the rounding of e^eps rho_x can
+        # exceed the absolute AUDIT_TOL at the true level too; the verdicts must agree either way)
+        for declared in (epsilon, 0.9 * epsilon):
+            expected = _audit_pair_by_pair(mech.states, declared)
+            assert not (expected and declared < epsilon)
+            assert audit_qldp(mech, declared) == expected
+            assert audit_qldp(list(mech.states), declared) == expected
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+def test_audit_qldp_fails_when_one_state_alone_is_too_small(position):
+    # e^eps rho_x - rho_x' fails only for x = the odd state: 0.1 e^eps < 0.5 at eps = 1, but 0.5 e^eps >= 0.9
+    states = [np.diag([0.5, 0.5]).astype(complex) for _ in range(3)]
+    states[position] = np.diag([0.9, 0.1]).astype(complex)
+    for epsilon, expected in ((1.0, False), (math.log(5.0) + 1e-9, True)):
+        assert _audit_pair_by_pair(states, epsilon) == expected
+        assert audit_qldp(states, epsilon) == expected
+        assert audit_qldp(QldpMechanism(tuple(states), epsilon), epsilon) == expected

@@ -20,18 +20,21 @@ from qldp.metrics import (
     classical_metric,
     classical_relative_entropy,
     depolarize,
+    depolarize_each,
     holevo_information,
     induced_metric,
     neg_ratio,
     overlap,
+    pair_divergences,
     petz_f_divergence,
     petz_metric,
+    petz_metrics,
     relative_entropy,
     von_neumann_entropy,
     wyd,
 )
 from qldp.sampling import random_density, random_hermitian, random_unitary
-from qldp.suites import sandwich_suite
+from qldp.suites import dpi_suite, sandwich_suite
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ALL_KINDS = [SLD, RLD, BKM, wyd(0.3), wyd(0.5), wyd(0.7)]
@@ -166,10 +169,37 @@ def test_metric_reuses_a_checked_direction(monkeypatch):
 
 
 def test_sandwich_suite_decomposes_each_instance_once(monkeypatch):
-    # one eigh of the state and one eigvalsh of the direction, for all six metrics
+    # per dimension group, one stacked eigh of the states and one eigvalsh of the directions, for all six metrics
     counts = _count_spectral_calls(monkeypatch)
     assert sandwich_suite(np.random.default_rng(3), 9).passed
-    assert counts == {"eigh": 9, "eigvalsh": 9, "norm": 0}
+    assert counts == {"eigh": 3, "eigvalsh": 3, "norm": 0}
+
+
+def test_stacked_metrics_equal_the_scalar_calls():
+    rng = np.random.default_rng(50)
+    rhos = [random_density(rng, 3) for _ in range(6)]
+    xs = [random_hermitian(rng, 3) for _ in range(6)]
+    others = [random_density(rng, 3) for _ in range(6)]
+    fs = [KL, SQUARE, SQUARED_DIFF, neg_ratio(1.0)]
+    assert petz_metrics(rhos, xs, ALL_KINDS).tolist() == [
+        [petz_metric(rho, x, x, kind) for kind in ALL_KINDS] for rho, x in zip(rhos, xs)
+    ]
+    assert pair_divergences(rhos, others, fs).tolist() == [
+        [relative_entropy(a, b), chernoff_information(a, b), *(petz_f_divergence(a, b, f) for f in fs)]
+        for a, b in zip(rhos, others)
+    ]
+    assert np.array_equal(depolarize_each(rhos, 0.3), [depolarize(rho, 0.3) for rho in rhos])
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        petz_metrics(rhos, xs[:-1], ALL_KINDS)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        pair_divergences(rhos, others[:-1], fs)
+
+
+def test_dpi_suite_decomposes_each_state_once(monkeypatch):
+    # per dimension group, one stacked eigh of the drawn states and one of their depolarized images
+    counts = _count_spectral_calls(monkeypatch)
+    assert dpi_suite(np.random.default_rng(3), 9).passed
+    assert counts == {"eigh": 6, "eigvalsh": 0, "norm": 0}
 
 
 def test_fdiv_equal_states_kl_zero():

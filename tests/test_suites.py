@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -156,3 +157,53 @@ def test_measurement_pool_is_built_once_and_read_only(monkeypatch):
     cached = measurement_suite(np.random.default_rng(3), 40)
     monkeypatch.setattr(suites, "_measured_pool", suites._measured_pool.__wrapped__)
     assert measurement_suite(np.random.default_rng(3), 40) == cached
+
+
+COUNTED = (sandwich_suite, dpi_suite, measurement_suite, eta_mixing_suite)
+COUNTED_NAMES = ("monotone_metric_sandwich", "data_processing", "measurement_reduction", "eta_mixing_level")
+
+
+def _margin_digests(monkeypatch, run) -> dict:
+    """sha256 of every margin (float.hex, one a line, in order) that ``run`` hands to tally, per counted suite."""
+    digests = {name: hashlib.sha256() for name in COUNTED_NAMES}
+    tally = SuiteResult.tally.__func__
+
+    def recording(cls, name, margins, strict=False):
+        margins = [float(m) for m in margins]
+        if name in digests:
+            digests[name].update("".join(f"{float.hex(m)}\n" for m in margins).encode())
+        return tally(cls, name, margins, strict)
+
+    monkeypatch.setattr(SuiteResult, "tally", classmethod(recording))
+    run()
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+# Every margin of the four counted suites, not only the worst, in the order each suite produces them.
+ALL_MARGINS_SEED7_COUNT50 = {
+    "monotone_metric_sandwich": "005d1eb936ebd08773ee983a022cf9766c9d8c3605c9b7bf1c792c57ac3eb7af",
+    "data_processing": "2efdfdb50188e52319e283a551c13d1420a9e05cef580d6179c94bf7b68405e4",
+    "measurement_reduction": "07c159806363c37fa161fcb5671a143d9b77560f564c72abae20fef7e68f5199",
+    "eta_mixing_level": "1f738ad37df787c881948d346f93236843b198052651e767f0bbf9dedff1de86",
+}
+# The same for the benchmark's calls: suite i on default_rng([s, i, k]) with 5 instances, s and k in 0..3.
+ALL_MARGINS_CHUNKS_OF_5 = {
+    "monotone_metric_sandwich": "7847ae79cc4d9085f82403fe4df008c9e55f585eba5460260692fc2d4d6e18e8",
+    "data_processing": "7b8bb29d403bfaf5a79a8c3cbbf114f5a026f23337b8e4dd57691f0afb0960c3",
+    "measurement_reduction": "82a0985fdc669d40e5628e4cfba99b6785f6f6d7320372e2edcc2372d138fa7c",
+    "eta_mixing_level": "68d9aae1aa482acf97ad768658aafe9c60ed6f3dcc39ea25e96d52755dfd2aa1",
+}
+
+
+def test_every_margin_of_run_all_suites_is_pinned(monkeypatch):
+    assert _margin_digests(monkeypatch, lambda: run_all_suites(7, 50)) == ALL_MARGINS_SEED7_COUNT50
+
+
+def test_every_margin_of_the_benchmark_chunks_is_pinned(monkeypatch):
+    def run():
+        for s in range(4):
+            for i, suite in enumerate(COUNTED):
+                for k in range(4):
+                    suite(np.random.default_rng([s, i, k]), 5)
+
+    assert _margin_digests(monkeypatch, run) == ALL_MARGINS_CHUNKS_OF_5
