@@ -7,9 +7,9 @@ of a Hermitian argument, norms, and positivity tests.
 
 Each check decomposes its input once and reads ||H|| in the hermiticity
 tolerance rtol*(1+||H||) off that spectrum, so no validator runs an SVD.
-:func:`validate_density` returns a :class:`State` that keeps its ``eigh``,
-and :func:`checked_hermitian` a :class:`Hermitian` that keeps its
-eigenvalues; passed back in place of the matrix, either is used as it is.
+A family is checked as one stack of one shape: a member of another shape
+than the first is a fault, and the first fault in order is raised.  A
+:class:`State` keeps its ``eigh``; passed back for its matrix, it is used as is.
 """
 
 from __future__ import annotations
@@ -49,17 +49,6 @@ class State:
     full_rank: bool
 
 
-@dataclass(frozen=True)
-class Hermitian:
-    """A matrix that passed the hermiticity check, with its ascending eigenvalues.
-
-    The arrays are shared, not copied: modifying them invalidates the check.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -70,87 +59,61 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _hermitian_deviations(stack: np.ndarray) -> list[float]:
-    """max |H - H^dag| of each matrix of a stack, with one temporary of the stack's size."""
-    skew = stack.conj()
-    skew -= stack.swapaxes(1, 2)  # conj(H) - H^T, entry by entry the conjugate of H - H^dag
-    return np.abs(skew).max(axis=(1, 2)).tolist()
-
-
 def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
     """(matrix, ascending eigenvalues, eigenvectors or None) for each of ``ms``, after checking H = H^dag and, for
     ``density``, unit trace and positivity.
 
-    Members of one shape share one stacked decomposition.  Each member's checks run in the order a check of it
-    alone runs them, and the first member in order that fails is the one reported, with that check's message.
-    A State, and a Hermitian that needs no eigenvectors, is used as it is.
+    The members are coerced in order, and one whose shape differs from member 0's is a fault of that member.  The
+    members that are not a State share one stacked decomposition, and the first member in order that fails is the
+    one reported, with the message a check of it alone raises.  A State is used as it is.
     """
-    out = [None] * len(ms)
-    groups: dict = {}  # shape -> [(index, matrix, already checked Hermitian)]
-    errors = []  # (index, exception): the first member of each group that fails
+    out, raw, fault = [], [], None  # raw: the index of each member that is not a State
     for k, m in enumerate(ms):
-        if isinstance(m, State):
-            out[k] = (m.matrix, m.eigenvalues, m.eigenvectors)
-        elif isinstance(m, Hermitian) and not (vectors or density):
-            out[k] = (m.matrix, m.eigenvalues, None)
-        else:
-            try:
-                a = m.matrix if isinstance(m, Hermitian) else as_matrix(m)
-            except (ValidationError, ValueError, TypeError) as exc:
-                errors.append((k, exc))  # raised after the members before it are checked
-                break
-            groups.setdefault(a.shape, []).append((k, a, isinstance(m, Hermitian)))
-    for (d, _), members in groups.items():
-        stack = np.array([a for _, a, _ in members])
-        dev = _hermitian_deviations(stack) if d else None
-        lam, u = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
-        if d:
-            lo, hi = lam[:, 0].tolist(), lam[:, -1].tolist()
-        traces = stack.trace(axis1=1, axis2=2).real.tolist() if density else None
-        for j, (k, a, known) in enumerate(members):
-            if d and not known and dev[j] > HERMITIAN_RTOL * (1.0 + max(-lo[j], hi[j])):
-                message = f"matrix is not Hermitian: deviation {dev[j]:.3e}"
-            elif density and abs(traces[j] - 1.0) > DENSITY_TRACE_TOL:
-                message = f"trace {traces[j]} is not 1"
-            elif density and lo[j] < -DENSITY_EIG_TOL:
-                message = f"not positive semi-definite: min eigenvalue {lo[j]:.3e}"
-            else:
-                out[k] = (a, lam[j], None if u is None else u[j])
-                continue
-            errors.append((k, ValidationError(message)))
+        try:
+            a = m.matrix if isinstance(m, State) else as_matrix(m)
+            if out and a.shape != out[0][0].shape:
+                raise ValidationError(f"matrix {k} has shape {a.shape}, matrix 0 has {out[0][0].shape}")
+        except (ValidationError, ValueError, TypeError) as exc:
+            fault = exc  # raised after the members before it are checked
             break
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
+        if isinstance(m, State):
+            out.append((a, m.eigenvalues, m.eigenvectors))
+        else:
+            out.append((a, None, None))
+            raw.append(k)
+    if raw:
+        stack = np.array([out[k][0] for k in raw])
+        skew = stack.conj()
+        skew -= stack.swapaxes(1, 2)  # conj(H) - H^T, entry by entry the conjugate of H - H^dag
+        dev = np.abs(skew).max(axis=(1, 2), initial=0.0).tolist()
+        lam, u = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
+        lo, hi = (lam[:, 0].tolist(), lam[:, -1].tolist()) if lam.shape[1] else ([0.0] * len(raw),) * 2  # 0x0
+        traces = stack.trace(axis1=1, axis2=2).real.tolist() if density else None
+        for j, k in enumerate(raw):
+            if dev[j] > HERMITIAN_RTOL * (1.0 + max(-lo[j], hi[j])):
+                raise ValidationError(f"matrix is not Hermitian: deviation {dev[j]:.3e}")
+            if density and abs(traces[j] - 1.0) > DENSITY_TRACE_TOL:
+                raise ValidationError(f"trace {traces[j]} is not 1")
+            if density and lo[j] < -DENSITY_EIG_TOL:
+                raise ValidationError(f"not positive semi-definite: min eigenvalue {lo[j]:.3e}")
+            out[k] = (out[k][0], lam[j], None if u is None else u[j])
+    if fault is not None:
+        raise fault
     return out
 
 
-def _checked_spectrum(m, vectors: bool = False):
-    """(matrix, ascending eigenvalues, eigenvectors or None) after checking H = H^dag."""
-    return _checked_spectra((m,), vectors)[0]
+def validate_hermitians(ms) -> list[np.ndarray]:
+    """Each of ``ms`` as an array of one shape, after checking H = H^dag with one stacked eigvalsh."""
+    return [a for a, _, _ in _checked_spectra(ms)]
 
 
 def validate_hermitian(m) -> np.ndarray:
     """Return ``m`` as an array after checking H = H^dag up to rtol*(1+||H||)."""
-    return _checked_spectrum(m)[0]
-
-
-def checked_hermitians(ms) -> tuple[Hermitian, ...]:
-    """Check each H = H^dag, one eigvalsh per shape; every later check of a result costs no decomposition."""
-    ms = tuple(ms)
-    spectra = _checked_spectra(ms)
-    return tuple(m if isinstance(m, Hermitian) else Hermitian(a, lam) for m, (a, lam, _) in zip(ms, spectra))
-
-
-def checked_hermitian(m) -> Hermitian:
-    """Check H = H^dag once; every later check of the result costs no decomposition."""
-    return checked_hermitians((m,))[0]
+    return validate_hermitians((m,))[0]
 
 
 def validate_densities(ms) -> tuple[State, ...]:
-    """Validate density matrices with one stacked eigendecomposition per shape; a State passes unchanged.
-
-    The first invalid member in order raises what validating it alone raises.
-    """
+    """Validate density matrices of one shape with one stacked eigendecomposition; a State passes unchanged."""
     ms = tuple(ms)
     return tuple(
         m if isinstance(m, State) else State(a, lam, u, bool(lam[0] >= RANK_TOL))
@@ -165,7 +128,7 @@ def validate_density(m) -> State:
 
 def eigh(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    _, lam, u = _checked_spectrum(m, vectors=True)
+    _, lam, u = _checked_spectra((m,), vectors=True)[0]
     return Spectrum(lam, u)
 
 
@@ -193,13 +156,13 @@ def operator_norm(m) -> float:
 
 def norms(m) -> tuple[float, float, float]:
     """(operator norm, trace norm, Frobenius norm) of a Hermitian matrix."""
-    lam = _checked_spectrum(m)[1]
+    lam = _checked_spectra((m,))[0][1]
     return float(np.max(np.abs(lam))), float(np.sum(np.abs(lam))), float(np.sqrt(np.sum(lam**2)))
 
 
 def is_psd(m, tol: float = 1e-9) -> bool:
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
-    return bool(_checked_spectrum(m)[1][0] >= -tol)
+    return bool(_checked_spectra((m,))[0][1][0] >= -tol)
 
 
 def matrix_to_json(m) -> dict:

@@ -39,7 +39,6 @@ from .frames import FusionFrame, build_eitff
 from .linalg import (
     State,
     as_matrix,
-    checked_hermitians,
     is_psd,
     load_json,
     matrix_from_json,
@@ -47,6 +46,7 @@ from .linalg import (
     validate_densities,
     validate_density,
     validate_hermitian,
+    validate_hermitians,
 )
 from .metrics import chernoff_information, classical_chernoff, classical_relative_entropy, relative_entropy
 
@@ -69,20 +69,11 @@ def _column_stochastic(q) -> np.ndarray:
     return q
 
 
-def _state_family(matrices: list) -> list:
-    """``matrices`` unchanged, after checking that there are at least 2 and they share one shape."""
-    if len(matrices) < 2:
-        raise ValidationError("mechanism needs at least 2 states")
-    if any(m.shape != matrices[0].shape for m in matrices):
-        raise ValidationError("states have mixed dimensions")
-    return matrices
-
-
 def _qldp_members(states) -> tuple:
-    """Each state validated as a :class:`~qldp.linalg.State`, one stacked eigh per shape: at least 2, of one shape,
-    all full rank."""
+    """The states as :class:`~qldp.linalg.State` objects from one stacked eigh: at least 2, all full rank."""
     members = validate_densities(states)
-    _state_family([s.matrix for s in members])
+    if len(members) < 2:
+        raise ValidationError("mechanism needs at least 2 states")
     if not all(s.full_rank for s in members):
         raise SupportMismatchError("mechanism states must be full rank")
     return members
@@ -225,10 +216,9 @@ def audit_qldp(states, epsilon: float) -> bool:
     states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
     """
     require_epsilon(epsilon)
-    if isinstance(states, QldpMechanism):
-        mats = states.states
-    else:
-        mats = _state_family([h.matrix for h in checked_hermitians(states)])
+    mats = states.states if isinstance(states, QldpMechanism) else validate_hermitians(states)
+    if len(mats) < 2:
+        raise ValidationError("mechanism needs at least 2 states")
     grow = math.exp(epsilon)
     diffs = np.empty((len(mats) - 1, *mats[0].shape), dtype=complex)
     for x, rho in enumerate(mats):

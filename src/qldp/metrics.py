@@ -18,12 +18,13 @@ and delta_k^2, so one kernel minimizes it for quantum and classical inputs by
 Newton's method on f' inside a bisection bracket (Audenaert et al., PRL 98,
 160501, 2007).
 
-The spectral kernels work on stacks of states of one shape: the metric
-kernels broadcast over leading axes of the spectra, and the sums reduce over
-the last two axes.  :func:`petz_metrics` evaluates several metrics of a stack
-with each direction rotated once, and :func:`pair_divergences` several
-divergences of a stack of pairs from one W per pair; the Chernoff search
-runs pair by pair.  Each scalar function is the same kernel on a stack of one.
+The spectral kernels work on stacks of states of one shape, each validated
+by one call into ``linalg``: the metric kernels broadcast over leading axes
+of the spectra, and the sums reduce over the last two axes.
+:func:`petz_metrics` evaluates several metrics of a stack with each
+direction rotated once, and :func:`pair_divergences` several divergences of
+a stack of pairs from one W per pair; the Chernoff search runs pair by pair.
+Each scalar function is the same kernel on a stack of one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SupportMismatchError, ValidationError
-from .linalg import checked_hermitians, validate_densities, validate_density
+from .linalg import validate_densities, validate_density, validate_hermitians
 
 DEGENERACY_RTOL = 1e-12
 CHERNOFF_TOL = 1e-12
@@ -99,14 +100,17 @@ def _metric_kernel(kind: MetricKind, lam: np.ndarray) -> np.ndarray:
 def _spectral_forms(rho0s, xs, ys, kernels) -> np.ndarray:
     """values[k, m] = sum_ij K[i, j] <j|X_k|i><i|Y_k|j> with K = kernels[m](spectrum of rho0_k), at full-rank
     states of one shape; ``ys`` None means Y = X.  Each direction is rotated into its state's eigenbasis once."""
+    if not kernels:
+        raise ValidationError("no metric kind given")
     states = validate_densities(rho0s)
     if not all(s.full_rank for s in states):
         raise DomainError("metric undefined at a rank-deficient state")
-    xm = [h.matrix for h in checked_hermitians(xs)]
-    ym = xm if ys is None else [h.matrix for h in checked_hermitians(ys)]
-    shape = states[0].matrix.shape
-    if {len(xm), len(ym)} != {len(states)} or any(m.shape != shape for m in (*(s.matrix for s in states), *xm, *ym)):
+    xm = validate_hermitians(xs)
+    ym = xm if ys is None else validate_hermitians(ys)
+    if {len(xm), len(ym)} != {len(states)} or (states and not xm[0].shape == ym[0].shape == states[0].matrix.shape):
         raise ValidationError("dimension mismatch")
+    if not states:
+        return np.empty((0, len(kernels)))
     u = np.array([s.eigenvectors for s in states])
     lam = np.array([s.eigenvalues for s in states])
     uh = u.conj().swapaxes(-2, -1)
@@ -195,13 +199,16 @@ def induced_metric(rho0, x, y, f: OperatorConvexF) -> float:
 
 def _overlap_weights(rho1s, rho2s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spectra a[k], b[k] of each pair (rho1_k, rho2_k) of full-rank states of one shape and W[k, i, j] =
-    |<u_ki|v_kj>|^2; each side is validated in one call."""
-    firsts, seconds = validate_densities(rho1s), validate_densities(rho2s)
-    states = firsts + seconds
+    |<u_ki|v_kj>|^2; both sides are validated in one call."""
+    rho1s, rho2s = tuple(rho1s), tuple(rho2s)
+    if len(rho1s) != len(rho2s):
+        raise ValidationError("dimension mismatch")
+    states = validate_densities(rho1s + rho2s)
     if not all(s.full_rank for s in states):
         raise SupportMismatchError("state is rank deficient")
-    if any(s.matrix.shape != states[0].matrix.shape for s in states) or len(firsts) != len(seconds):
-        raise ValidationError("dimension mismatch")
+    if not states:
+        return np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0, 0))
+    firsts, seconds = states[: len(rho1s)], states[len(rho1s) :]
     u, v = (np.array([s.eigenvectors for s in side]) for side in (firsts, seconds))
     w = np.abs(u.conj().swapaxes(-2, -1) @ v) ** 2
     return np.array([s.eigenvalues for s in firsts]), np.array([s.eigenvalues for s in seconds]), w
@@ -255,10 +262,8 @@ def holevo_information(prior, states) -> float:
     valid = validate_densities(states)
     if len(valid) != p.size:
         raise ValidationError("prior length must match the number of states")
-    if abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
+    if not np.isfinite(p).all() or abs(p.sum() - 1.0) > 1e-10 or np.any(p < 0):
         raise ValidationError("prior must be a probability vector")
-    if any(s.matrix.shape != valid[0].matrix.shape for s in valid):
-        raise ValidationError("dimension mismatch")
     barycenter = sum(w * s.matrix for w, s in zip(p, valid))
     value = float(von_neumann_entropy(barycenter) - sum(w * von_neumann_entropy(s) for w, s in zip(p, valid)))
     if value < -1e-10:
@@ -268,6 +273,8 @@ def holevo_information(prior, states) -> float:
 
 def overlap(rho1, rho2, s: float) -> float:
     """Tr rho_1^s rho_2^{1-s} for full-rank states and s in [0, 1]."""
+    if not 0.0 <= s <= 1.0:
+        raise ValidationError(f"overlap needs s in [0, 1], got {s}")
     a, b, w = _overlap_weights((rho1,), (rho2,))
     return float(a[0] ** s @ w[0] @ b[0] ** (1.0 - s))
 
@@ -338,7 +345,9 @@ def depolarize(rho, t: float) -> np.ndarray:
 
 def depolarize_each(rhos, t: float) -> np.ndarray:
     """The depolarizing channel t applied to each of ``rhos`` (Hermitian, of one shape), as one stack."""
-    mats = np.array([h.matrix for h in checked_hermitians(rhos)])
+    mats = np.array(validate_hermitians(rhos))
+    if not len(mats):
+        return np.empty((0, 0, 0), dtype=complex)
     d = mats.shape[-1]
     return t * np.trace(mats, axis1=1, axis2=2)[:, None, None] / d * np.eye(d, dtype=complex) + (1.0 - t) * mats
 
@@ -349,6 +358,8 @@ def depolarize_each(rhos, t: float) -> np.ndarray:
 
 def _positive_vector(p) -> np.ndarray:
     v = np.asarray(p, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValidationError("distribution has a non-finite entry")
     if np.any(v <= 0):
         raise SupportMismatchError("distribution has a zero or negative entry")
     return v

@@ -6,8 +6,7 @@ import pytest
 
 from qldp.errors import DomainError, SupportMismatchError, ValidationError
 from qldp.linalg import (
-    checked_hermitian,
-    checked_hermitians,
+    as_matrix,
     eigh,
     is_psd,
     matrix_from_json,
@@ -18,6 +17,7 @@ from qldp.linalg import (
     validate_densities,
     validate_density,
     validate_hermitian,
+    validate_hermitians,
 )
 from qldp.mechanisms import QldpMechanism
 from qldp.sampling import random_density, random_hermitian
@@ -143,17 +143,6 @@ def test_validate_density_passes_a_state_through():
     assert np.array_equal(lam, np.linalg.eigh(state.matrix)[0])
 
 
-def test_checked_hermitian_passes_through():
-    h = random_hermitian(np.random.default_rng(7), 3)
-    checked = checked_hermitian(h)
-    assert checked_hermitian(checked) is checked
-    assert validate_hermitian(checked) is checked.matrix
-    assert np.array_equal(checked.eigenvalues, np.linalg.eigvalsh(h))
-    assert norms(checked) == norms(h) and is_psd(checked) == is_psd(h)
-    lam, u = eigh(checked)
-    assert np.allclose((u * lam) @ u.conj().T, h, atol=1e-12)
-
-
 @pytest.mark.parametrize("scale", [0.01, 100.0])
 @pytest.mark.parametrize("factor, ok", [(0.9, True), (1.1, False)])
 def test_hermitian_tolerance_boundary(factor, ok, scale):
@@ -161,7 +150,7 @@ def test_hermitian_tolerance_boundary(factor, ok, scale):
     # which eigh/eigvalsh do not read, so ||H|| is that of the unskewed matrix.
     h = scale * random_hermitian(np.random.default_rng(6), 3)
     h[0, 1] += factor * 1e-12 * (1.0 + operator_norm(h))
-    for check in (validate_hermitian, checked_hermitian, eigh, norms, is_psd):
+    for check in (validate_hermitian, lambda m: validate_hermitians([m]), eigh, norms, is_psd):
         if ok:
             check(h)
         else:
@@ -249,11 +238,21 @@ def _error(fn, *args):
     return None
 
 
+def _one_by_one(check, states):
+    """``check`` of each state alone, in order; a state whose shape differs from state 0's fails as it is coerced,
+    before its own checks run."""
+    results = []
+    for k, s in enumerate(states):
+        shape, first = as_matrix(s).shape, as_matrix(states[0]).shape
+        if shape != first:
+            raise ValidationError(f"matrix {k} has shape {shape}, matrix 0 has {first}")
+        results.append(check(s))
+    return results
+
+
 def _qldp_family_one_by_one(states):
-    """What checking the QLDP family state by state raises: each state, then the shapes, then the ranks."""
-    members = [validate_density(s) for s in states]
-    if len({s.matrix.shape for s in members}) > 1:
-        raise ValidationError("states have mixed dimensions")
+    """What checking the QLDP family state by state raises: each state, then the ranks."""
+    members = _one_by_one(validate_density, states)
     if not all(s.full_rank for s in members):
         raise SupportMismatchError("mechanism states must be full rank")
 
@@ -263,11 +262,15 @@ def _qldp_family_one_by_one(states):
 @pytest.mark.parametrize("bad", list(BAD_MEMBERS))
 def test_stacked_validation_raises_what_the_first_bad_member_raises_alone(bad, position, mixed):
     states = _family(position, bad, mixed)
-    alone = _error(lambda: [validate_density(s) for s in states])
-    assert (alone is None) == (bad == "rank-deficient")
+    alone = _error(_one_by_one, validate_density, states)
+    if mixed and (position or bad == "rank-deficient"):
+        # state 1, the first of another shape, is the first fault: it is reported in place of any after it
+        assert alone == (ValidationError, "matrix 1 has shape (2, 2), matrix 0 has (3, 3)")
+    else:
+        assert (alone is None) == (bad == "rank-deficient")
     assert _error(validate_densities, states) == alone
-    assert _error(checked_hermitians, states) == _error(lambda: [checked_hermitian(s) for s in states])
-    # the QLDP family check adds the shape and rank checks after every state is validated
+    assert _error(validate_hermitians, states) == _error(_one_by_one, validate_hermitian, states)
+    # the QLDP family check adds the rank check after every state is validated
     expected = _error(_qldp_family_one_by_one, states)
     assert expected is not None
     assert _error(QldpMechanism, states, 1.0) == expected
@@ -282,17 +285,28 @@ def test_stacked_validation_reports_the_first_of_two_bad_members(first, second, 
     states = _family(0, None, mixed)
     states[1] = BAD_MEMBERS[first](random_density(rng, 3))
     states[3] = BAD_MEMBERS[second](random_density(rng, 3))
+    if mixed:
+        states[2] = random_density(rng, 2)  # a member of another shape between the two
     with pytest.raises(ValidationError) as alone:
         validate_density(states[1])
     with pytest.raises(ValidationError) as stacked:
         validate_densities(states)
     assert str(stacked.value) == str(alone.value)
+    if mixed:
+        # before the first bad member, the member of another shape is the first fault
+        with pytest.raises(ValidationError, match=r"^matrix 1 has shape \(2, 2\), matrix 0 has \(3, 3\)$"):
+            validate_densities([states[0], states[2], *states[1:]])
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
 def test_stacked_validation_equals_validation_one_by_one(mixed):
     states = _family(0, None, mixed, size=7)
     states[3] = validate_density(states[3])
+    if mixed:
+        # states 1, 3 and 5 are 2x2 after a 3x3 state 0: the first of them is the one reported
+        fault = (ValidationError, "matrix 1 has shape (2, 2), matrix 0 has (3, 3)")
+        assert _error(validate_densities, states) == _error(validate_hermitians, states) == fault
+        return
     stacked = validate_densities(states)
     assert stacked[3] is states[3]  # a State passes through unchanged
     for state, raw in zip(stacked, states):
@@ -300,12 +314,9 @@ def test_stacked_validation_equals_validation_one_by_one(mixed):
         assert state.matrix is alone.matrix and state.full_rank == alone.full_rank
         assert np.array_equal(state.eigenvalues, alone.eigenvalues)
         assert np.array_equal(state.eigenvectors, alone.eigenvectors)
-    known = checked_hermitian(states[1])
-    checked = checked_hermitians([*states, known])
-    assert checked[-1] is known
-    for h, raw in zip(checked, states):
-        assert np.array_equal(h.eigenvalues, checked_hermitian(raw).eigenvalues)
+    for h, raw in zip(validate_hermitians(states), states):
+        assert h is validate_hermitian(raw)
 
 
 def test_stacked_validation_of_no_states():
-    assert validate_densities([]) == () and checked_hermitians([]) == ()
+    assert validate_densities([]) == () and validate_hermitians([]) == []

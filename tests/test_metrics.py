@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qldp.errors import DomainError, SupportMismatchError, ValidationError
-from qldp.linalg import checked_hermitian, validate_density
+from qldp.linalg import validate_density
 from qldp.metrics import (
     BKM,
     KL,
@@ -55,6 +55,10 @@ def test_metric_kind_validation():
         neg_ratio(-1.0)
     with pytest.raises(ValidationError, match="kl takes no parameter"):
         OperatorConvexF("kl", 1.0)
+    # overlap(rho, rho, 2.0) used to return 1.19 and s = nan nan
+    for s in (2.0, -0.1, math.nan):
+        with pytest.raises(ValidationError, match=r"overlap needs s in \[0, 1\]"):
+            overlap(np.eye(2) / 2, np.diag([0.25, 0.75]), s)
 
 
 def test_petz_metric_classical_fisher_case():
@@ -142,7 +146,8 @@ def test_divergence_decomposes_each_state_once(monkeypatch, fn):
     a, b = random_density(rng, 3), random_density(rng, 3)
     counts = _count_spectral_calls(monkeypatch)
     fn(a, b)
-    assert counts == {"eigh": 2, "eigvalsh": 0, "norm": 0}
+    # both states of the pair are validated as one stack
+    assert counts == {"eigh": 1, "eigvalsh": 0, "norm": 0}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: f"{k.tag}{k.s or ''}")
@@ -155,17 +160,6 @@ def test_metric_reuses_the_state_spectrum(monkeypatch, kind):
     assert petz_metric(state, x, x, kind) == expected
     # One eigvalsh scales the hermiticity check of x; the state is not decomposed.
     assert counts == {"eigh": 0, "eigvalsh": 1, "norm": 0}
-
-
-def test_metric_reuses_a_checked_direction(monkeypatch):
-    rng = np.random.default_rng(42)
-    state = validate_density(random_density(rng, 3))
-    x = random_hermitian(rng, 3)
-    expected = [petz_metric(state, x, x, kind) for kind in ALL_KINDS]
-    checked = checked_hermitian(x)
-    counts = _count_spectral_calls(monkeypatch)
-    assert [petz_metric(state, checked, checked, kind) for kind in ALL_KINDS] == expected
-    assert counts == {"eigh": 0, "eigvalsh": 0, "norm": 0}
 
 
 def test_sandwich_suite_decomposes_each_instance_once(monkeypatch):
@@ -193,6 +187,26 @@ def test_stacked_metrics_equal_the_scalar_calls():
         petz_metrics(rhos, xs[:-1], ALL_KINDS)
     with pytest.raises(ValidationError, match="dimension mismatch"):
         pair_divergences(rhos, others[:-1], fs)
+
+
+def test_empty_stacks_give_empty_results():
+    fs = [KL, SQUARE, SQUARED_DIFF]
+    assert petz_metrics([], [], ALL_KINDS).shape == (0, len(ALL_KINDS))
+    assert pair_divergences([], [], fs).shape == (0, 2 + len(fs))
+    assert depolarize_each([], 0.3).shape == (0, 0, 0)
+    rng = np.random.default_rng(51)
+    with pytest.raises(ValidationError, match="no metric kind"):
+        petz_metrics([random_density(rng, 2)], [random_hermitian(rng, 2)], [])
+
+
+def test_stacks_of_mixed_shapes_are_validation_errors():
+    rng = np.random.default_rng(52)
+    rhos = [random_density(rng, 2), random_density(rng, 3)]
+    xs = [random_hermitian(rng, 2), random_hermitian(rng, 3)]
+    with pytest.raises(ValidationError, match=r"matrix 1 has shape \(3, 3\), matrix 0 has \(2, 2\)"):
+        depolarize_each([np.eye(2), np.eye(3)], 0.3)
+    with pytest.raises(ValidationError, match=r"matrix 1 has shape \(3, 3\), matrix 0 has \(2, 2\)"):
+        petz_metrics(rhos, xs, ALL_KINDS)
 
 
 def test_dpi_suite_decomposes_each_state_once(monkeypatch):
@@ -303,6 +317,16 @@ def test_holevo_validation():
         holevo_information([0.5, 0.25, 0.25], [rho, rho])
 
 
+@pytest.mark.parametrize(
+    "prior", [[math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf], [-math.inf, 1.0]], ids=str
+)
+def test_holevo_rejects_a_non_finite_prior(prior):
+    # a NaN prior used to reach the barycentre, and inf - inf a RuntimeWarning, an error under the test filter
+    rho = np.eye(2) / 2
+    with pytest.raises(ValidationError, match="prior must be a probability vector"):
+        holevo_information(prior, [rho, rho])
+
+
 def test_chernoff_equal_states():
     rng = np.random.default_rng(7)
     rho = random_density(rng, 3)
@@ -388,6 +412,17 @@ def test_classical_f_divergence_of_a_stack_equals_its_rows(f):
 
 def test_classical_f_divergence_of_a_vector_is_a_float():
     assert type(classical_f_divergence([0.5, 0.5], [0.25, 0.75], KL)) is float
+
+
+@pytest.mark.parametrize(
+    "fn", [classical_chernoff, classical_relative_entropy, lambda p, q: classical_f_divergence(p, q, KL)]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+def test_classical_distributions_reject_non_finite_entries(fn, bad):
+    # classical_chernoff read a NaN entry as 0.0, and the divergences returned nan
+    for p, q in (([bad, 1.0], [0.5, 0.5]), ([0.5, 0.5], [1.0, bad])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            fn(p, q)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1])

@@ -171,3 +171,17 @@ def test_every_module_parses_at_the_python_floor():
     version = (int(floor[1]), int(floor[2]))
     for path in sorted((ROOT / "src" / "qldp").glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
+
+
+def test_every_function_the_benchmark_tracer_patches_exists():
+    # bench/spans.py patches these by name; a function deleted or renamed in src/ would break the traced benchmark
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYER_FUNCTIONS"
+    ]
+    sites = [site for span_sites in layers.values() for site in span_sites] + [("optimal", "linprog")]
+    assert ("linalg", "validate_hermitian") in sites and ("linalg", "validate_density") in sites
+    for module, attr in sites:
+        assert callable(getattr(getattr(qldp, module), attr, None)), f"qldp.{module}.{attr}"
