@@ -237,11 +237,13 @@ def _cmd_metric(args) -> int:
         from . import mechanisms
 
         mech = mechanisms.load_mechanism(args.mech)
-        states = mech.members
-        if mech.kind == "ldp":  # a classical distribution is the diagonal state that commutes with the rest
-            states = [np.diag(column.astype(complex)) for column in states]
-        n = len(states)
-        value = metrics.holevo_information(np.full(n, 1.0 / n), states)
+        if mech.kind == "ldp":  # the classical case: the mutual information of the uniform-prior joint distribution
+            from . import optimal
+
+            value = optimal.utility_of_mechanism(mech, optimal.mutual_information_utility(mech.n_inputs))
+        else:
+            n = len(mech.members)
+            value = metrics.holevo_information(np.full(n, 1.0 / n), mech.members)
     else:
         kind = metrics.wyd(float(args.kind[4:])) if args.kind.startswith("wyd:") else metrics.MetricKind(args.kind)
         x = load_json(args.x, matrix_from_json)

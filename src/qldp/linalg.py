@@ -50,10 +50,10 @@ class State:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a non-empty square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
@@ -87,7 +87,7 @@ def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
         skew -= stack.swapaxes(1, 2)  # conj(H) - H^T, entry by entry the conjugate of H - H^dag
         dev = np.abs(skew).max(axis=(1, 2), initial=0.0).tolist()
         lam, u = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
-        lo, hi = (lam[:, 0].tolist(), lam[:, -1].tolist()) if lam.shape[1] else ([0.0] * len(raw),) * 2  # 0x0
+        lo, hi = lam[:, 0].tolist(), lam[:, -1].tolist()
         traces = stack.trace(axis1=1, axis2=2).real.tolist() if density else None
         for j, k in enumerate(raw):
             if dev[j] > HERMITIAN_RTOL * (1.0 + max(-lo[j], hi[j])):
@@ -150,8 +150,7 @@ def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input."""
-    a = as_matrix(m)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    return float(np.linalg.norm(as_matrix(m), 2))
 
 
 def norms(m) -> tuple[float, float, float]:

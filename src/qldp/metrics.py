@@ -250,10 +250,11 @@ def relative_entropy(rho1, rho2) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho over every eigenvalue > 0 (the eigenvalues <= 0 that validation admits add nothing); no small
-    eigenvalue is dropped, since one dropped from a state but kept in its mixture can make Holevo information < 0."""
+    eigenvalue is dropped, since one dropped from a state but kept in its mixture can make Holevo information < 0.
+    A pure state reads +0.0."""
     lam = validate_density(rho).eigenvalues
     lam = lam[lam > 0]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(0.0 - np.sum(lam * np.log(lam)))
 
 
 def holevo_information(prior, states) -> float:
@@ -365,28 +366,33 @@ def _positive_vector(p) -> np.ndarray:
     return v
 
 
+def _one_length(*vs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``vs`` unchanged after checking that their last axes have one length."""
+    if len({v.shape[-1:] for v in vs}) > 1:
+        raise ValidationError(f"last axes differ in length: shapes {', '.join(str(v.shape) for v in vs)}")
+    return vs
+
+
 def classical_relative_entropy(p, q) -> float:
-    pv, qv = _positive_vector(p), _positive_vector(q)
+    pv, qv = _one_length(_positive_vector(p), _positive_vector(q))
     return float(np.sum(pv * (np.log(pv) - np.log(qv))))
 
 
 def classical_f_divergence(p, q, f: OperatorConvexF) -> float | np.ndarray:
     """sum_j q_j F(p_j / q_j) over the last axis: a float for vectors, one value per row for a stack."""
-    pv, qv = _positive_vector(p), _positive_vector(q)
+    pv, qv = _one_length(_positive_vector(p), _positive_vector(q))
     value = np.sum(qv * f(pv / qv), axis=-1)
     return float(value) if value.ndim == 0 else value
 
 
 def classical_chernoff(p, q) -> float:
     """-ln min_{s in [0,1]} sum_j p_j^s q_j^{1-s}: the commuting case of the quantum kernel."""
-    pv, qv = _positive_vector(p), _positive_vector(q)
+    pv, qv = _one_length(_positive_vector(p), _positive_vector(q))
     return _chernoff(qv, pv, np.log(pv) - np.log(qv))
 
 
 def classical_metric(p0, x, y, kind: MetricKind) -> float:
     """Fisher-type form sum_i x_i y_i / p_i via the diagonal kernel."""
-    pv = _positive_vector(p0)
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    pv, xv, yv = _one_length(_positive_vector(p0), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     kernel = _metric_kernel(kind, pv)
     return float(np.sum(np.diag(kernel) * xv * yv))

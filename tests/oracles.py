@@ -140,6 +140,19 @@ def ldp_level(q) -> float:
         return float(max(mp.log(mp.mpf(max(row)) / mp.mpf(min(row))) for row in q.tolist()))
 
 
+def mutual_information(q) -> float:
+    """I(X; Y) at DIGITS digits for a uniform X and a column-stochastic (outputs, inputs) array q(y|x).
+
+    I = sum_y [-L(m_y) + mean_x L(q(y|x))] with m_y = mean_x q(y|x), the entries taken exactly.
+    """
+    with mp.workdps(DIGITS):
+        total = mp.mpf(0)
+        for row in q.tolist():
+            n = len(row)
+            total += -xlogx(mp.fsum(mp.mpf(v) for v in row) / n) + mp.fsum(xlogx(v) for v in row) / n
+        return float(total)
+
+
 # Fusion frames.
 
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from qldp import cli, mechanisms, metrics, optimal
 from qldp.cli import main
 from qldp.errors import ValidationError
@@ -100,6 +101,62 @@ def test_metric_holevo_on_mechanism_file(tmp_path, capsys):
     value = float(capsys.readouterr().out.strip())
     expected = math.log(2.0) + 0.75 * math.log(0.75) + 0.25 * math.log(0.25)
     assert value == pytest.approx(expected, abs=1e-10)
+
+
+def test_metric_holevo_on_an_ldp_file_runs_no_eigendecomposition(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "m.json"
+    assert run(["mech", "subset", "--n", 6, "--k", 3, "--eps", 0.5, "--out", out]) == 0
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert run(["metric", "holevo", out]) == 0
+    # the mutual information is read off the columns, not off 20 x 20 diagonal states
+    assert counts == {"eigh": 0, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.05, 1.0, 10.0, 700.0])
+def test_metric_holevo_of_an_ldp_file_is_its_mutual_information(tmp_path, capsys, eps):
+    out = tmp_path / "m.json"
+    specs = [["binary", "--n", n] for n in range(2, 7)]
+    specs += [["subset", "--n", n, "--k", k] for n in range(2, 7) for k in range(1, n)]
+    for spec in specs:
+        assert run(["mech", *spec, "--eps", eps, "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["metric", "holevo", out]) == 0
+        value = float(capsys.readouterr().out)
+        q = np.array(json.loads(out.read_text())["q"]).T
+        assert abs(value - oracles.mutual_information(q)) <= 2e-15, (spec, eps)
+
+
+def test_metric_holevo_skips_an_all_zero_output_row(tmp_path, capsys):
+    values = []
+    for columns in ([[0.75, 0.25], [0.25, 0.75]], [[0.75, 0.0, 0.25], [0.25, 0.0, 0.75]]):
+        path = tmp_path / f"q{len(columns[0])}.json"
+        obj = {"kind": "ldp", "n": 2, "outputs": len(columns[0]), "epsilon": math.log(3.0), "q": columns}
+        path.write_text(json.dumps(obj))
+        assert run(["mech", "audit", path]) == 0
+        capsys.readouterr()
+        assert run(["metric", "holevo", path]) == 0
+        values.append(capsys.readouterr().out)
+    assert values[0] == values[1]
+
+
+def test_metric_holevo_of_identical_pure_states_prints_plus_zero(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    state = {"dim": 1, "entries": [[1.0, 0.0]]}
+    path.write_text(json.dumps({"kind": "qldp", "n": 2, "dim": 1, "epsilon": 1.0, "states": [state, state]}))
+    assert run(["mech", "audit", path]) == 0
+    assert "level=0" in capsys.readouterr().out
+    assert run(["metric", "holevo", path]) == 0
+    out = capsys.readouterr().out
+    assert out == "0\n"
+    assert math.copysign(1.0, float(out)) == 1.0
 
 
 def test_metric_petz(tmp_path, capsys):

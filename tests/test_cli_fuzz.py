@@ -6,12 +6,16 @@ out of range; empty and reversed grids. Whatever the input, the exit code is
 0 or 1. Exit 1 means a message on stderr, nothing on stdout and no file
 written; exit 0 means output on stdout.
 
+A second property covers the classical round trip: every file that ``mech
+binary|subset`` writes, for n = 2-10, every valid k and the same eps, passes
+``mech audit``, and ``metric holevo`` prints one finite number for it.
+
 Excluded by design:
 - ``verify``: ``verify all`` exits 2 on some seeds because a suite margin
   crosses its bound. That is a failing check, not a malformed input.
-- Files mutated from valid ones, and the round trips ``mech *`` -> ``mech
-  audit``: a sigma-star file written at large eps can fail its own audit, so
-  that property does not hold yet.
+- Files mutated from valid ones, and the round trip ``mech sigma-star`` ->
+  ``mech audit``: a sigma-star file written at large eps can fail its own
+  audit, so that property does not hold yet.
 """
 
 import contextlib
@@ -20,7 +24,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qldp.cli import main
@@ -114,3 +118,27 @@ def test_every_argument_vector_exits_zero_with_output_or_one_with_a_message(argv
         assert err.getvalue() and not out.getvalue() and not written, (argv, err.getvalue())
     else:
         assert out.getvalue(), argv
+
+
+@st.composite
+def ldp_commands(draw):
+    """``mech binary`` or ``mech subset`` with n in 2..10, a valid k and a drawn eps, writing to ``{out}``."""
+    n = draw(st.integers(2, 10))
+    words = draw(st.one_of(st.just(["binary"]), st.integers(1, n - 1).map(lambda k: ["subset", f"--k={k}"])))
+    return ["mech", *words, f"--n={n}", f"--eps={draw(epsilons)!r}", *OUT]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ldp_commands())
+def test_every_written_ldp_file_passes_its_audit_and_has_a_finite_holevo_information(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            written = main([arg.format(out=path) for arg in argv]) == 0
+        assume(written)
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            audit = main(["mech", "audit", path])
+            holevo = main(["metric", "holevo", path])
+    assert audit == 0 and holevo == 0, (argv, err.getvalue())
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 and math.isfinite(float(lines[1])), (argv, lines)

@@ -19,7 +19,8 @@ from qldp.linalg import (
     validate_hermitian,
     validate_hermitians,
 )
-from qldp.mechanisms import QldpMechanism
+from qldp.mechanisms import QldpMechanism, audit_qldp
+from qldp.metrics import depolarize_each
 from qldp.sampling import random_density, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -320,3 +321,29 @@ def test_stacked_validation_equals_validation_one_by_one(mixed):
 
 def test_stacked_validation_of_no_states():
     assert validate_densities([]) == () and validate_hermitians([]) == []
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_matrix(EMPTY),
+        lambda: validate_hermitian(EMPTY),
+        lambda: validate_density(EMPTY),
+        lambda: eigh(EMPTY),
+        lambda: norms(EMPTY),
+        lambda: is_psd(EMPTY),
+        lambda: operator_norm(EMPTY),
+        lambda: matrix_from_json({"dim": 0, "entries": []}),
+        lambda: audit_qldp([EMPTY, EMPTY], 1.0),
+        lambda: depolarize_each([EMPTY], 0.3),
+    ],
+    ids=["as_matrix", "validate_hermitian", "validate_density", "eigh", "norms", "is_psd", "operator_norm",
+         "matrix_from_json", "audit_qldp", "depolarize_each"],
+)
+def test_an_empty_matrix_is_rejected_at_the_boundary(call):
+    # a 0x0 matrix used to pass as_matrix and fail in numpy: IndexError, numpy's ValueError or a RuntimeWarning
+    with pytest.raises(ValidationError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+        call()

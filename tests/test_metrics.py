@@ -288,6 +288,13 @@ def test_holevo_equal_states_zero():
     assert holevo_information([0.3, 0.7], [rho, rho]) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("pure", [np.eye(1), np.diag([1.0, 0.0])], ids=["1x1", "diag10"])
+def test_a_pure_state_has_plus_zero_entropy(pure):
+    # -sum(L(lambda)) read -0.0 for every pure state, and so did the Holevo information of identical ones
+    assert math.copysign(1.0, von_neumann_entropy(pure)) == 1.0
+    assert math.copysign(1.0, holevo_information([0.5, 0.5], [pure, pure])) == 1.0
+
+
 def test_holevo_randomized_response_binary_mi():
     # diagonal embedding of randomized response with e^eps = 3 gives the
     # binary mutual information ln 2 - H_b(1/4)
@@ -414,15 +421,38 @@ def test_classical_f_divergence_of_a_vector_is_a_float():
     assert type(classical_f_divergence([0.5, 0.5], [0.25, 0.75], KL)) is float
 
 
-@pytest.mark.parametrize(
-    "fn", [classical_chernoff, classical_relative_entropy, lambda p, q: classical_f_divergence(p, q, KL)]
-)
+CLASSICAL_PAIR_FUNCTIONS = [classical_chernoff, classical_relative_entropy, lambda p, q: classical_f_divergence(p, q, KL)]
+
+
+@pytest.mark.parametrize("fn", CLASSICAL_PAIR_FUNCTIONS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
 def test_classical_distributions_reject_non_finite_entries(fn, bad):
     # classical_chernoff read a NaN entry as 0.0, and the divergences returned nan
     for p, q in (([bad, 1.0], [0.5, 0.5]), ([0.5, 0.5], [1.0, bad])):
         with pytest.raises(ValidationError, match="non-finite"):
             fn(p, q)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    CLASSICAL_PAIR_FUNCTIONS
+    + [lambda p, q: classical_metric(p, q, p, SLD), lambda p, q: classical_metric(p, p, q, SLD)],
+    ids=["chernoff", "relative_entropy", "f_divergence", "metric_x", "metric_y"],
+)
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        ([0.5, 0.5], [0.2, 0.3, 0.5]),
+        ([0.2, 0.3, 0.5], [0.5, 0.5]),
+        (np.full((4, 2), 0.5), np.full((4, 3), 1 / 3)),
+    ],
+    ids=["short-long", "long-short", "stacks"],
+)
+def test_classical_distributions_of_different_lengths_are_rejected(fn, p, q):
+    # numpy raised "operands could not be broadcast together"
+    with pytest.raises(ValidationError, match="last axes differ in length: shapes") as info:
+        fn(p, q)
+    assert str(np.shape(p)) in str(info.value) and str(np.shape(q)) in str(info.value)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1])

@@ -113,6 +113,14 @@ def test_command_leaves_the_layers_it_does_not_use_unloaded(tmp_path, argv, unus
     assert not {f"qldp.{layer}" for layer in unused} & loaded
 
 
+def test_metric_holevo_loads_optimal_for_an_ldp_file_only(tmp_path):
+    # a classical file is read through the LP's mutual information kernel; a quantum file keeps its module set
+    for spec, name in ((["binary", "--n", "3"], "c.json"), (["sigma-star", "--n", "3"], "q.json")):
+        assert cli.main(["mech", *spec, "--eps", "0.5", "--out", str(tmp_path / name)]) == 0
+    assert "qldp.optimal" in modules_after(command(["metric", "holevo", "c.json"]), tmp_path)
+    assert "qldp.optimal" not in modules_after(command(["metric", "holevo", "q.json"]), tmp_path)
+
+
 def test_frame_build_leaves_fractions_unloaded(tmp_path):
     assert "fractions" not in modules_after(command(["frame", "build", "--n", "5", "--out", "f.json"]), tmp_path)
 
