@@ -159,9 +159,14 @@ def norms(m) -> tuple[float, float, float]:
     return float(np.max(np.abs(lam))), float(np.sum(np.abs(lam))), float(np.sqrt(np.sum(lam**2)))
 
 
+def min_eigenvalues(ms) -> list[float]:
+    """The smallest eigenvalue of each of ``ms``, after checking one shape and H = H^dag with one stacked eigvalsh."""
+    return [float(lam[0]) for _, lam, _ in _checked_spectra(ms)]
+
+
 def is_psd(m, tol: float = 1e-9) -> bool:
     """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
-    return bool(_checked_spectra((m,))[0][1][0] >= -tol)
+    return min_eigenvalues((m,))[0] >= -tol
 
 
 def matrix_to_json(m) -> dict:
@@ -172,6 +177,8 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     d = int(obj["dim"])
+    if d < 0:
+        raise ValidationError(f"matrix JSON: dim {d} is negative")
     entries = obj["entries"]
     if len(entries) != d * d:
         raise ValidationError(f"matrix JSON: expected {d * d} entries, got {len(entries)}")

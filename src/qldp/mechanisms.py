@@ -39,10 +39,10 @@ from .frames import FusionFrame, build_eitff
 from .linalg import (
     State,
     as_matrix,
-    is_psd,
     load_json,
     matrix_from_json,
     matrix_to_json,
+    min_eigenvalues,
     validate_densities,
     validate_density,
     validate_hermitian,
@@ -53,6 +53,9 @@ from .metrics import chernoff_information, classical_chernoff, classical_relativ
 COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
 POVM_TOL = 1e-9
+# Matrix entries per stack of pairs in a level: 64 KiB per complex temporary, under glibc's default 128 KiB
+# mmap threshold, so no block's temporaries are mapped and page-faulted afresh; one pair at d = 64.
+PAIR_BLOCK_ENTRIES = 2**12
 
 
 def _column_stochastic(q) -> np.ndarray:
@@ -172,24 +175,57 @@ def qldp_level(states) -> float:
     rho_x^{-1/2} (rho_{x'} - rho_x) rho_x^{-1/2}, with relative accuracy as eps -> 0 and exactly 0 for identical
     states. L is factored in np.longdouble (a 64-bit significand on x86-64) and rounded once; a double factor, or
     rho^{-1/2} from eigh, loses relative accuracy like u * cond(rho_x). Raw states are checked as QldpMechanism
-    checks them.
+    checks them. This is :func:`qldp_levels` of a batch of one.
     """
-    valid = states.members if isinstance(states, QldpMechanism) else _qldp_members(states)
-    mats = np.array([s.matrix for s in valid])
-    factor = mats.astype(np.clongdouble)  # overwritten by L, one column at a time
-    for j in range(factor.shape[-1]):
-        row = factor[:, j, :j]
-        factor[:, j, j] = np.sqrt(factor[:, j, j].real - np.sum(row * row.conj(), axis=-1).real)
-        factor[:, j + 1 :, j] -= (factor[:, j + 1 :, :j] @ row.conj()[..., None])[..., 0]
-        factor[:, j + 1 :, j] /= factor[:, j, j, None]
-        factor[:, j, j + 1 :] = 0.0
-    level = 0.0
-    for x, inv in enumerate(np.linalg.inv(factor.astype(complex))):
-        # every x' != x in one stack
-        sims = inv @ (np.delete(mats, x, 0) - mats[x]) @ inv.conj().T
-        lam_max = np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]
-        level = max(level, float(np.log1p(lam_max).max()))
-    return level
+    return qldp_levels((states,))[0]
+
+
+def qldp_levels(families) -> list[float]:
+    """The :func:`qldp_level` of each family, with one factor loop and one stack of pairs per dimension.
+
+    Each family is a QldpMechanism or raw states, checked in order as QldpMechanism checks them, so the first
+    family that fails raises what ``qldp_level`` raises for it alone.  The states of all families of one dimension
+    share one np.longdouble column loop and one ``inv``; the ordered pairs (x, x' != x) of those families then go
+    through ``matmul`` and ``eigvalsh`` in stacks of at most PAIR_BLOCK_ENTRIES matrix entries.  Every step acts
+    entry by entry or matrix by matrix, so each level is bit-identical to that of its family alone, whatever the
+    batch and wherever the blocks split it.
+    """
+    members = [f.members if isinstance(f, QldpMechanism) else _qldp_members(f) for f in families]
+    dims = [family[0].matrix.shape[0] for family in members]
+    levels = [0.0] * len(members)
+    for d in sorted(set(dims)):
+        group = [k for k, dim in enumerate(dims) if dim == d]
+        mats = np.array([s.matrix for k in group for s in members[k]])
+        factor = mats.astype(np.clongdouble)  # overwritten by L, one column at a time
+        for j in range(d):
+            row = factor[:, j, :j]
+            factor[:, j, j] = np.sqrt(factor[:, j, j].real - np.sum(row * row.conj(), axis=-1).real)
+            factor[:, j + 1 :, j] -= (factor[:, j + 1 :, :j] @ row.conj()[..., None])[..., 0]
+            factor[:, j + 1 :, j] /= factor[:, j, j, None]
+            factor[:, j, j + 1 :] = 0.0
+        inv = np.linalg.inv(factor.astype(complex))
+        # Each family's pairs are contiguous, x major: its pair t is x = t // (n - 1) and x' = the
+        # (t % (n - 1))-th of its other states.
+        sizes = np.array([len(members[k]) for k in group])
+        counts = sizes * (sizes - 1)
+        starts = np.cumsum(counts) - counts
+        n = np.repeat(sizes, counts)
+        t = np.arange(counts.sum()) - np.repeat(starts, counts)
+        first = np.repeat(np.cumsum(sizes) - sizes, counts)  # the row of each family's state 0 in mats
+        x, other = t // (n - 1), t % (n - 1)
+        other += (other >= x) + first
+        x += first
+        lam_max = np.empty(len(t))
+        block = max(1, PAIR_BLOCK_ENTRIES // (d * d))
+        for lo in range(0, len(t), block):
+            xs = x[lo : lo + block]
+            left = inv[xs]
+            sims = left @ (mats[other[lo : lo + block]] - mats[xs]) @ left.conj().swapaxes(1, 2)
+            lam_max[lo : lo + block] = np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]
+        # 0.0 first: a level that rounds below zero reads +0.0, and a NaN stays NaN
+        for k, level in zip(group, np.maximum(0.0, np.maximum.reduceat(np.log1p(lam_max), starts)).tolist()):
+            levels[k] = level
+    return levels
 
 
 def ldp_level(q) -> float:
@@ -363,10 +399,11 @@ def tilde_family(mech, eta: float):
 def induced_mechanism(mech: QldpMechanism, povm) -> LdpMechanism:
     """Classical mechanism q(y|x) = Tr rho_x M_y obtained by measuring every state.
 
-    Elements must be PSD within ``POVM_TOL``; the clip below only removes rounding.
+    Elements must be of one shape and PSD within ``POVM_TOL``, checked with one stacked eigvalsh; the clip below
+    only removes rounding.
     """
     elements = [as_matrix(m) for m in povm]
-    if not all(is_psd(m, POVM_TOL) for m in elements):
+    if not all(lo >= -POVM_TOL for lo in min_eigenvalues(elements)):
         raise ValidationError("measurement elements must be positive semi-definite")
     d = mech.dim
     if any(m.shape[0] != d for m in elements):

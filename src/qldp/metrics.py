@@ -366,6 +366,13 @@ def _positive_vector(p) -> np.ndarray:
     return v
 
 
+def _finite_vector(x) -> np.ndarray:
+    v = np.asarray(x, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValidationError("direction has a non-finite entry")
+    return v
+
+
 def _one_length(*vs: np.ndarray) -> tuple[np.ndarray, ...]:
     """``vs`` unchanged after checking that their last axes have one length."""
     if len({v.shape[-1:] for v in vs}) > 1:
@@ -393,6 +400,6 @@ def classical_chernoff(p, q) -> float:
 
 def classical_metric(p0, x, y, kind: MetricKind) -> float:
     """Fisher-type form sum_i x_i y_i / p_i via the diagonal kernel."""
-    pv, xv, yv = _one_length(_positive_vector(p0), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    pv, xv, yv = _one_length(_positive_vector(p0), _finite_vector(x), _finite_vector(y))
     kernel = _metric_kernel(kind, pv)
     return float(np.sum(np.diag(kernel) * xv * yv))

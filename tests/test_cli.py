@@ -579,6 +579,14 @@ def test_mech_rank_deficient_sigma_star_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_matrix_file_of_negative_dim_exits_one(tmp_path, capsys):
+    bad = tmp_path / "neg.json"
+    bad.write_text(json.dumps({"dim": -1, "entries": [[1, 0]]}))
+    assert run(["metric", "chernoff", bad, bad]) == 1
+    captured = capsys.readouterr()
+    assert "dim -1 is negative" in captured.err and captured.out == ""
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     good = tmp_path / "good.json"
     write_matrix(good, np.eye(2) / 2)

@@ -182,6 +182,13 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"dim": 3, "entries": obj["entries"][:-1]})
 
 
+@pytest.mark.parametrize("dim,entries", [(-1, [[1.0, 0.0]]), (-2, [[0.5, 0.0]] * 4)])
+def test_matrix_json_of_a_negative_dim_is_rejected(dim, entries):
+    # numpy's reshape raised "can only specify one unknown dimension" or "negative dimensions"
+    with pytest.raises(ValidationError, match=f"dim {dim} is negative"):
+        matrix_from_json({"dim": dim, "entries": entries})
+
+
 def test_matrix_json_entries_match_the_elementwise_encoding():
     # the byte-exact reference: one [re, im] pair of Python floats per entry, row-major
     special = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [complex(3.0, -0.0), 5e-324 + 1e308j]])

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qldp import mechanisms
 from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
 from qldp.frames import build_eitff
-from qldp.linalg import State, operator_norm
+from qldp.linalg import State, is_psd, operator_norm
 from qldp.mechanisms import (
     AUDIT_TOL,
     MAX_EPSILON,
@@ -29,6 +30,7 @@ from qldp.mechanisms import (
     mechanism_from_json,
     mechanism_to_json,
     qldp_level,
+    qldp_levels,
     save_mechanism,
     sigma_star,
     subset_mechanism,
@@ -197,6 +199,76 @@ def test_raw_families_of_fewer_than_two_states_are_rejected():
             qldp_level(states)
         with pytest.raises(ValidationError, match="at least 2 states"):
             audit_qldp(states, 1.0)
+
+
+def _mixed_batch() -> list:
+    """sigma_star for n = 2..14 (d = 2 to 64), mixed families of some of them, and raw lists of states."""
+    rng = np.random.default_rng(11)
+    batch = [sigma_star(n, eps) for n, eps in zip(range(2, 15), itertools.cycle([0.3, 1e-4, 2.0, 0.05]))]
+    batch += [tilde_family(batch[k], eta) for k, eta in ((0, 0.4), (3, 0.9), (6, 0.2), (12, 0.7))]
+    batch += [list(sigma_star(5, 0.8).states), [np.diag([0.75, 0.25]), np.diag([0.25, 0.75]), np.eye(2) / 2]]
+    return [batch[k] for k in rng.permutation(len(batch))]
+
+
+def _per_x_level(states) -> float:
+    """The level as one family was read before levels were stacked: one eigvalsh per x over every x' != x."""
+    mats = np.array(states, dtype=complex)
+    factor = mats.astype(np.clongdouble)
+    for j in range(factor.shape[-1]):
+        row = factor[:, j, :j]
+        factor[:, j, j] = np.sqrt(factor[:, j, j].real - np.sum(row * row.conj(), axis=-1).real)
+        factor[:, j + 1 :, j] -= (factor[:, j + 1 :, :j] @ row.conj()[..., None])[..., 0]
+        factor[:, j + 1 :, j] /= factor[:, j, j, None]
+        factor[:, j, j + 1 :] = 0.0
+    level = 0.0
+    for x, inv in enumerate(np.linalg.inv(factor.astype(complex))):
+        sims = inv @ (np.delete(mats, x, 0) - mats[x]) @ inv.conj().T
+        lam_max = np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]
+        level = max(level, float(np.log1p(lam_max).max()))
+    return level
+
+
+def test_qldp_levels_match_the_level_of_each_family_alone():
+    batch = _mixed_batch()
+    assert {len(f.states) if isinstance(f, QldpMechanism) else len(f) for f in batch} >= set(range(2, 15))
+    alone = [qldp_level(f).hex() for f in batch]
+    assert alone == [_per_x_level(f.states if isinstance(f, QldpMechanism) else f).hex() for f in batch]
+    assert [v.hex() for v in qldp_levels(batch)] == alone
+    assert [v.hex() for v in qldp_levels(batch[::-1])] == alone[::-1]
+
+
+def test_qldp_levels_do_not_depend_on_where_the_pair_blocks_split(monkeypatch):
+    batch = _mixed_batch()
+    expected = [v.hex() for v in qldp_levels(batch)]
+    for entries in (1, 40, 100):  # 1 pair a block, then blocks that split families of d = 2 and 4
+        monkeypatch.setattr(mechanisms, "PAIR_BLOCK_ENTRIES", entries)
+        assert [v.hex() for v in qldp_levels(batch)] == expected
+
+
+def test_qldp_levels_raise_what_the_first_bad_family_raises_alone():
+    deficient = [np.diag([1.0, 0.0]), np.eye(2) / 2]
+    with pytest.raises(SupportMismatchError) as alone:
+        qldp_level(deficient)
+    with pytest.raises(SupportMismatchError) as batched:
+        qldp_levels([sigma_star(3, 1.0), deficient, [np.eye(2) / 2]])
+    assert str(batched.value) == str(alone.value)
+
+
+def test_the_level_stacks_no_more_pairs_than_the_block_budget(monkeypatch):
+    # the per-x stack this replaced held n - 1 = 13 pairs at d = 64; audit's peak memory must not grow past it
+    mech = sigma_star(14, 0.5)
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    assert qldp_level(mech) == pytest.approx(0.5, abs=1e-9)
+    assert sum(shape[0] for shape in shapes) == 14 * 13
+    assert all(shape[1:] == (64, 64) and shape[0] <= 13 for shape in shapes)
+    assert all(math.prod(shape) <= mechanisms.PAIR_BLOCK_ENTRIES for shape in shapes)
 
 
 def test_admissible_interval_matches_commuting_formula():
@@ -415,6 +487,23 @@ def test_induced_mechanism_rejects_non_psd_element():
     povm = [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]  # sums to I
     with pytest.raises(ValidationError):
         induced_mechanism(mech, povm)
+
+
+def test_induced_mechanism_rejects_a_bad_element_as_a_check_of_it_alone():
+    mech = sigma_star(3, 1.0)  # dim 2
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+    with pytest.raises(ValidationError) as alone:
+        is_psd(skew)
+    with pytest.raises(ValidationError) as stacked:
+        induced_mechanism(mech, [np.eye(2) / 2, skew, np.eye(2) / 2 - skew])
+    assert str(stacked.value) == str(alone.value) and "not Hermitian" in str(alone.value)
+    with pytest.raises(ValidationError, match="measurement elements must be positive semi-definite"):
+        induced_mechanism(mech, [np.eye(2) / 2, np.diag([1.0, -0.25]), np.diag([-0.5, 0.75])])
+
+
+def test_induced_mechanism_rejects_elements_of_different_shapes():
+    with pytest.raises(ValidationError, match=r"matrix 1 has shape \(3, 3\), matrix 0 has \(2, 2\)"):
+        induced_mechanism(sigma_star(3, 1.0), [np.eye(2) / 2, np.eye(3) / 2])
 
 
 @pytest.mark.parametrize(

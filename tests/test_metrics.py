@@ -455,6 +455,15 @@ def test_classical_distributions_of_different_lengths_are_rejected(fn, p, q):
     assert str(np.shape(p)) in str(info.value) and str(np.shape(q)) in str(info.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_classical_metric_rejects_non_finite_directions(bad):
+    # only p0 was checked: a NaN direction read as nan and an infinite one as inf or nan
+    p0 = [0.25, 0.75]
+    for x, y in (([bad, 0.5], [0.5, -0.5]), ([0.5, -0.5], [0.5, bad])):
+        with pytest.raises(ValidationError, match="non-finite"):
+            classical_metric(p0, x, y, SLD)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1])
 def test_classical_f_divergence_checks_every_entry_of_a_stack(bad):
     p = np.full((40, 2), 0.5)
