@@ -42,7 +42,7 @@ from .linalg import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    min_eigenvalues,
+    min_eigenvalues_until_fault,
     validate_densities,
     validate_density,
     validate_hermitian,
@@ -299,6 +299,11 @@ def isoclinic_mechanism(frame: FusionFrame, epsilon: float, mu: float | None = N
     admissible interval, saturating the privacy constraint.  An explicit
     ``mu`` outside the interval raises :class:`PrivacyViolationError`.
     """
+    return QldpMechanism(states=_isoclinic_states(frame, epsilon, mu), epsilon=epsilon)
+
+
+def _isoclinic_states(frame: FusionFrame, epsilon: float, mu: float | None = None) -> tuple:
+    """The raw states of :func:`isoclinic_mechanism`, after the same checks of eps and mu."""
     require_epsilon(epsilon)
     mu_lo, mu_hi = admissible_mu_interval(frame, epsilon)
     if mu is None:
@@ -308,8 +313,7 @@ def isoclinic_mechanism(frame: FusionFrame, epsilon: float, mu: float | None = N
             f"mu={mu} is outside the admissible interval [{mu_lo}, {mu_hi}] at eps={epsilon}"
         )
     eye = np.eye(frame.d, dtype=complex)
-    states = tuple((mu / frame.d) * eye + ((1.0 - mu) / frame.r) * p for p in frame.projections)
-    return QldpMechanism(states=states, epsilon=epsilon)
+    return tuple((mu / frame.d) * eye + ((1.0 - mu) / frame.r) * p for p in frame.projections)
 
 
 def sigma_star(n: int, epsilon: float) -> QldpMechanism:
@@ -387,35 +391,79 @@ def tilde_family(mech, eta: float):
     """
     require_eta(eta)
     if isinstance(mech, QldpMechanism):
-        avg = sum(mech.states) / mech.n
-        states = tuple(eta * s + (1.0 - eta) * avg for s in mech.states)
-        return QldpMechanism(states=states, epsilon=mech.epsilon)
+        return QldpMechanism(states=_mixed_states(mech.states, eta), epsilon=mech.epsilon)
     if isinstance(mech, LdpMechanism):
         q = eta * mech.q + (1.0 - eta) * mech.average[:, None]
         return LdpMechanism(q=q, epsilon=mech.epsilon)
     raise ValidationError("expected an LdpMechanism or QldpMechanism")
 
 
+def _mixed_states(states, eta: float) -> tuple:
+    """eta rho_k + (1 - eta) rho_avg for each of the raw states, as :func:`tilde_family` mixes a QldpMechanism."""
+    avg = sum(states) / len(states)
+    return tuple(eta * s + (1.0 - eta) * avg for s in states)
+
+
 def induced_mechanism(mech: QldpMechanism, povm) -> LdpMechanism:
     """Classical mechanism q(y|x) = Tr rho_x M_y obtained by measuring every state.
 
-    Elements must be of one shape and PSD within ``POVM_TOL``, checked with one stacked eigvalsh; the clip below
-    only removes rounding.
+    Elements must be of one shape and PSD within ``POVM_TOL``, checked with one stacked eigvalsh; the clip in
+    :func:`induced_mechanisms` only removes rounding.  This is :func:`induced_mechanisms` of a batch of one.
     """
-    elements = [as_matrix(m) for m in povm]
-    if not all(lo >= -POVM_TOL for lo in min_eigenvalues(elements)):
-        raise ValidationError("measurement elements must be positive semi-definite")
-    d = mech.dim
-    if any(m.shape[0] != d for m in elements):
-        raise ValidationError("measurement dimension mismatch")
-    if np.max(np.abs(sum(elements) - np.eye(d))) > POVM_TOL:
-        raise ValidationError("measurement elements must sum to the identity")
-    stack = np.array(mech.states)
-    product = np.empty_like(stack)  # rho_x M_y for every x, one y at a time: no (outputs, n, d, d) temporary
-    q = np.array([np.trace(np.matmul(stack, m, out=product), axis1=1, axis2=2).real for m in elements])
-    q = np.clip(q, 0.0, None)
-    q /= q.sum(axis=0, keepdims=True)
-    return LdpMechanism(q=q, epsilon=mech.epsilon)
+    return induced_mechanisms((mech,), (povm,))[0]
+
+
+def induced_mechanisms(mechs, povms) -> list[LdpMechanism]:
+    """The :func:`induced_mechanism` of each mechanism under its measurement, with one stacked eigvalsh per
+    element dimension.
+
+    Each pair is checked as ``induced_mechanism`` checks it, and the first pair in order that fails raises what it
+    raises alone.  The elements of all pairs of one dimension share one ``min_eigenvalues`` stack, whose checks and
+    eigenvalues act matrix by matrix.
+    """
+    mechs, povms = list(mechs), list(povms)
+    if len(mechs) != len(povms):
+        raise ValidationError(f"{len(mechs)} mechanisms but {len(povms)} measurements")
+    batch, fault = [], None  # batch: the elements of each pair before the first fault
+    for mech, povm in zip(mechs, povms):
+        try:
+            if not isinstance(mech, QldpMechanism):
+                raise ValidationError("expected a QldpMechanism")
+            elements = [as_matrix(m) for m in povm]
+        except (ValidationError, ValueError, TypeError) as exc:
+            fault = exc
+            break
+        if any(m.shape != elements[0].shape for m in elements):
+            fault = min_eigenvalues_until_fault(elements)[1]  # the shape fault, or that of an element before it
+            break
+        batch.append(elements)
+    lows = [[] for _ in batch]
+    for d in sorted({elements[0].shape[0] for elements in batch if elements}):
+        group = [(i, m) for i, elements in enumerate(batch) if elements and elements[0].shape[0] == d for m in elements]
+        flat, bad = min_eigenvalues_until_fault([m for _, m in group])
+        for (i, _), lo in zip(group, flat):
+            lows[i].append(lo)
+        if bad is not None:  # every pair of the group comes before any fault found so far
+            fault = bad
+            del batch[group[len(flat)][0] :]
+    induced = []
+    for mech, elements, low in zip(mechs, batch, lows):
+        if not all(lo >= -POVM_TOL for lo in low):
+            raise ValidationError("measurement elements must be positive semi-definite")
+        d = mech.dim
+        if any(m.shape[0] != d for m in elements):
+            raise ValidationError("measurement dimension mismatch")
+        if np.max(np.abs(sum(elements) - np.eye(d))) > POVM_TOL:
+            raise ValidationError("measurement elements must sum to the identity")
+        stack = np.array(mech.states)
+        product = np.empty_like(stack)  # rho_x M_y for every x, one y at a time: no (outputs, n, d, d) temporary
+        q = np.array([np.trace(np.matmul(stack, m, out=product), axis1=1, axis2=2).real for m in elements])
+        q = np.clip(q, 0.0, None)
+        q /= q.sum(axis=0, keepdims=True)
+        induced.append(LdpMechanism(q=q, epsilon=mech.epsilon))
+    if fault is not None:
+        raise fault
+    return induced
 
 
 def mechanism_to_json(mech) -> dict:

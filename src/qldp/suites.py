@@ -9,10 +9,15 @@ margins, positive when the property held with room to spare, and
 first, in the order a loop over the instances would, then evaluate the
 instances of each dimension as one stack (one stacked ``eigh`` of its
 states) and write the margins back in instance order.
-:func:`eta_mixing_suite` builds its mixed families in draw order and audits
-them with one :func:`~qldp.mechanisms.qldp_levels` call, which factors the
-states of each dimension in one stack and reads the levels bit-identical to
-one ``qldp_level`` call per family.
+:func:`measurement_suite` draws every POVM first, in instance order, then
+checks the elements of all instances of one dimension with one stacked
+``eigvalsh`` (:func:`~qldp.mechanisms.induced_mechanisms`).
+:func:`eta_mixing_suite` mixes the raw states of each sigma_star in draw
+order, without building sigma_star as a mechanism, and audits the mixed
+families with one :func:`~qldp.mechanisms.qldp_levels` call: each family is
+validated once (one ``eigh``), the states of each dimension are factored in
+one stack, and the levels are bit-identical to one ``qldp_level`` call per
+family.
 :func:`expansion_suite` runs the finite-difference checks of
 :mod:`qldp.expansions` on seeded instances.
 """
@@ -35,7 +40,15 @@ from .expansions import (
 from .exponents import xlogx
 from .frames import build_eitff
 from .linalg import validate_densities, validate_density
-from .mechanisms import QldpMechanism, induced_mechanism, isoclinic_mechanism, qldp_levels, sigma_star, tilde_family
+from .mechanisms import (
+    QldpMechanism,
+    _isoclinic_states,
+    _mixed_states,
+    induced_mechanisms,
+    isoclinic_mechanism,
+    qldp_levels,
+    sigma_star,
+)
 from .metrics import (
     KL,
     RLD,
@@ -150,24 +163,25 @@ def _measured_pool() -> tuple[QldpMechanism, ...]:
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
     """Measuring an eps-QLDP mechanism never induces a worse classical level."""
     pool = _measured_pool()
-    margins = []
-    for i in range(count):
-        mech = pool[i % len(pool)]
-        outcomes = 2 + (i % 3)
-        povm = random_povm(rng, mech.dim, outcomes)
-        margins.append(mech.level + 1e-9 - induced_mechanism(mech, povm).level)
+    mechs = [pool[i % len(pool)] for i in range(count)]
+    povms = [random_povm(rng, mech.dim, 2 + (i % 3)) for i, mech in enumerate(mechs)]
+    margins = [mech.level + 1e-9 - induced.level for mech, induced in zip(mechs, induced_mechanisms(mechs, povms))]
     return SuiteResult.tally("measurement_reduction", margins)
 
 
 def eta_mixing_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
-    """Mixing toward the average shrinks the level to at most eta eps (1 + sqrt(eps))."""
+    """Mixing toward the average shrinks the level to at most eta eps (1 + sqrt(eps)).
+
+    Each instance mixes the raw states of sigma_star(n, eps), which are never audited themselves, so the mixed
+    family is the only one validated.
+    """
     ns = (2, 3, 4, 6)
     families, bounds = [], []
     for i in range(count):
         n = ns[i % len(ns)]
         epsilon = float(rng.uniform(0.01, 0.25))
         eta = float(rng.uniform(0.05, 1.0))
-        families.append(tilde_family(sigma_star(n, epsilon), eta))
+        families.append(_mixed_states(_isoclinic_states(build_eitff(n), epsilon), eta))
         bounds.append(eta * epsilon * (1.0 + math.sqrt(epsilon)))
     margins = [bound + 1e-9 - level for bound, level in zip(bounds, qldp_levels(families))]
     return SuiteResult.tally("eta_mixing_level", margins)

@@ -12,6 +12,8 @@ from qldp.linalg import (
     matrix_from_json,
     matrix_function,
     matrix_to_json,
+    min_eigenvalues,
+    min_eigenvalues_until_fault,
     norms,
     operator_norm,
     validate_densities,
@@ -326,8 +328,24 @@ def test_stacked_validation_equals_validation_one_by_one(mixed):
         assert h is validate_hermitian(raw)
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
+@pytest.mark.parametrize("position", [1, 3], ids=["second", "fourth"])
+@pytest.mark.parametrize("bad", [None, "non-hermitian", "nan", "not-square"])
+def test_min_eigenvalues_until_fault_stops_where_min_eigenvalues_raises(bad, position, mixed):
+    states = _family(position, bad, mixed)
+    lows, fault = min_eigenvalues_until_fault(states)
+    alone = _error(min_eigenvalues, states)
+    assert (fault is None) == (alone is None) and (fault is None or (type(fault), str(fault)) == alone)
+    # the members before the fault, each with the eigenvalue a check of it alone reads
+    stop = len(states) if alone is None else 1 if mixed else position
+    assert lows == [min_eigenvalues([s])[0] for s in states[:stop]]
+    if alone is None:
+        assert lows == min_eigenvalues(states)
+
+
 def test_stacked_validation_of_no_states():
     assert validate_densities([]) == () and validate_hermitians([]) == []
+    assert min_eigenvalues_until_fault([]) == ([], None)
 
 
 EMPTY = np.zeros((0, 0))

@@ -12,7 +12,7 @@ from qldp import mechanisms
 from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
 from qldp.frames import build_eitff
-from qldp.linalg import State, is_psd, operator_norm
+from qldp.linalg import State, as_matrix, is_psd, min_eigenvalues, operator_norm
 from qldp.mechanisms import (
     AUDIT_TOL,
     MAX_EPSILON,
@@ -22,7 +22,9 @@ from qldp.mechanisms import (
     audit_ldp,
     audit_qldp,
     binary_mechanism,
+    POVM_TOL,
     induced_mechanism,
+    induced_mechanisms,
     isoclinic_mechanism,
     jordan_eigenvalues,
     ldp_level,
@@ -514,6 +516,97 @@ def test_induced_mechanism_rejects_elements_of_different_shapes():
 def test_induced_mechanism_rejects_an_incomplete_measurement(povm, message):
     with pytest.raises(ValidationError, match=message):
         induced_mechanism(sigma_star(3, 1.0), povm)  # dim 2
+
+
+def test_induced_mechanism_rejects_a_classical_mechanism():
+    with pytest.raises(ValidationError, match="expected a QldpMechanism"):
+        induced_mechanism(binary_mechanism(3, 1.0), [np.eye(2) / 2, np.eye(2) / 2])
+
+
+def _induced_alone(mech, povm) -> LdpMechanism:
+    """induced_mechanism as it was before the batch: every check, then q, for one measurement."""
+    elements = [as_matrix(m) for m in povm]
+    if not all(lo >= -POVM_TOL for lo in min_eigenvalues(elements)):
+        raise ValidationError("measurement elements must be positive semi-definite")
+    d = mech.dim
+    if any(m.shape[0] != d for m in elements):
+        raise ValidationError("measurement dimension mismatch")
+    if np.max(np.abs(sum(elements) - np.eye(d))) > POVM_TOL:
+        raise ValidationError("measurement elements must sum to the identity")
+    stack = np.array(mech.states)
+    q = np.array([np.trace(np.matmul(stack, m), axis1=1, axis2=2).real for m in elements])
+    q = np.clip(q, 0.0, None)
+    q /= q.sum(axis=0, keepdims=True)
+    return LdpMechanism(q=q, epsilon=mech.epsilon)
+
+
+def _measured_batch(seed, size=9):
+    """Mechanisms of d = 2 and 4 in turn, each with a seeded POVM of 2-4 outcomes."""
+    rng = np.random.default_rng(seed)
+    pool = (sigma_star(3, 1.0), sigma_star(6, 0.5), isoclinic_mechanism(build_eitff(5), 1.0), sigma_star(2, 0.8))
+    mechs = [pool[i % len(pool)] for i in range(size)]
+    return mechs, [random_povm(rng, mech.dim, 2 + (i % 3)) for i, mech in enumerate(mechs)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_induced_mechanisms_equal_one_induced_mechanism_per_pair(seed):
+    mechs, povms = _measured_batch(seed)
+    assert {mech.dim for mech in mechs} == {2, 4} and {len(p) for p in povms} == {2, 3, 4}
+    batch = induced_mechanisms(mechs, povms)
+    assert len(batch) == len(mechs)
+    for mech, povm, induced in zip(mechs, povms, batch):
+        for alone in (induced_mechanism(mech, povm), _induced_alone(mech, povm)):
+            assert np.array_equal(induced.q, alone.q) and induced.epsilon == alone.epsilon == mech.epsilon
+    assert induced_mechanisms([], []) == []
+
+
+def test_induced_mechanisms_need_one_measurement_per_mechanism():
+    mechs, povms = _measured_batch(0, 3)
+    with pytest.raises(ValidationError, match="3 mechanisms but 2 measurements"):
+        induced_mechanisms(mechs, povms[:2])
+
+
+SKEW = np.array([[0.5, 0.1], [0.0, 0.5]])
+# One bad (mechanism, POVM) pair per check of induced_mechanism, each a QLDP mechanism of d = 2 but the first.
+BAD_PAIRS = {
+    "classical": (binary_mechanism(3, 1.0), [np.eye(2) / 2, np.eye(2) / 2]),
+    "coercion": (sigma_star(3, 1.0), [np.eye(2) / 2, np.full((2, 2), np.nan)]),
+    "shape": (sigma_star(3, 1.0), [np.eye(2) / 2, np.eye(3) / 2]),
+    "hermitian": (sigma_star(3, 1.0), [np.eye(2) / 2, SKEW, np.eye(2) / 2 - SKEW]),
+    "psd": (sigma_star(3, 1.0), [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]),
+    "dimension": (sigma_star(3, 1.0), [np.eye(3) / 2, np.eye(3) / 2]),
+    "sum": (sigma_star(3, 1.0), [np.eye(2) / 2, np.eye(2) / 4]),
+    "sum-d4": (sigma_star(6, 0.5), [np.eye(4) / 2, np.eye(4) / 4]),
+}
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_PAIRS, 2)))
+def test_a_batch_raises_what_its_first_bad_pair_raises_alone(first, second):
+    mechs, povms = _measured_batch(4, 5)
+    for position, name in ((1, first), (3, second)):
+        mechs[position], povms[position] = BAD_PAIRS[name]
+    alone = _error(induced_mechanism, *BAD_PAIRS[first])
+    assert alone is not None and _error(induced_mechanisms, mechs, povms) == alone
+
+
+def test_a_batch_raises_its_sum_fault_before_a_later_non_psd_element():
+    mechs, povms = _measured_batch(4, 5)
+    # instance 1 (d = 4) is the first fault, though the d = 2 elements of instance 3 are stacked first
+    povms[1] = [np.eye(4) / 2, np.eye(4) / 4]
+    povms[3] = [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]
+    assert (mechs[1].dim, mechs[3].dim) == (4, 2)
+    with pytest.raises(ValidationError, match="^measurement elements must sum to the identity$"):
+        induced_mechanisms(mechs, povms)
+    with pytest.raises(ValidationError, match="^measurement elements must be positive semi-definite$"):
+        induced_mechanisms(mechs[2:], povms[2:])
 
 
 @pytest.mark.parametrize("mech", [sigma_star(3, 1.0), binary_mechanism(3, 1.0)], ids=["qldp", "ldp"])

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from qldp import mechanisms, suites
+from qldp.mechanisms import induced_mechanism, qldp_level, sigma_star, tilde_family
 from qldp.metrics import KL, SQUARE, classical_f_divergence, neg_ratio
+from qldp.sampling import random_povm
 from qldp.suites import (
     SuiteResult,
     dpi_suite,
@@ -17,6 +19,8 @@ from qldp.suites import (
     scalar_selftests,
     scalar_suite,
 )
+
+from test_mechanisms import _count_eigh
 
 
 def test_individual_suites_clean_at_moderate_count():
@@ -207,3 +211,61 @@ def test_every_margin_of_the_benchmark_chunks_is_pinned(monkeypatch):
                     suite(np.random.default_rng([s, i, k]), 5)
 
     assert _margin_digests(monkeypatch, run) == ALL_MARGINS_CHUNKS_OF_5
+
+
+def _measurement_margins_one_by_one(rng, count):
+    """The measurement suite as it was: one POVM drawn and one induced_mechanism call per instance."""
+    pool = suites._measured_pool()
+    margins = []
+    for i in range(count):
+        mech = pool[i % len(pool)]
+        povm = random_povm(rng, mech.dim, 2 + (i % 3))
+        margins.append(mech.level + 1e-9 - induced_mechanism(mech, povm).level)
+    return margins
+
+
+def _eta_margins_one_by_one(rng, count):
+    """The eta-mixing suite as it was: sigma_star and its tilde_family built and one qldp_level per instance."""
+    ns = (2, 3, 4, 6)
+    margins = []
+    for i in range(count):
+        n = ns[i % len(ns)]
+        epsilon = float(rng.uniform(0.01, 0.25))
+        eta = float(rng.uniform(0.05, 1.0))
+        level = qldp_level(tilde_family(sigma_star(n, epsilon), eta))
+        margins.append(eta * epsilon * (1.0 + math.sqrt(epsilon)) + 1e-9 - level)
+    return margins
+
+
+@pytest.mark.parametrize(
+    "suite, reference",
+    [(measurement_suite, _measurement_margins_one_by_one), (eta_mixing_suite, _eta_margins_one_by_one)],
+    ids=["measurement", "eta_mixing"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 2027])
+def test_stacked_suites_match_their_per_instance_loops(monkeypatch, suite, reference, seed):
+    tallied = []
+    tally = SuiteResult.tally.__func__
+
+    def recording(cls, name, margins, strict=False):
+        tallied.append([float.hex(float(m)) for m in margins])
+        return tally(cls, name, margins, strict)
+
+    monkeypatch.setattr(SuiteResult, "tally", classmethod(recording))
+    for count in range(1, 8):
+        rng, expected_rng = np.random.default_rng([seed, count]), np.random.default_rng([seed, count])
+        suite(rng, count)
+        assert tallied.pop() == [float.hex(m) for m in reference(expected_rng, count)]
+        assert rng.bit_generator.state == expected_rng.bit_generator.state  # the same draws, in the same order
+
+
+@pytest.mark.parametrize("suite", [eta_mixing_suite, measurement_suite], ids=["eta_mixing", "measurement"])
+def test_a_warm_suite_call_of_five_instances_counts_its_eigendecompositions(monkeypatch, suite):
+    # eta_mixing: one eigh per mixed family, and one eigvalsh stack of pairs per dimension (d = 2 and 4); it ran
+    # 10 eigh while sigma_star's own family was validated too. measurement: random_povm's whitening eigh per
+    # instance, and one eigvalsh stack of POVM elements per element dimension (d = 2 and 4); it ran 5 eigvalsh,
+    # one per instance.
+    suite(np.random.default_rng(1), 5)  # warm: the frames and the measured pool are cached
+    counts = _count_eigh(monkeypatch)
+    suite(np.random.default_rng(2), 5)
+    assert counts == {"eigh": 5, "eigvalsh": 2}
