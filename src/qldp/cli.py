@@ -80,7 +80,8 @@ def _write_csv(path: str, header, rows) -> int:
 def _sidecar(path: str, target: str, params: dict, rows: int) -> None:
     import hashlib
 
-    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     meta = {"target": target, "params": params, "rows": rows, "sha256": digest}
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

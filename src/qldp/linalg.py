@@ -7,8 +7,9 @@ of a Hermitian argument, norms, and positivity tests.
 
 Each check decomposes its input once and reads ||H|| in the hermiticity
 tolerance rtol*(1+||H||) off that spectrum, so no validator runs an SVD.
-A family is checked as one stack of one shape: a member of another shape
-than the first is a fault, and the first fault in order is raised.  A
+A family is checked as one stack of one shape, whose checks raise the
+first fault they find, member by member; a member of another shape than
+the first is a fault, raised once the members before it pass.  A
 :class:`State` keeps its ``eigh``; passed back for its matrix, it is used as is.
 """
 
@@ -61,31 +62,22 @@ def as_matrix(m) -> np.ndarray:
 
 def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
     """(matrix, ascending eigenvalues, eigenvectors or None) for each of ``ms``, after checking H = H^dag and, for
-    ``density``, unit trace and positivity; the first member in order that fails raises what a check of it alone
-    raises.
+    ``density``, unit trace and positivity.
+
+    The members are coerced in order, and one whose shape differs from member 0's is a fault.  The members that are
+    not a State share one stacked decomposition, whose checks run in order and raise the first fault they find; a
+    State is used as it is.  When member k cannot be coerced or has another shape, the members before it are
+    checked first, so that a fault among them is the one raised.
     """
-    out, fault = _spectra_until_fault(ms, vectors, density)
-    if fault is not None:
-        raise fault
-    return out
-
-
-def _spectra_until_fault(ms, vectors: bool = False, density: bool = False) -> tuple[list, Exception | None]:
-    """The :func:`_checked_spectra` entries of the members before the first fault, and that fault (None if none).
-
-    The members are coerced in order, and one whose shape differs from member 0's is a fault of that member.  The
-    members that are not a State share one stacked decomposition, and the fault reported for a member is the
-    error a check of it alone raises.  A State is used as it is.
-    """
-    out, raw, fault = [], [], None  # raw: the index of each member that is not a State
+    out, raw = [], []  # raw: the index of each member that is not a State
     for k, m in enumerate(ms):
         try:
             a = m.matrix if isinstance(m, State) else as_matrix(m)
             if out and a.shape != out[0][0].shape:
                 raise ValidationError(f"matrix {k} has shape {a.shape}, matrix 0 has {out[0][0].shape}")
-        except (ValidationError, ValueError, TypeError) as exc:
-            fault = exc  # reported after the members before it are checked
-            break
+        except (ValueError, TypeError):
+            _checked_spectra([out[j][0] for j in raw], vectors, density)  # the members before k come first
+            raise
         if isinstance(m, State):
             out.append((a, m.eigenvalues, m.eigenvectors))
         else:
@@ -101,13 +93,13 @@ def _spectra_until_fault(ms, vectors: bool = False, density: bool = False) -> tu
         traces = stack.trace(axis1=1, axis2=2).real.tolist() if density else None
         for j, k in enumerate(raw):
             if dev[j] > HERMITIAN_RTOL * (1.0 + max(-lo[j], hi[j])):
-                return out[:k], ValidationError(f"matrix is not Hermitian: deviation {dev[j]:.3e}")
+                raise ValidationError(f"matrix is not Hermitian: deviation {dev[j]:.3e}")
             if density and abs(traces[j] - 1.0) > DENSITY_TRACE_TOL:
-                return out[:k], ValidationError(f"trace {traces[j]} is not 1")
+                raise ValidationError(f"trace {traces[j]} is not 1")
             if density and lo[j] < -DENSITY_EIG_TOL:
-                return out[:k], ValidationError(f"not positive semi-definite: min eigenvalue {lo[j]:.3e}")
+                raise ValidationError(f"not positive semi-definite: min eigenvalue {lo[j]:.3e}")
             out[k] = (out[k][0], lam[j], None if u is None else u[j])
-    return out, fault
+    return out
 
 
 def validate_hermitians(ms) -> list[np.ndarray]:
@@ -170,13 +162,6 @@ def norms(m) -> tuple[float, float, float]:
 def min_eigenvalues(ms) -> list[float]:
     """The smallest eigenvalue of each of ``ms``, after checking one shape and H = H^dag with one stacked eigvalsh."""
     return [float(lam[0]) for _, lam, _ in _checked_spectra(ms)]
-
-
-def min_eigenvalues_until_fault(ms) -> tuple[list[float], Exception | None]:
-    """The :func:`min_eigenvalues` of the members before the first that fails its checks, and the error it raises
-    alone (None if none): the fault's index is the length of the list."""
-    out, fault = _spectra_until_fault(ms)
-    return [float(lam[0]) for _, lam, _ in out], fault
 
 
 def is_psd(m, tol: float = 1e-9) -> bool:

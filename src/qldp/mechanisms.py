@@ -42,7 +42,7 @@ from .linalg import (
     load_json,
     matrix_from_json,
     matrix_to_json,
-    min_eigenvalues_until_fault,
+    min_eigenvalues,
     validate_densities,
     validate_density,
     validate_hermitian,
@@ -60,6 +60,8 @@ PAIR_BLOCK_ENTRIES = 2**12
 
 def _column_stochastic(q) -> np.ndarray:
     """q as a float array, checked to be finite and column-stochastic with at least 2 outputs and 2 inputs."""
+    if isinstance(q, QldpMechanism):
+        raise ValidationError("expected an LdpMechanism")
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 2 or q.shape[1] < 2:
         raise ValidationError("mechanism needs at least 2 outputs and 2 inputs")
@@ -74,6 +76,8 @@ def _column_stochastic(q) -> np.ndarray:
 
 def _qldp_members(states) -> tuple:
     """The states as :class:`~qldp.linalg.State` objects from one stacked eigh: at least 2, all full rank."""
+    if isinstance(states, LdpMechanism):
+        raise ValidationError("expected a QldpMechanism")
     members = validate_densities(states)
     if len(members) < 2:
         raise ValidationError("mechanism needs at least 2 states")
@@ -252,6 +256,8 @@ def audit_qldp(states, epsilon: float) -> bool:
     states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
     """
     require_epsilon(epsilon)
+    if isinstance(states, LdpMechanism):
+        raise ValidationError("expected a QldpMechanism")
     mats = states.states if isinstance(states, QldpMechanism) else validate_hermitians(states)
     if len(mats) < 2:
         raise ValidationError("mechanism needs at least 2 states")
@@ -417,37 +423,40 @@ def induced_mechanisms(mechs, povms) -> list[LdpMechanism]:
     """The :func:`induced_mechanism` of each mechanism under its measurement, with one stacked eigvalsh per
     element dimension.
 
-    Each pair is checked as ``induced_mechanism`` checks it, and the first pair in order that fails raises what it
-    raises alone.  The elements of all pairs of one dimension share one ``min_eigenvalues`` stack, whose checks and
-    eigenvalues act matrix by matrix.
+    The pairs are checked as one stack, whose checks and eigenvalues act matrix by matrix.  When the stack fails,
+    the pairs are checked alone, in order, so the first bad pair raises what ``induced_mechanism`` raises for it.
     """
-    mechs, povms = list(mechs), list(povms)
+    mechs, povms = list(mechs), [list(p) if np.iterable(p) else p for p in povms]  # a re-check reads them again
     if len(mechs) != len(povms):
         raise ValidationError(f"{len(mechs)} mechanisms but {len(povms)} measurements")
-    batch, fault = [], None  # batch: the elements of each pair before the first fault
+    try:
+        return _induced_stack(mechs, povms)
+    except (ValueError, TypeError):
+        if len(mechs) > 1:
+            for mech, povm in zip(mechs, povms):
+                _induced_stack([mech], [povm])
+        raise
+
+
+def _induced_stack(mechs, povms) -> list[LdpMechanism]:
+    """:func:`induced_mechanisms` of pairs of equal count, raising the first fault its stacked checks find."""
+    sets = []  # the elements of each pair
     for mech, povm in zip(mechs, povms):
-        try:
-            if not isinstance(mech, QldpMechanism):
-                raise ValidationError("expected a QldpMechanism")
-            elements = [as_matrix(m) for m in povm]
-        except (ValidationError, ValueError, TypeError) as exc:
-            fault = exc
-            break
+        if not isinstance(mech, QldpMechanism):
+            raise ValidationError("expected a QldpMechanism")
+        if not np.iterable(povm):
+            raise ValidationError("expected a measurement: a sequence of matrices")
+        elements = [as_matrix(m) for m in povm]
         if any(m.shape != elements[0].shape for m in elements):
-            fault = min_eigenvalues_until_fault(elements)[1]  # the shape fault, or that of an element before it
-            break
-        batch.append(elements)
-    lows = [[] for _ in batch]
-    for d in sorted({elements[0].shape[0] for elements in batch if elements}):
-        group = [(i, m) for i, elements in enumerate(batch) if elements and elements[0].shape[0] == d for m in elements]
-        flat, bad = min_eigenvalues_until_fault([m for _, m in group])
-        for (i, _), lo in zip(group, flat):
+            min_eigenvalues(elements)  # raises the shape fault, or that of an element before it
+        sets.append(elements)
+    lows = [[] for _ in sets]
+    for d in sorted({elements[0].shape[0] for elements in sets if elements}):
+        group = [(i, m) for i, elements in enumerate(sets) if elements and elements[0].shape[0] == d for m in elements]
+        for (i, _), lo in zip(group, min_eigenvalues([m for _, m in group])):
             lows[i].append(lo)
-        if bad is not None:  # every pair of the group comes before any fault found so far
-            fault = bad
-            del batch[group[len(flat)][0] :]
     induced = []
-    for mech, elements, low in zip(mechs, batch, lows):
+    for mech, elements, low in zip(mechs, sets, lows):
         if not all(lo >= -POVM_TOL for lo in low):
             raise ValidationError("measurement elements must be positive semi-definite")
         d = mech.dim
@@ -461,8 +470,6 @@ def induced_mechanisms(mechs, povms) -> list[LdpMechanism]:
         q = np.clip(q, 0.0, None)
         q /= q.sum(axis=0, keepdims=True)
         induced.append(LdpMechanism(q=q, epsilon=mech.epsilon))
-    if fault is not None:
-        raise fault
     return induced
 
 

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -483,6 +486,15 @@ def test_reproduce_thresholds_and_ratios(tmp_path):
     assert header == ["n", "sym_ratio", "asym_ratio", "limit_ratio"]
     n3 = rows[2].split(",")
     assert float(n3[1]) == pytest.approx(float(n3[3]), rel=0.01)
+
+
+def test_reproduce_closes_every_file_it_opens(tmp_path):
+    # in development mode with ResourceWarning an error, a file left open is reported on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["-X", "dev", "-W", "error::ResourceWarning", "-m", "qldp", "reproduce", "ratios", "--out", "ratios.csv"]
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -13,7 +13,6 @@ from qldp.linalg import (
     matrix_function,
     matrix_to_json,
     min_eigenvalues,
-    min_eigenvalues_until_fault,
     norms,
     operator_norm,
     validate_densities,
@@ -280,6 +279,7 @@ def test_stacked_validation_raises_what_the_first_bad_member_raises_alone(bad, p
         assert (alone is None) == (bad == "rank-deficient")
     assert _error(validate_densities, states) == alone
     assert _error(validate_hermitians, states) == _error(_one_by_one, validate_hermitian, states)
+    assert _error(min_eigenvalues, states) == _error(_one_by_one, lambda s: min_eigenvalues([s]), states)
     # the QLDP family check adds the rank check after every state is validated
     expected = _error(_qldp_family_one_by_one, states)
     assert expected is not None
@@ -328,24 +328,8 @@ def test_stacked_validation_equals_validation_one_by_one(mixed):
         assert h is validate_hermitian(raw)
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
-@pytest.mark.parametrize("position", [1, 3], ids=["second", "fourth"])
-@pytest.mark.parametrize("bad", [None, "non-hermitian", "nan", "not-square"])
-def test_min_eigenvalues_until_fault_stops_where_min_eigenvalues_raises(bad, position, mixed):
-    states = _family(position, bad, mixed)
-    lows, fault = min_eigenvalues_until_fault(states)
-    alone = _error(min_eigenvalues, states)
-    assert (fault is None) == (alone is None) and (fault is None or (type(fault), str(fault)) == alone)
-    # the members before the fault, each with the eigenvalue a check of it alone reads
-    stop = len(states) if alone is None else 1 if mixed else position
-    assert lows == [min_eigenvalues([s])[0] for s in states[:stop]]
-    if alone is None:
-        assert lows == min_eigenvalues(states)
-
-
 def test_stacked_validation_of_no_states():
     assert validate_densities([]) == () and validate_hermitians([]) == []
-    assert min_eigenvalues_until_fault([]) == ([], None)
 
 
 EMPTY = np.zeros((0, 0))

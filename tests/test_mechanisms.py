@@ -523,6 +523,23 @@ def test_induced_mechanism_rejects_a_classical_mechanism():
         induced_mechanism(binary_mechanism(3, 1.0), [np.eye(2) / 2, np.eye(2) / 2])
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: audit_qldp(binary_mechanism(3, 1.0), 1.0), "expected a QldpMechanism"),
+        (lambda: qldp_level(binary_mechanism(3, 1.0)), "expected a QldpMechanism"),
+        (lambda: qldp_levels([sigma_star(3, 1.0), binary_mechanism(3, 1.0)]), "expected a QldpMechanism"),
+        (lambda: audit_ldp(sigma_star(3, 1.0), 1.0), "expected an LdpMechanism"),
+        (lambda: ldp_level(sigma_star(3, 1.0)), "expected an LdpMechanism"),
+        (lambda: induced_mechanism(sigma_star(3, 1.0), 3), "expected a measurement: a sequence of matrices"),
+    ],
+    ids=["audit_qldp", "qldp_level", "qldp_levels", "audit_ldp", "ldp_level", "induced_mechanism"],
+)
+def test_a_mechanism_or_measurement_of_the_wrong_kind_is_a_validation_error(call, expected):
+    with pytest.raises(ValidationError, match=f"^{expected}$"):
+        call()
+
+
 def _induced_alone(mech, povm) -> LdpMechanism:
     """induced_mechanism as it was before the batch: every check, then q, for one measurement."""
     elements = [as_matrix(m) for m in povm]
@@ -607,6 +624,17 @@ def test_a_batch_raises_its_sum_fault_before_a_later_non_psd_element():
         induced_mechanisms(mechs, povms)
     with pytest.raises(ValidationError, match="^measurement elements must be positive semi-definite$"):
         induced_mechanisms(mechs[2:], povms[2:])
+
+
+def test_a_batch_of_measurements_given_as_iterators_checks_each_pair_as_a_list():
+    mechs, povms = _measured_batch(4, 5)
+    assert [m.q.tolist() for m in induced_mechanisms(mechs, map(iter, povms))] == [
+        m.q.tolist() for m in induced_mechanisms(mechs, povms)
+    ]
+    # the stacked check reads measurement 1 before it finds the fault of pair 3; the pairs alone read it again
+    mechs[3], povms[3] = BAD_PAIRS["psd"]
+    with pytest.raises(ValidationError, match="^measurement elements must be positive semi-definite$"):
+        induced_mechanisms(mechs, [iter(povm) for povm in povms])
 
 
 @pytest.mark.parametrize("mech", [sigma_star(3, 1.0), binary_mechanism(3, 1.0)], ids=["qldp", "ldp"])
