@@ -328,8 +328,24 @@ def test_stacked_validation_equals_validation_one_by_one(mixed):
         assert h is validate_hermitian(raw)
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])
+@pytest.mark.parametrize("position", [1, 3], ids=["second", "fourth"])
+@pytest.mark.parametrize("bad", [None, "non-hermitian", "nan", "not-square"])
+def test_min_eigenvalues_stops_where_the_first_bad_member_raises(bad, position, mixed):
+    states = _family(position, bad, mixed)
+    alone = _error(_one_by_one, lambda s: min_eigenvalues([s]), states)
+    assert _error(min_eigenvalues, states) == alone
+    # the same fault when the members come one at a time and cannot be read twice
+    assert _error(min_eigenvalues, iter(states)) == alone
+    # the members before the fault, stacked, read the eigenvalue a check of each alone reads
+    stop = len(states) if alone is None else 1 if mixed else position
+    assert min_eigenvalues(states[:stop]) == [min_eigenvalues([s])[0] for s in states[:stop]]
+    if alone is None:
+        assert min_eigenvalues(states) == min_eigenvalues(iter(states)) == [min_eigenvalues([s])[0] for s in states]
+
+
 def test_stacked_validation_of_no_states():
-    assert validate_densities([]) == () and validate_hermitians([]) == []
+    assert validate_densities([]) == () and validate_hermitians([]) == [] and min_eigenvalues([]) == []
 
 
 EMPTY = np.zeros((0, 0))
