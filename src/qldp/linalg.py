@@ -69,6 +69,8 @@ def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
     State is used as it is.  When member k cannot be coerced or has another shape, the members before it are
     checked first, so that a fault among them is the one raised.
     """
+    if not np.iterable(ms):
+        raise ValidationError("expected a sequence of matrices")
     out, raw = [], []  # raw: the index of each member that is not a State
     for k, m in enumerate(ms):
         try:
@@ -114,7 +116,7 @@ def validate_hermitian(m) -> np.ndarray:
 
 def validate_densities(ms) -> tuple[State, ...]:
     """Validate density matrices of one shape with one stacked eigendecomposition; a State passes unchanged."""
-    ms = tuple(ms)
+    ms = tuple(ms) if np.iterable(ms) else ms  # _checked_spectra rejects what is not a sequence
     return tuple(
         m if isinstance(m, State) else State(a, lam, u, bool(lam[0] >= RANK_TOL))
         for m, (a, lam, u) in zip(ms, _checked_spectra(ms, vectors=True, density=True))

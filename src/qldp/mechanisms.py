@@ -53,9 +53,22 @@ from .metrics import chernoff_information, classical_chernoff, classical_relativ
 COLUMN_SUM_TOL = 1e-12
 AUDIT_TOL = 1e-10
 POVM_TOL = 1e-9
-# Matrix entries per stack of pairs in a level: 64 KiB per complex temporary, under glibc's default 128 KiB
-# mmap threshold, so no block's temporaries are mapped and page-faulted afresh; one pair at d = 64.
+# Matrix entries per stack of pairs in a level or an audit: 64 KiB per complex temporary, under glibc's default
+# 128 KiB mmap threshold, so no block's temporaries are mapped and page-faulted afresh; one pair at d = 64.
 PAIR_BLOCK_ENTRIES = 2**12
+
+
+@functools.cache
+def _ordered_pairs(n: int) -> np.ndarray:
+    """Rows (x, x') of the ordered pairs x != x' of range(n), x major: the order of itertools.permutations."""
+    return np.argwhere(~np.eye(n, dtype=bool)).T
+
+
+def _pair_blocks(sizes: list, d: int):
+    """Index blocks (x, x') of each family's ordered pairs, in order, into a stack of families of ``sizes`` states."""
+    x, x2 = np.hstack([_ordered_pairs(n) + first for n, first in zip(sizes, np.cumsum([0, *sizes]).tolist())])
+    block = max(1, PAIR_BLOCK_ENTRIES // (d * d))
+    return ((x[lo : lo + block], x2[lo : lo + block]) for lo in range(0, len(x), block))
 
 
 def _column_stochastic(q) -> np.ndarray:
@@ -185,15 +198,15 @@ def qldp_level(states) -> float:
 
 
 def qldp_levels(families) -> list[float]:
-    """The :func:`qldp_level` of each family, with one factor loop and one stack of pairs per dimension.
+    """The :func:`qldp_level` of each family, with one factor loop and one series of pair stacks per dimension.
 
     Each family is a QldpMechanism or raw states, checked in order as QldpMechanism checks them, so the first
     family that fails raises what ``qldp_level`` raises for it alone.  The states of all families of one dimension
-    share one np.longdouble column loop and one ``inv``; the ordered pairs (x, x' != x) of those families then go
-    through ``matmul`` and ``eigvalsh`` in stacks of at most PAIR_BLOCK_ENTRIES matrix entries.  Every step acts
-    entry by entry or matrix by matrix, so each level is bit-identical to that of its family alone, whatever the
-    batch and wherever the blocks split it.
+    share one np.longdouble column loop and one ``inv``, and their ordered pairs the stacks of ``_pair_blocks``.
+    Every step acts entry by entry or matrix by matrix, so each level is bit-identical to that of its family alone.
     """
+    if not np.iterable(families):
+        raise ValidationError("expected a sequence of families")
     members = [f.members if isinstance(f, QldpMechanism) else _qldp_members(f) for f in families]
     dims = [family[0].matrix.shape[0] for family in members]
     levels = [0.0] * len(members)
@@ -208,26 +221,15 @@ def qldp_levels(families) -> list[float]:
             factor[:, j + 1 :, j] /= factor[:, j, j, None]
             factor[:, j, j + 1 :] = 0.0
         inv = np.linalg.inv(factor.astype(complex))
-        # Each family's pairs are contiguous, x major: its pair t is x = t // (n - 1) and x' = the
-        # (t % (n - 1))-th of its other states.
-        sizes = np.array([len(members[k]) for k in group])
-        counts = sizes * (sizes - 1)
-        starts = np.cumsum(counts) - counts
-        n = np.repeat(sizes, counts)
-        t = np.arange(counts.sum()) - np.repeat(starts, counts)
-        first = np.repeat(np.cumsum(sizes) - sizes, counts)  # the row of each family's state 0 in mats
-        x, other = t // (n - 1), t % (n - 1)
-        other += (other >= x) + first
-        x += first
-        lam_max = np.empty(len(t))
-        block = max(1, PAIR_BLOCK_ENTRIES // (d * d))
-        for lo in range(0, len(t), block):
-            xs = x[lo : lo + block]
-            left = inv[xs]
-            sims = left @ (mats[other[lo : lo + block]] - mats[xs]) @ left.conj().swapaxes(1, 2)
-            lam_max[lo : lo + block] = np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]
+        sizes = [len(members[k]) for k in group]
+        pair_levels = []
+        for x, x2 in _pair_blocks(sizes, d):
+            left = inv[x]
+            sims = left @ (mats[x2] - mats[x]) @ left.conj().swapaxes(1, 2)
+            pair_levels.append(np.log1p(np.linalg.eigvalsh(0.5 * (sims + sims.conj().swapaxes(1, 2)))[:, -1]))
+        starts = np.cumsum([0] + [n * (n - 1) for n in sizes[:-1]])  # each family's first pair
         # 0.0 first: a level that rounds below zero reads +0.0, and a NaN stays NaN
-        for k, level in zip(group, np.maximum(0.0, np.maximum.reduceat(np.log1p(lam_max), starts)).tolist()):
+        for k, level in zip(group, np.maximum(0.0, np.maximum.reduceat(np.concatenate(pair_levels), starts)).tolist()):
             levels[k] = level
     return levels
 
@@ -252,25 +254,18 @@ def ldp_level(q) -> float:
 def audit_qldp(states, epsilon: float) -> bool:
     """True iff min eig(e^eps rho_x - rho_{x'}) >= -AUDIT_TOL for every ordered pair.
 
-    One ``eigvalsh`` per x takes every x' != x as a stack, written into one buffer that every x reuses.  Raw
-    states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
+    The pairs go through ``eigvalsh`` in the blocks :func:`qldp_levels` uses, up to the first block that fails.
+    Raw states are checked Hermitian first, since ``eigvalsh`` reads one triangle only.
     """
     require_epsilon(epsilon)
     if isinstance(states, LdpMechanism):
         raise ValidationError("expected a QldpMechanism")
-    mats = states.states if isinstance(states, QldpMechanism) else validate_hermitians(states)
+    mats = np.array(states.states if isinstance(states, QldpMechanism) else validate_hermitians(states))
     if len(mats) < 2:
         raise ValidationError("mechanism needs at least 2 states")
-    grow = math.exp(epsilon)
-    diffs = np.empty((len(mats) - 1, *mats[0].shape), dtype=complex)
-    for x, rho in enumerate(mats):
-        scaled = grow * rho
-        for j, other in enumerate(mats[:x] + mats[x + 1 :]):
-            np.subtract(scaled, other, out=diffs[j])
-        # Written so that a NaN eigenvalue counts as a failure.
-        if not np.all(np.linalg.eigvalsh(diffs)[..., 0] >= -AUDIT_TOL):
-            return False
-    return True
+    grow, blocks = math.exp(epsilon), _pair_blocks([len(mats)], mats.shape[-1])
+    # Written so that a NaN eigenvalue counts as a failure.
+    return all(np.all(np.linalg.eigvalsh(grow * mats[x] - mats[x2])[..., 0] >= -AUDIT_TOL) for x, x2 in blocks)
 
 
 def audit_ldp(q, epsilon: float) -> bool:

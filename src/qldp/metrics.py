@@ -373,10 +373,12 @@ def _finite_vector(x) -> np.ndarray:
     return v
 
 
-def _one_length(*vs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``vs`` unchanged after checking that their last axes have one length."""
+def _one_length(*vs: np.ndarray, rows: bool = False) -> tuple[np.ndarray, ...]:
+    """``vs`` unchanged after checking that their last axes have one length and, unless ``rows``, that they are 1-D."""
     if len({v.shape[-1:] for v in vs}) > 1:
         raise ValidationError(f"last axes differ in length: shapes {', '.join(str(v.shape) for v in vs)}")
+    if not rows and any(v.ndim != 1 for v in vs):
+        raise ValidationError(f"expected 1-D vectors, got shapes {', '.join(str(v.shape) for v in vs)}")
     return vs
 
 
@@ -387,7 +389,7 @@ def classical_relative_entropy(p, q) -> float:
 
 def classical_f_divergence(p, q, f: OperatorConvexF) -> float | np.ndarray:
     """sum_j q_j F(p_j / q_j) over the last axis: a float for vectors, one value per row for a stack."""
-    pv, qv = _one_length(_positive_vector(p), _positive_vector(q))
+    pv, qv = _one_length(_positive_vector(p), _positive_vector(q), rows=True)
     value = np.sum(qv * f(pv / qv), axis=-1)
     return float(value) if value.ndim == 0 else value
 

@@ -12,7 +12,7 @@ from qldp import mechanisms
 from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
 from qldp.frames import build_eitff
-from qldp.linalg import State, as_matrix, is_psd, min_eigenvalues, operator_norm
+from qldp.linalg import State, as_matrix, is_psd, min_eigenvalues, operator_norm, validate_densities
 from qldp.mechanisms import (
     AUDIT_TOL,
     MAX_EPSILON,
@@ -38,6 +38,7 @@ from qldp.mechanisms import (
     subset_mechanism,
     tilde_family,
 )
+from qldp.metrics import holevo_information
 from qldp.sampling import random_povm
 
 import oracles
@@ -240,11 +241,21 @@ def test_qldp_levels_match_the_level_of_each_family_alone():
 
 
 def test_qldp_levels_do_not_depend_on_where_the_pair_blocks_split(monkeypatch):
+    for n in range(2, 15):  # the pair order every block split keeps
+        assert mechanisms._ordered_pairs(n).T.tolist() == [list(pair) for pair in itertools.permutations(range(n), 2)]
     batch = _mixed_batch()
-    expected = [v.hex() for v in qldp_levels(batch)]
+    levels = qldp_levels(batch)
+    expected = [v.hex() for v in levels]
+
+    def verdicts():
+        return [audit_qldp(f, eps) for f, level in zip(batch, levels) for eps in (level, 0.9 * level)]
+
+    audited = verdicts()
+    assert True in audited and False in audited
     for entries in (1, 40, 100):  # 1 pair a block, then blocks that split families of d = 2 and 4
         monkeypatch.setattr(mechanisms, "PAIR_BLOCK_ENTRIES", entries)
         assert [v.hex() for v in qldp_levels(batch)] == expected
+        assert verdicts() == audited
 
 
 def test_qldp_levels_raise_what_the_first_bad_family_raises_alone():
@@ -268,7 +279,8 @@ def test_the_level_stacks_no_more_pairs_than_the_block_budget(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     assert qldp_level(mech) == pytest.approx(0.5, abs=1e-9)
-    assert sum(shape[0] for shape in shapes) == 14 * 13
+    assert audit_qldp(mech, 0.6)  # passes, so every pair is audited
+    assert sum(shape[0] for shape in shapes) == 2 * 14 * 13
     assert all(shape[1:] == (64, 64) and shape[0] <= 13 for shape in shapes)
     assert all(math.prod(shape) <= mechanisms.PAIR_BLOCK_ENTRIES for shape in shapes)
 
@@ -537,6 +549,33 @@ def test_induced_mechanism_rejects_a_classical_mechanism():
 )
 def test_a_mechanism_or_measurement_of_the_wrong_kind_is_a_validation_error(call, expected):
     with pytest.raises(ValidationError, match=f"^{expected}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: QldpMechanism(states=5, epsilon=1.0), "matrices"),
+        (lambda: QldpMechanism(states=sigma_star(3, 1.0), epsilon=1.0), "matrices"),
+        (lambda: qldp_level(5), "matrices"),
+        (lambda: qldp_levels(5), "families"),
+        (lambda: audit_qldp(5, 1.0), "matrices"),
+        (lambda: validate_densities(5), "matrices"),
+        (lambda: holevo_information([1.0], 5), "matrices"),
+    ],
+    ids=[
+        "QldpMechanism",
+        "QldpMechanism-of-a-mechanism",
+        "qldp_level",
+        "qldp_levels",
+        "audit_qldp",
+        "validate_densities",
+        "holevo_information",
+    ],
+)
+def test_a_family_that_is_not_a_sequence_is_a_validation_error(call, expected):
+    # each raised TypeError: object is not iterable
+    with pytest.raises(ValidationError, match=f"^expected a sequence of {expected}$"):
         call()
 
 

@@ -455,6 +455,24 @@ def test_classical_distributions_of_different_lengths_are_rejected(fn, p, q):
     assert str(np.shape(p)) in str(info.value) and str(np.shape(q)) in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [classical_chernoff, classical_relative_entropy, lambda p, q: classical_metric(p, q, q, SLD)],
+    ids=["chernoff", "relative_entropy", "metric"],
+)
+@pytest.mark.parametrize(
+    "p,q",
+    [([[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.5, 0.5]]), (0.5, 0.7), ([0.5, 0.5], [[0.5, 0.5]])],
+    ids=["stacks", "scalars", "vector-and-stack"],
+)
+def test_classical_functions_but_the_f_divergence_take_only_vectors(fn, p, q):
+    # classical_chernoff read the stacks as 0.0, though their rows give 0 and 0.112, and the scalars as ln 2;
+    # classical_relative_entropy summed the rows of a stack
+    with pytest.raises(ValidationError, match="expected 1-D vectors, got shapes") as info:
+        fn(p, q)
+    assert str(np.shape(p)) in str(info.value) and str(np.shape(q)) in str(info.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
 def test_classical_metric_rejects_non_finite_directions(bad):
     # only p0 was checked: a NaN direction read as nan and an infinite one as inf or nan
