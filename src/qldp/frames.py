@@ -32,10 +32,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 FRAME_FIELDS = ("d", "r", "n", "c")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionFrame:
     """n rank-r orthogonal projections on C^d; d, n, r and the constant c = frame_constant(d, r, n)
-    are all read off ``projections`` (r is the rounded trace of the first)."""
+    are all read off ``projections`` (r is the rounded trace of the first).  Frames compare by identity."""
 
     projections: tuple
     d: int = field(init=False)

@@ -9,8 +9,10 @@ Each check decomposes its input once and reads ||H|| in the hermiticity
 tolerance rtol*(1+||H||) off that spectrum, so no validator runs an SVD.
 A family is checked as one stack of one shape, whose checks raise the
 first fault they find, member by member; a member of another shape than
-the first is a fault, raised once the members before it pass.  A
-:class:`State` keeps its ``eigh``; passed back for its matrix, it is used as is.
+the first is a fault, raised once the members before it pass.  A raw
+member comes back as its row of the stack that was checked, a copy the
+caller does not hold.  A :class:`State` keeps its ``eigh``; passed back for
+its matrix, it is used as is.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """A validated density matrix with its eigendecomposition, eigenvalues ascending.
 
-    The arrays are shared, not copied: modifying them invalidates the State.
+    The matrix is a copy of the one validated, so the caller's array is not held.  Modifying the arrays
+    invalidates the State; a mechanism marks those of its members read-only.  States compare by identity.
     """
 
     matrix: np.ndarray
@@ -66,8 +69,9 @@ def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
 
     The members are coerced in order, and one whose shape differs from member 0's is a fault.  The members that are
     not a State share one stacked decomposition, whose checks run in order and raise the first fault they find; a
-    State is used as it is.  When member k cannot be coerced or has another shape, the members before it are
-    checked first, so that a fault among them is the one raised.
+    State is used as it is, and any other member comes back as its row of that stack.  When member k cannot be
+    coerced or has another shape, the members before it are checked first, so that a fault among them is the
+    one raised.
     """
     if not np.iterable(ms):
         raise ValidationError("expected a sequence of matrices")
@@ -100,17 +104,17 @@ def _checked_spectra(ms, vectors: bool = False, density: bool = False) -> list:
                 raise ValidationError(f"trace {traces[j]} is not 1")
             if density and lo[j] < -DENSITY_EIG_TOL:
                 raise ValidationError(f"not positive semi-definite: min eigenvalue {lo[j]:.3e}")
-            out[k] = (out[k][0], lam[j], None if u is None else u[j])
+            out[k] = (stack[j], lam[j], None if u is None else u[j])
     return out
 
 
 def validate_hermitians(ms) -> list[np.ndarray]:
-    """Each of ``ms`` as an array of one shape, after checking H = H^dag with one stacked eigvalsh."""
+    """Each of ``ms`` as an array of one shape, a copy but for a State's, after checking H = H^dag in one stack."""
     return [a for a, _, _ in _checked_spectra(ms)]
 
 
 def validate_hermitian(m) -> np.ndarray:
-    """Return ``m`` as an array after checking H = H^dag up to rtol*(1+||H||)."""
+    """Return ``m`` as a copy after checking H = H^dag up to rtol*(1+||H||)."""
     return validate_hermitians((m,))[0]
 
 
@@ -178,7 +182,9 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["dim"])
+    d = obj["dim"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValidationError(f"matrix JSON: dim {d!r} is not an integer")
     if d < 0:
         raise ValidationError(f"matrix JSON: dim {d} is negative")
     entries = obj["entries"]

@@ -72,10 +72,10 @@ def _pair_blocks(sizes: list, d: int):
 
 
 def _column_stochastic(q) -> np.ndarray:
-    """q as a float array, checked to be finite and column-stochastic with at least 2 outputs and 2 inputs."""
+    """q as a float copy, checked to be finite and column-stochastic with at least 2 outputs and 2 inputs."""
     if isinstance(q, QldpMechanism):
         raise ValidationError("expected an LdpMechanism")
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)
     if q.ndim != 2 or q.shape[0] < 2 or q.shape[1] < 2:
         raise ValidationError("mechanism needs at least 2 outputs and 2 inputs")
     if not np.all(np.isfinite(q)):
@@ -99,9 +99,9 @@ def _qldp_members(states) -> tuple:
     return members
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdpMechanism:
-    """Column-stochastic matrix of shape (n_outputs, n_inputs) with a declared level."""
+    """Column-stochastic matrix of shape (n_outputs, n_inputs) with a declared level; ``q`` is a read-only copy."""
 
     q: np.ndarray
     epsilon: float
@@ -113,7 +113,9 @@ class LdpMechanism:
 
     def __post_init__(self):
         require_epsilon(self.epsilon)
-        object.__setattr__(self, "q", _column_stochastic(self.q))
+        q = _column_stochastic(self.q)
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
 
     @property
     def n_inputs(self) -> int:
@@ -141,17 +143,18 @@ class LdpMechanism:
         return self.q.mean(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QldpMechanism:
     """Tuple of same-dimension full-rank density matrices with a declared level.
 
     ``members`` holds them as :class:`~qldp.linalg.State` objects with their spectra,
-    and ``average`` is their mean as a State too.
+    and ``average`` is their mean as a State too.  The states are copies of those given, read-only like every
+    array of ``members``.
     """
 
     states: tuple
     epsilon: float
-    members: tuple = field(init=False, repr=False, compare=False)
+    members: tuple = field(init=False, repr=False)
 
     kind = "qldp"
     # Looked up at call time, so a wrapper installed on the metric's name sees these calls too.
@@ -161,6 +164,8 @@ class QldpMechanism:
     def __post_init__(self):
         require_epsilon(self.epsilon)
         members = _qldp_members(self.states)
+        for array in (a for s in members for a in (s.matrix, s.eigenvalues, s.eigenvectors)):
+            array.setflags(write=False)
         object.__setattr__(self, "states", tuple(s.matrix for s in members))
         object.__setattr__(self, "members", members)
 
@@ -409,45 +414,29 @@ def induced_mechanism(mech: QldpMechanism, povm) -> LdpMechanism:
     """Classical mechanism q(y|x) = Tr rho_x M_y obtained by measuring every state.
 
     Elements must be of one shape and PSD within ``POVM_TOL``, checked with one stacked eigvalsh; the clip in
-    :func:`induced_mechanisms` only removes rounding.  This is :func:`induced_mechanisms` of a batch of one.
+    :func:`_induced_stack` only removes rounding.  This is :func:`_induced_stack` of one pair.
     """
-    return induced_mechanisms((mech,), (povm,))[0]
-
-
-def induced_mechanisms(mechs, povms) -> list[LdpMechanism]:
-    """The :func:`induced_mechanism` of each mechanism under its measurement, with one stacked eigvalsh per
-    element dimension.
-
-    The pairs are checked as one stack, whose checks and eigenvalues act matrix by matrix.  When the stack fails,
-    the pairs are checked alone, in order, so the first bad pair raises what ``induced_mechanism`` raises for it.
-    """
-    mechs, povms = list(mechs), [list(p) if np.iterable(p) else p for p in povms]  # a re-check reads them again
-    if len(mechs) != len(povms):
-        raise ValidationError(f"{len(mechs)} mechanisms but {len(povms)} measurements")
-    try:
-        return _induced_stack(mechs, povms)
-    except (ValueError, TypeError):
-        if len(mechs) > 1:
-            for mech, povm in zip(mechs, povms):
-                _induced_stack([mech], [povm])
-        raise
+    return _induced_stack((mech,), (povm,))[0]
 
 
 def _induced_stack(mechs, povms) -> list[LdpMechanism]:
-    """:func:`induced_mechanisms` of pairs of equal count, raising the first fault its stacked checks find."""
+    """The :func:`induced_mechanism` of each mechanism under its measurement, with one stacked eigvalsh per
+    mechanism dimension.
+
+    The checks act on the whole stack and raise the first fault they find: each pair's kind and coercion in
+    pair order, then the shape and hermiticity of each dimension's elements, then each pair's positivity,
+    dimension and sum in pair order.  Each q is computed matrix by matrix, as for its pair alone.
+    """
     sets = []  # the elements of each pair
     for mech, povm in zip(mechs, povms):
         if not isinstance(mech, QldpMechanism):
             raise ValidationError("expected a QldpMechanism")
         if not np.iterable(povm):
             raise ValidationError("expected a measurement: a sequence of matrices")
-        elements = [as_matrix(m) for m in povm]
-        if any(m.shape != elements[0].shape for m in elements):
-            min_eigenvalues(elements)  # raises the shape fault, or that of an element before it
-        sets.append(elements)
+        sets.append([as_matrix(m) for m in povm])
     lows = [[] for _ in sets]
-    for d in sorted({elements[0].shape[0] for elements in sets if elements}):
-        group = [(i, m) for i, elements in enumerate(sets) if elements and elements[0].shape[0] == d for m in elements]
+    for d in sorted({mech.dim for mech in mechs}):
+        group = [(i, m) for i, (mech, elements) in enumerate(zip(mechs, sets)) if mech.dim == d for m in elements]
         for (i, _), lo in zip(group, min_eigenvalues([m for _, m in group])):
             lows[i].append(lo)
     induced = []

@@ -11,7 +11,9 @@ instances of each dimension as one stack (one stacked ``eigh`` of its
 states) and write the margins back in instance order.
 :func:`measurement_suite` draws every POVM first, in instance order, then
 checks the elements of all instances of one dimension with one stacked
-``eigvalsh`` (:func:`~qldp.mechanisms.induced_mechanisms`).
+``eigvalsh``: it calls the stack behind
+:func:`~qldp.mechanisms.induced_mechanism` directly, which raises the first
+fault it finds, as every stacked check does.
 :func:`eta_mixing_suite` mixes the raw states of each sigma_star in draw
 order, without building sigma_star as a mechanism, and audits the mixed
 families with one :func:`~qldp.mechanisms.qldp_levels` call: each family is
@@ -42,9 +44,9 @@ from .frames import build_eitff
 from .linalg import validate_densities, validate_density
 from .mechanisms import (
     QldpMechanism,
+    _induced_stack,
     _isoclinic_states,
     _mixed_states,
-    induced_mechanisms,
     isoclinic_mechanism,
     qldp_levels,
     sigma_star,
@@ -147,17 +149,14 @@ def dpi_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
 
 @functools.cache
 def _measured_pool() -> tuple[QldpMechanism, ...]:
-    """Five fixed mechanisms, built once, each keeping its audited level; every state array is read-only."""
-    pool = (
+    """Five fixed mechanisms, built once, each keeping its audited level (a mechanism's arrays are read-only)."""
+    return (
         sigma_star(2, 0.8),
         sigma_star(3, 1.0),
         sigma_star(4, 0.5),
         isoclinic_mechanism(build_eitff(3), 2.0),
         isoclinic_mechanism(build_eitff(5), 1.0),
     )
-    for array in (a for mech in pool for s in mech.members for a in (s.matrix, s.eigenvalues, s.eigenvectors)):
-        array.setflags(write=False)
-    return pool
 
 
 def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResult:
@@ -165,7 +164,7 @@ def measurement_suite(rng: np.random.Generator, count: int = 1000) -> SuiteResul
     pool = _measured_pool()
     mechs = [pool[i % len(pool)] for i in range(count)]
     povms = [random_povm(rng, mech.dim, 2 + (i % 3)) for i, mech in enumerate(mechs)]
-    margins = [mech.level + 1e-9 - induced.level for mech, induced in zip(mechs, induced_mechanisms(mechs, povms))]
+    margins = [mech.level + 1e-9 - induced.level for mech, induced in zip(mechs, _induced_stack(mechs, povms))]
     return SuiteResult.tally("measurement_reduction", margins)
 
 

@@ -599,6 +599,17 @@ def test_a_matrix_file_of_negative_dim_exits_one(tmp_path, capsys):
     assert "dim -1 is negative" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "dim, entries", [(2.7, [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]), (True, [[1, 0]])], ids=["2.7", "true"]
+)
+def test_a_matrix_file_whose_dim_is_not_an_integer_exits_one(tmp_path, capsys, dim, entries):
+    bad = tmp_path / "dim.json"
+    bad.write_text(json.dumps({"dim": dim, "entries": entries}))
+    assert run(["metric", "chernoff", bad, bad]) == 1
+    captured = capsys.readouterr()
+    assert f"dim {dim!r} is not an integer" in captured.err and captured.out == ""
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     good = tmp_path / "good.json"
     write_matrix(good, np.eye(2) / 2)

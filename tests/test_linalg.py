@@ -190,6 +190,17 @@ def test_matrix_json_of_a_negative_dim_is_rejected(dim, entries):
         matrix_from_json({"dim": dim, "entries": entries})
 
 
+@pytest.mark.parametrize(
+    "dim, entries",
+    [(2.7, [[0.5, 0.0]] * 4), (2.0, [[0.5, 0.0]] * 4), (True, [[1.0, 0.0]]), ("2", [[0.5, 0.0]] * 4)],
+    ids=["fractional", "float", "boolean", "string"],
+)
+def test_matrix_json_of_a_dim_that_is_not_an_integer_is_rejected(dim, entries):
+    # 2.7 read as a 2x2 matrix and true as a 1x1 one
+    with pytest.raises(ValidationError, match=f"^matrix JSON: dim {dim!r} is not an integer$"):
+        matrix_from_json({"dim": dim, "entries": entries})
+
+
 def test_matrix_json_entries_match_the_elementwise_encoding():
     # the byte-exact reference: one [re, im] pair of Python floats per entry, row-major
     special = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [complex(3.0, -0.0), 5e-324 + 1e308j]])
@@ -319,13 +330,16 @@ def test_stacked_validation_equals_validation_one_by_one(mixed):
         return
     stacked = validate_densities(states)
     assert stacked[3] is states[3]  # a State passes through unchanged
-    for state, raw in zip(stacked, states):
+    for k, (state, raw) in enumerate(zip(stacked, states)):
         alone = validate_density(raw)
-        assert state.matrix is alone.matrix and state.full_rank == alone.full_rank
+        assert np.array_equal(state.matrix, alone.matrix) and state.full_rank == alone.full_rank
         assert np.array_equal(state.eigenvalues, alone.eigenvalues)
         assert np.array_equal(state.eigenvectors, alone.eigenvectors)
-    for h, raw in zip(validate_hermitians(states), states):
-        assert h is validate_hermitian(raw)
+        # a State built from a raw matrix holds a copy, not the caller's array
+        assert k == 3 or not (np.shares_memory(state.matrix, raw) or np.shares_memory(alone.matrix, raw))
+    for k, (h, raw) in enumerate(zip(validate_hermitians(states), states)):
+        alone = validate_hermitian(raw)
+        assert np.array_equal(h, alone) and (k == 3 or not (np.shares_memory(h, raw) or np.shares_memory(alone, raw)))
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["one-shape", "mixed-shapes"])

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 from qldp import mechanisms
 from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
-from qldp.frames import build_eitff
-from qldp.linalg import State, as_matrix, is_psd, min_eigenvalues, operator_norm, validate_densities
+from qldp.frames import FusionFrame, build_eitff
+from qldp.linalg import (
+    State,
+    as_matrix,
+    is_psd,
+    min_eigenvalues,
+    operator_norm,
+    validate_densities,
+    validate_density,
+)
 from qldp.mechanisms import (
     AUDIT_TOL,
     MAX_EPSILON,
@@ -23,8 +31,8 @@ from qldp.mechanisms import (
     audit_qldp,
     binary_mechanism,
     POVM_TOL,
+    _induced_stack,
     induced_mechanism,
-    induced_mechanisms,
     isoclinic_mechanism,
     jordan_eigenvalues,
     ldp_level,
@@ -608,18 +616,12 @@ def _measured_batch(seed, size=9):
 def test_induced_mechanisms_equal_one_induced_mechanism_per_pair(seed):
     mechs, povms = _measured_batch(seed)
     assert {mech.dim for mech in mechs} == {2, 4} and {len(p) for p in povms} == {2, 3, 4}
-    batch = induced_mechanisms(mechs, povms)
+    batch = _induced_stack(mechs, povms)
     assert len(batch) == len(mechs)
     for mech, povm, induced in zip(mechs, povms, batch):
         for alone in (induced_mechanism(mech, povm), _induced_alone(mech, povm)):
             assert np.array_equal(induced.q, alone.q) and induced.epsilon == alone.epsilon == mech.epsilon
-    assert induced_mechanisms([], []) == []
-
-
-def test_induced_mechanisms_need_one_measurement_per_mechanism():
-    mechs, povms = _measured_batch(0, 3)
-    with pytest.raises(ValidationError, match="3 mechanisms but 2 measurements"):
-        induced_mechanisms(mechs, povms[:2])
+    assert _induced_stack([], []) == []
 
 
 SKEW = np.array([[0.5, 0.1], [0.0, 0.5]])
@@ -636,44 +638,73 @@ BAD_PAIRS = {
 }
 
 
-def _error(fn, *args):
-    try:
-        fn(*args)
-    except Exception as exc:  # the class and message are what is compared
-        return type(exc), str(exc)
-    return None
+BAD_PAIR_ERRORS = {
+    "classical": "expected a QldpMechanism",
+    "coercion": "matrix has non-finite entries",
+    "shape": "matrix 1 has shape (3, 3), matrix 0 has (2, 2)",
+    "hermitian": "matrix is not Hermitian: deviation 1.000e-01",
+    "psd": "measurement elements must be positive semi-definite",
+    "dimension": "measurement dimension mismatch",
+    "sum": "measurement elements must sum to the identity",
+    "sum-d4": "measurement elements must sum to the identity",
+}
 
 
-@pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_PAIRS, 2)))
-def test_a_batch_raises_what_its_first_bad_pair_raises_alone(first, second):
+@pytest.mark.parametrize("name, message", list(BAD_PAIR_ERRORS.items()), ids=list(BAD_PAIR_ERRORS))
+def test_induced_mechanism_raises_the_fault_of_its_bad_pair(name, message):
+    with pytest.raises(ValidationError) as raised:
+        induced_mechanism(*BAD_PAIRS[name])
+    assert type(raised.value) is ValidationError and str(raised.value) == message
+
+
+@pytest.mark.parametrize("position", [1, 3], ids=["second", "fourth"])
+@pytest.mark.parametrize("name", list(BAD_PAIRS))
+def test_a_bad_pair_anywhere_in_the_stack_is_a_validation_error(name, position):
+    # the bad pair replaces pair 1 (d = 4) or pair 3 (d = 2) of a batch that passes
     mechs, povms = _measured_batch(4, 5)
-    for position, name in ((1, first), (3, second)):
-        mechs[position], povms[position] = BAD_PAIRS[name]
-    alone = _error(induced_mechanism, *BAD_PAIRS[first])
-    assert alone is not None and _error(induced_mechanisms, mechs, povms) == alone
+    assert len(_induced_stack(mechs, povms)) == 5
+    mechs[position], povms[position] = BAD_PAIRS[name]
+    with pytest.raises(ValidationError):
+        _induced_stack(mechs, povms)
 
 
-def test_a_batch_raises_its_sum_fault_before_a_later_non_psd_element():
-    mechs, povms = _measured_batch(4, 5)
-    # instance 1 (d = 4) is the first fault, though the d = 2 elements of instance 3 are stacked first
-    povms[1] = [np.eye(4) / 2, np.eye(4) / 4]
-    povms[3] = [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]
-    assert (mechs[1].dim, mechs[3].dim) == (4, 2)
-    with pytest.raises(ValidationError, match="^measurement elements must sum to the identity$"):
-        induced_mechanisms(mechs, povms)
-    with pytest.raises(ValidationError, match="^measurement elements must be positive semi-definite$"):
-        induced_mechanisms(mechs[2:], povms[2:])
+def test_a_mechanism_keeps_its_arrays_when_the_caller_writes_to_its_own():
+    rho, sigma = np.diag([0.6, 0.4]).astype(complex), np.diag([0.4, 0.6]).astype(complex)
+    q = np.array([[0.6, 0.4], [0.4, 0.6]])
+    quantum, classical = QldpMechanism(states=(rho, sigma), epsilon=1.0), LdpMechanism(q=q, epsilon=1.0)
+    levels = (quantum.level, classical.level)
+    assert levels == (qldp_level(quantum), ldp_level(classical)) and math.isclose(levels[0], math.log(1.5))
+    rho[:] = np.diag([0.99, 0.01])
+    q[:] = [[0.99, 0.01], [0.01, 0.99]]
+    assert np.array_equal(quantum.states[0], np.diag([0.6, 0.4])) and np.array_equal(quantum.states[1], sigma)
+    assert np.array_equal(classical.q, [[0.6, 0.4], [0.4, 0.6]])
+    assert (qldp_level(quantum), ldp_level(classical)) == levels
+    assert audit_qldp(quantum, 1.0) and audit_ldp(classical, 1.0)
+    for write in (
+        lambda: quantum.states[0].__setitem__((0, 0), 0.5),
+        lambda: quantum.members[0].eigenvalues.__setitem__(0, 0.5),
+        lambda: quantum.members[0].eigenvectors.__setitem__((0, 0), 0.5),
+        lambda: classical.q.__setitem__((0, 0), 0.5),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
 
 
-def test_a_batch_of_measurements_given_as_iterators_checks_each_pair_as_a_list():
-    mechs, povms = _measured_batch(4, 5)
-    assert [m.q.tolist() for m in induced_mechanisms(mechs, map(iter, povms))] == [
-        m.q.tolist() for m in induced_mechanisms(mechs, povms)
-    ]
-    # the stacked check reads measurement 1 before it finds the fault of pair 3; the pairs alone read it again
-    mechs[3], povms[3] = BAD_PAIRS["psd"]
-    with pytest.raises(ValidationError, match="^measurement elements must be positive semi-definite$"):
-        induced_mechanisms(mechs, [iter(povm) for povm in povms])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sigma_star(3, 1.0),
+        lambda: binary_mechanism(3, 1.0),
+        lambda: validate_density(np.eye(2) / 2),
+        lambda: FusionFrame(build_eitff(3).projections),
+    ],
+    ids=["QldpMechanism", "LdpMechanism", "State", "FusionFrame"],
+)
+def test_records_that_hold_arrays_compare_and_hash_by_identity(make):
+    # the generated __eq__ compared the arrays: == and `in` raised ValueError, and hash raised TypeError
+    a, b = make(), make()
+    assert a == a and a != b and (a in [b]) is False and (a in [b, a]) is True
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("mech", [sigma_star(3, 1.0), binary_mechanism(3, 1.0)], ids=["qldp", "ldp"])
