@@ -668,6 +668,31 @@ def test_a_bad_pair_anywhere_in_the_stack_is_a_validation_error(name, position):
         _induced_stack(mechs, povms)
 
 
+# Where the stack finds each bad pair's fault: 0 in its pair's kind and coercion check, 1 in its dimension's stacked
+# eigvalsh (shape, Hermitian), 2 in its pair's positivity, dimension and sum check.  Every row of phase 1 is d = 2,
+# and among its d = 2 elements the 3x3 one of "dimension" is a shape fault, as that of "shape" is.
+STACK_PHASE = {"classical": 0, "coercion": 0, "shape": 1, "hermitian": 1, "dimension": 1, "psd": 2, "sum": 2, "sum-d4": 2}
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(BAD_PAIRS, 2)))
+def test_a_batch_raises_the_fault_its_stack_finds_first(first, second):
+    # phase by phase, then in pair order: the d = 2 elements, the only ones of phase 1, are stacked first
+    mechs, povms = _measured_batch(4, 5)
+    bad = {1: first, 3: second}
+    for position, name in bad.items():
+        mechs[position], povms[position] = BAD_PAIRS[name]
+    position, name = min(bad.items(), key=lambda item: (STACK_PHASE[item[1]], item[0]))
+    message = BAD_PAIR_ERRORS[name]
+    if name in ("shape", "dimension"):
+        # its first 3x3 element, counted among the d = 2 elements of the batch
+        k = sum(len(povms[i]) for i in range(position) if mechs[i].dim == 2)
+        k += [np.shape(m) for m in povms[position]].index((3, 3))
+        message = f"matrix {k} has shape (3, 3), matrix 0 has (2, 2)"
+    with pytest.raises(ValidationError) as raised:
+        _induced_stack(mechs, povms)
+    assert type(raised.value) is ValidationError and str(raised.value) == message
+
+
 def test_a_mechanism_keeps_its_arrays_when_the_caller_writes_to_its_own():
     rho, sigma = np.diag([0.6, 0.4]).astype(complex), np.diag([0.4, 0.6]).astype(complex)
     q = np.array([[0.6, 0.4], [0.4, 0.6]])
