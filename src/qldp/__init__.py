@@ -57,7 +57,6 @@ _EXPORTS = {
         "matrix_from_json",
         "matrix_function",
         "matrix_to_json",
-        "norms",
     ),
     "mechanisms": (
         "LdpMechanism",
@@ -66,7 +65,6 @@ _EXPORTS = {
         "binary_mechanism",
         "induced_mechanism",
         "isoclinic_mechanism",
-        "jordan_eigenvalues",
         "ldp_level",
         "load_mechanism",
         "mechanism_from_json",
@@ -103,7 +101,6 @@ _EXPORTS = {
     "optimal": (
         "LpSolution",
         "SublinearUtility",
-        "estimate_beta0",
         "kairouz_lp",
         "kairouz_lp_symmetric",
         "mutual_information_utility",

@@ -174,11 +174,6 @@ def classical_opt_sym(n: int, epsilon: float) -> float:
     return max(classical_sym_term(n, k, epsilon) for k in range(n + 1))
 
 
-def classical_sym_argmax(n: int, epsilon: float) -> int:
-    require_inputs(n)
-    return max(range(n + 1), key=lambda k: classical_sym_term(n, k, epsilon))
-
-
 def classical_opt_sym_bound(n: int, epsilon: float, eta: float) -> float:
     """Upper bound on the symmetric optimum for eta-tilted priors; tight at eta = 1."""
     require_inputs(n)

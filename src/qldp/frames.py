@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExistenceError, ValidationError
-from .linalg import as_matrix, eigh, matrix_from_json, matrix_to_json, operator_norm
+from .linalg import as_matrix, eigh, json_number, matrix_from_json, matrix_to_json, operator_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -34,8 +34,8 @@ FRAME_FIELDS = ("d", "r", "n", "c")
 
 @dataclass(frozen=True, eq=False)
 class FusionFrame:
-    """n rank-r orthogonal projections on C^d; d, n, r and the constant c = frame_constant(d, r, n)
-    are all read off ``projections`` (r is the rounded trace of the first).  Frames compare by identity."""
+    """n rank-r orthogonal projections on C^d, read-only copies of the matrices given; d, n, r and the constant
+    c = frame_constant(d, r, n) are read off them (r is the rounded trace of the first).  Frames compare by identity."""
 
     projections: tuple
     d: int = field(init=False)
@@ -44,16 +44,19 @@ class FusionFrame:
     c: float = field(init=False)
 
     def __post_init__(self):
-        n = len(self.projections)
-        d = self.projections[0].shape[0] if n else 0
-        if n < 2 or d < 1:
+        projections = tuple(as_matrix(np.array(p, dtype=complex)) for p in self.projections)
+        n = len(projections)
+        d = projections[0].shape[0] if n else 0
+        if n < 2:  # as_matrix rejects d = 0
             raise ValidationError(f"a frame needs n >= 2 and d >= 1, got n={n}, d={d}")
-        if any(p.shape[0] != d for p in self.projections):
+        if any(p.shape[0] != d for p in projections):
             raise ValidationError("projections have mixed dimensions")
-        r = int(round(np.trace(self.projections[0]).real))
+        for p in projections:
+            p.setflags(write=False)
+        r = int(round(np.trace(projections[0]).real))
         if r < 1:
             raise ValidationError(f"a frame needs projections of rank r >= 1, got r={r}")
-        for key, value in (("d", d), ("r", r), ("n", n), ("c", frame_constant(d, r, n))):
+        for key, value in (("projections", projections), ("d", d), ("r", r), ("n", n), ("c", frame_constant(d, r, n))):
             object.__setattr__(self, key, value)
 
 
@@ -146,10 +149,7 @@ def _cached_eitff(n: int, a: int) -> FusionFrame:
     gens = clifford_generators(m)[: n - 1]
     vs = simplex_vectors(n)
     eye = np.eye(d, dtype=complex)
-    projections = tuple(0.5 * (eye + sum(vs[i, k] * gens[k] for k in range(n - 1))) for i in range(n))
-    for p in projections:
-        p.setflags(write=False)
-    return FusionFrame(projections)
+    return FusionFrame(tuple(0.5 * (eye + sum(vs[i, k] * gens[k] for k in range(n - 1))) for i in range(n)))
 
 
 def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:
@@ -161,7 +161,7 @@ def verify_eitff(projections, tol: float = 1e-10) -> FrameCertificate:
     > 100 tol, read as max |lambda^2 - lambda| off each projection's
     spectrum) are rejected.  The residuals are those of :func:`_residuals`.
     """
-    frame = FusionFrame(tuple(as_matrix(p) for p in projections))
+    frame = FusionFrame(projections)
     tight_res, chordal_res, isoclinic_res = _residuals(frame, tol)
     is_tight = bool(tight_res <= tol)
     is_ectff = bool(is_tight and chordal_res <= tol)
@@ -224,11 +224,12 @@ def frame_to_json(frame: FusionFrame) -> dict:
 
 
 def frame_from_json(obj: dict) -> FusionFrame:
-    """Parse a frame and check that the d, r, n and c it declares are the ones it holds."""
-    if obj["n"] < 2 or obj["d"] < 1:
-        raise ValidationError(f"frame JSON needs n >= 2 and d >= 1, got n={obj['n']}, d={obj['d']}")
+    """Parse a frame and check that the d, r, n (JSON integers) and c (a number) it declares are the ones it holds."""
+    n, d = (json_number(obj, key, "frame JSON", integer=True) for key in ("n", "d"))
+    if n < 2 or d < 1:
+        raise ValidationError(f"frame JSON needs n >= 2 and d >= 1, got n={n}, d={d}")
     frame = FusionFrame(tuple(matrix_from_json(p) for p in obj["projections"]))
     for key in FRAME_FIELDS:
-        if obj[key] != getattr(frame, key):
+        if json_number(obj, key, "frame JSON", integer=key != "c") != getattr(frame, key):
             raise ValidationError(f"frame JSON declares {key}={obj[key]} but holds {key}={getattr(frame, key)}")
     return frame

@@ -3,7 +3,7 @@
 Matrices are plain ``numpy`` arrays of ``complex128``.  The functions here
 validate the structural invariants (hermiticity, unit trace, positivity)
 and provide the spectral primitives: eigendecomposition, matrix functions
-of a Hermitian argument, norms, and positivity tests.
+of a Hermitian argument, the operator norm, and positivity tests.
 
 Each check decomposes its input once and reads ||H|| in the hermiticity
 tolerance rtol*(1+||H||) off that spectrum, so no validator runs an SVD.
@@ -159,12 +159,6 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def norms(m) -> tuple[float, float, float]:
-    """(operator norm, trace norm, Frobenius norm) of a Hermitian matrix."""
-    lam = _checked_spectra((m,))[0][1]
-    return float(np.max(np.abs(lam))), float(np.sum(np.abs(lam))), float(np.sqrt(np.sum(lam**2)))
-
-
 def min_eigenvalues(ms) -> list[float]:
     """The smallest eigenvalue of each of ``ms``, after checking one shape and H = H^dag with one stacked eigvalsh."""
     return [float(lam[0]) for _, lam, _ in _checked_spectra(ms)]
@@ -181,10 +175,16 @@ def matrix_to_json(m) -> dict:
     return {"dim": a.shape[0], "entries": np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()}
 
 
+def json_number(obj: dict, key: str, where: str, integer: bool = False):
+    """``obj[key]``, checked to be a JSON number, or with ``integer`` a JSON integer; a bool or a string is neither."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValidationError(f"{where}: {key} {value!r} is not {'an integer' if integer else 'a number'}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = obj["dim"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValidationError(f"matrix JSON: dim {d!r} is not an integer")
+    d = json_number(obj, "dim", "matrix JSON", integer=True)
     if d < 0:
         raise ValidationError(f"matrix JSON: dim {d} is negative")
     entries = obj["entries"]
@@ -195,10 +195,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def load_json(path, parse):
-    """Read a JSON file and ``parse`` it; a missing or mistyped field is a ValidationError."""
+    """Read a JSON file and ``parse`` it; a missing, mistyped or overflowing field is a ValidationError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         return parse(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc

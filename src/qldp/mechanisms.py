@@ -39,13 +39,13 @@ from .frames import FusionFrame, build_eitff
 from .linalg import (
     State,
     as_matrix,
+    json_number,
     load_json,
     matrix_from_json,
     matrix_to_json,
     min_eigenvalues,
     validate_densities,
     validate_density,
-    validate_hermitian,
     validate_hermitians,
 )
 from .metrics import chernoff_information, classical_chernoff, classical_relative_entropy, relative_entropy
@@ -149,7 +149,7 @@ class QldpMechanism:
 
     ``members`` holds them as :class:`~qldp.linalg.State` objects with their spectra,
     and ``average`` is their mean as a State too.  The states are copies of those given, read-only like every
-    array of ``members``.
+    array of ``members`` and of ``average``.
     """
 
     states: tuple
@@ -163,9 +163,7 @@ class QldpMechanism:
 
     def __post_init__(self):
         require_epsilon(self.epsilon)
-        members = _qldp_members(self.states)
-        for array in (a for s in members for a in (s.matrix, s.eigenvalues, s.eigenvectors)):
-            array.setflags(write=False)
+        members = tuple(map(_read_only, _qldp_members(self.states)))
         object.__setattr__(self, "states", tuple(s.matrix for s in members))
         object.__setattr__(self, "members", members)
 
@@ -187,7 +185,14 @@ class QldpMechanism:
 
     @functools.cached_property
     def average(self) -> State:
-        return validate_density(sum(self.states) / self.n)
+        return _read_only(validate_density(sum(self.states) / self.n))
+
+
+def _read_only(state: State) -> State:
+    """``state`` after marking its matrix, eigenvalues and eigenvectors read-only."""
+    for array in (state.matrix, state.eigenvalues, state.eigenvectors):
+        array.setflags(write=False)
+    return state
 
 
 def qldp_level(states) -> float:
@@ -327,22 +332,6 @@ def sigma_star(n: int, epsilon: float) -> QldpMechanism:
     return isoclinic_mechanism(build_eitff(n), epsilon)
 
 
-def jordan_eigenvalues(p_i, p_j, epsilon: float) -> tuple[float, float]:
-    """Extreme eigenvalues of e^eps P_i - P_j for an equi-isoclinic pair.
-
-    Closed form e^{eps/2} (sinh(eps/2) pm sqrt(sinh^2(eps/2) + 1 - c)); the
-    two projections decompose into identical 2x2 blocks of overlap c, so the
-    pair spectrum is determined by c = Tr P_i P_j / r alone.
-    """
-    pair = FusionFrame((validate_hermitian(p_i), validate_hermitian(p_j)))
-    a, b = pair.projections
-    c = float(np.trace(a @ b).real / pair.r)
-    sh = math.sinh(epsilon / 2)
-    root = math.sqrt(sh * sh + 1.0 - c)
-    scale = math.exp(epsilon / 2)
-    return scale * (sh + root), scale * (sh - root)
-
-
 def _block_mechanism(member: np.ndarray, epsilon: float) -> LdpMechanism:
     """q(y|x) = (e^eps if x in block y else 1) / Z from a boolean (outputs, inputs) membership
     matrix; every input lies in the same number h of blocks, so Z = h e^eps + (outputs - h).
@@ -468,9 +457,9 @@ def mechanism_to_json(mech) -> dict:
 
 
 def mechanism_from_json(obj: dict):
-    """Parse a mechanism, check the size fields it declares, and re-audit it against its declared level."""
+    """Parse a mechanism, check its declared sizes (JSON integers) and re-audit it at its declared level (a number)."""
     kind = obj.get("kind")
-    epsilon = float(obj["epsilon"])
+    epsilon = float(json_number(obj, "epsilon", "mechanism JSON"))
     if kind == "qldp":
         mech = QldpMechanism(states=tuple(matrix_from_json(s) for s in obj["states"]), epsilon=epsilon)
         audit = audit_qldp
@@ -480,7 +469,7 @@ def mechanism_from_json(obj: dict):
     else:
         raise ValidationError(f"unknown mechanism kind {kind!r}")
     for key, held in mech.sizes.items():
-        if obj[key] != held:
+        if json_number(obj, key, "mechanism JSON", integer=True) != held:
             raise ValidationError(f"mechanism JSON declares {key}={obj[key]} but holds {key}={held}")
     if not audit(mech, epsilon):
         raise PrivacyViolationError(f"deserialized mechanism fails its declared {kind.upper()} audit")

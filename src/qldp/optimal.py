@@ -47,8 +47,8 @@ class SublinearUtility:
     the symmetric LP reduction relies on that. It takes an array of shape
     ``(..., n)`` and returns phi of each row, shape ``(...)``; a single vector
     gives a 0-d value. ``beta0`` is the second partial derivative of
-    ``evaluate`` at the all-ones vector; :func:`estimate_beta0` estimates it
-    for a custom kernel. :attr:`value_at_ones` is read off ``evaluate``.
+    ``evaluate`` at the all-ones vector. :attr:`value_at_ones` is read off
+    ``evaluate``.
     """
 
     n: int
@@ -62,15 +62,6 @@ class SublinearUtility:
     def value_at_ones(self) -> float:
         """phi(1, ..., 1), the utility of a mechanism that reveals nothing."""
         return float(self.evaluate(np.ones(self.n)))
-
-
-def estimate_beta0(evaluate, n: int) -> float:
-    """Central second difference, step 1e-4, of the utility kernel along the first coordinate."""
-    step = 1e-4
-    points = np.ones((3, n))
-    points[:, 0] += (step, 0.0, -step)
-    up, mid, down = evaluate(points)
-    return float((up - 2.0 * mid + down) / step**2)
 
 
 def mutual_information_utility(n: int) -> SublinearUtility:

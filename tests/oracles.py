@@ -11,7 +11,8 @@ digits, the last term only for eps < 1.  e^eps spans eps/2.3 decimal
 digits, which the large-eps forms cancel (1 - 1/root with root -> 1), and
 the small-eps forms cancel 1 - O(eps^2); a fixed precision loses those
 digits at one end or the other.  The Chernoff oracle has no eps and runs at
-DIGITS.
+DIGITS.  :func:`second_difference` alone is not exact: it differentiates a
+float utility kernel, which has no mpmath form, numerically.
 """
 
 import itertools
@@ -113,6 +114,18 @@ def isoclinic_pair(n: int, epsilon: float) -> tuple[float, float]:
         return float(sym), float((xlogx(2 - t) + xlogx(t)) / 2)
 
 
+def isoclinic_pair_spectrum(c: float, epsilon: float) -> tuple[float, float]:
+    """(largest, smallest) eigenvalue of e^eps P_i - P_j for a pair of projections of overlap c.
+
+    e^{eps/2} (sinh(eps/2) pm sqrt(sinh^2(eps/2) + 1 - c)): the pair decomposes into identical 2x2
+    blocks of overlap c (Jordan's lemma), so c = Tr P_i P_j / r alone sets the extremes.
+    """
+    with mp.workdps(digits(epsilon)):
+        half = mp.mpf(epsilon) / 2
+        sh, root = mp.sinh(half), mp.sqrt(mp.sinh(half) ** 2 + 1 - mp.mpf(c))
+        return float(mp.exp(half) * (sh + root)), float(mp.exp(half) * (sh - root))
+
+
 # Privacy levels of stored states and columns.
 
 
@@ -151,6 +164,21 @@ def mutual_information(q) -> float:
             n = len(row)
             total += -xlogx(mp.fsum(mp.mpf(v) for v in row) / n) + mp.fsum(xlogx(v) for v in row) / n
         return float(total)
+
+
+# Utility kernels.
+
+
+def second_difference(evaluate, n: int, step: float = 1e-4) -> float:
+    """Central second difference of a batched utility kernel along its first coordinate at the all-ones point.
+
+    (phi(1 + h e_1) - 2 phi(1) + phi(1 - h e_1)) / h^2 in floats, from one call of ``evaluate`` on three rows.
+    """
+    points = [[1.0] * n for _ in range(3)]
+    points[0][0] += step
+    points[2][0] -= step
+    up, mid, down = evaluate(points)
+    return float((up - 2.0 * mid + down) / step**2)
 
 
 # Fusion frames.

@@ -1,10 +1,12 @@
-"""Acceptance gate: one test per criterion, each printing a pass line.
+"""Acceptance gate: one test per criterion, each printing a pass line, and the
+paper's headline ratio measured on matrices beside criterion 4.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned in the assertions below.
 """
 
 import csv
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -17,10 +19,12 @@ from qldp.exponents import (
     advantage_threshold_asym,
     advantage_threshold_sym,
     asym_exponent,
+    asymptotic_prediction,
     classical_opt_asym,
     classical_opt_sym,
     classical_sym_term,
     closed_form_exponents,
+    limit_ratio,
     quantum_classical_gap,
     sym_exponent,
 )
@@ -33,7 +37,8 @@ from qldp.mechanisms import (
     sigma_star,
     subset_mechanism,
 )
-from qldp.optimal import kairouz_lp, kairouz_lp_symmetric, mutual_information_utility
+from qldp.metrics import holevo_information, overlap
+from qldp.optimal import kairouz_lp, kairouz_lp_symmetric, mutual_information_utility, pairwise_sqrt_utility
 from qldp.suites import expansion_suite, run_all_suites
 
 EPS_GRID = (0.1, 0.5, 1.0, 2.0)
@@ -107,6 +112,43 @@ def test_criterion_04_small_eps_asymptotics():
         if n in (3, 4):
             assert limit == pytest.approx(1.5)
     _report(4, "eps->0 coefficients and ratios within 1% for n=2..8")
+
+
+HEADLINE_EPS = (0.04, 0.02, 0.01, 0.005)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_matrix_utilities_reach_the_limit_ratio(n):
+    # Q from the states of sigma_star(n, eps), C from the classical optimum, for four utilities: the Holevo
+    # information over the LP's mutual information; 1 - mean pairwise Tr rho^1/2 sigma^1/2 over the LP's
+    # pairwise_sqrt value less its phi(1); and both exponents over their classical optima.  A cubic through
+    # the four eps gives Q/C at eps = 0, and for the two LP utilities Q/eps^2 and (C - phi(1))/eps^2 there.
+    mi, sqrt_utility = mutual_information_utility(n), pairwise_sqrt_utility(n)
+    quantum, classical = [], []
+    for epsilon in HEADLINE_EPS:
+        mech = sigma_star(n, epsilon)
+        affinity = np.mean([overlap(a, b, 0.5) for a, b in itertools.combinations(mech.members, 2)])
+        quantum.append(
+            (holevo_information(np.full(n, 1.0 / n), mech.members), 1.0 - affinity, sym_exponent(mech),
+             asym_exponent(mech))
+        )
+        classical.append(
+            (kairouz_lp_symmetric(n, epsilon, mi),
+             kairouz_lp_symmetric(n, epsilon, sqrt_utility) - sqrt_utility.value_at_ones,
+             classical_opt_sym(n, epsilon), classical_opt_asym(n, epsilon))
+        )
+    quantum, classical = np.array(quantum), np.array(classical)
+    vandermonde = np.vander(HEADLINE_EPS, 4, increasing=True)
+
+    def at_zero(values):
+        return np.linalg.solve(vandermonde, values)[0]
+
+    assert at_zero(quantum / classical) == pytest.approx([limit_ratio(n)] * 4, rel=0.0, abs=1e-7)
+    squares = np.square(HEADLINE_EPS)
+    for k, utility in enumerate((mi, sqrt_utility)):
+        classical_coeff, quantum_coeff, _ = asymptotic_prediction(n, utility.beta0)
+        assert at_zero(quantum[:, k] / squares) == pytest.approx(quantum_coeff, rel=1e-7, abs=0.0)
+        assert at_zero(classical[:, k] / squares) == pytest.approx(classical_coeff, rel=1e-7, abs=0.0)
 
 
 def test_criterion_05_advantage_thresholds():

@@ -610,6 +610,58 @@ def test_a_matrix_file_whose_dim_is_not_an_integer_exits_one(tmp_path, capsys, d
     assert f"dim {dim!r} is not an integer" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("sigma-star", "epsilon", True, "epsilon True is not a number"),
+        ("sigma-star", "epsilon", "0.5", "epsilon '0.5' is not a number"),
+        ("sigma-star", "n", 3.0, "n 3.0 is not an integer"),
+        ("sigma-star", "dim", 2.0, "dim 2.0 is not an integer"),
+        ("binary", "outputs", True, "outputs True is not an integer"),
+        ("binary", "epsilon", None, "epsilon None is not a number"),
+    ],
+    ids=["eps-true", "eps-string", "n-float", "dim-float", "outputs-true", "eps-null"],
+)
+def test_a_mechanism_file_with_a_mistyped_number_exits_one(tmp_path, capsys, command, field, value, message):
+    path = tmp_path / "mech.json"
+    assert run(["mech", command, "--n", 3, "--eps", 0.5, "--out", path]) == 0
+    obj = json.loads(path.read_text())
+    obj[field] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["mech", "audit", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"mechanism JSON: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("d", 2.0, "d 2.0 is not an integer"), ("r", True, "r True is not an integer"),
+     ("n", "3", "n '3' is not an integer"), ("c", True, "c True is not a number")],
+    ids=["d-float", "r-true", "n-string", "c-true"],
+)
+def test_a_frame_file_with_a_mistyped_number_exits_one(tmp_path, capsys, field, value, message):
+    path = tmp_path / "frame.json"
+    assert run(["frame", "build", "--n", 3, "--out", path]) == 0
+    obj = json.loads(path.read_text())
+    obj[field] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["frame", "verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"frame JSON: {message}" in captured.err
+
+
+def test_a_mechanism_file_whose_epsilon_overflows_a_float_exits_one(tmp_path, capsys):
+    path = tmp_path / "mech.json"
+    assert run(["mech", "binary", "--n", 3, "--eps", 0.5, "--out", path]) == 0
+    path.write_text(path.read_text().replace('"epsilon": 0.5', '"epsilon": 1' + "0" * 400))
+    capsys.readouterr()
+    assert run(["mech", "audit", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "OverflowError" in captured.err
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     good = tmp_path / "good.json"
     write_matrix(good, np.eye(2) / 2)

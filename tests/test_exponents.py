@@ -15,7 +15,6 @@ from qldp.exponents import (
     classical_opt_asym,
     classical_opt_sym,
     classical_opt_sym_bound,
-    classical_sym_argmax,
     classical_sym_term,
     closed_form_exponents,
     isoclinic_bound,
@@ -107,7 +106,7 @@ def test_classical_sym_equals_randomized_response_chernoff():
 
 def test_classical_sym_equals_subset_mechanism():
     value = classical_opt_sym(3, 1.0)
-    k = classical_sym_argmax(3, 1.0)
+    k = max(range(4), key=lambda k: classical_sym_term(3, k, 1.0))
     assert k == 1
     assert value == pytest.approx(sym_exponent(subset_mechanism(3, 1, 1.0)), abs=1e-10)
 
@@ -223,7 +222,7 @@ def test_eta_scaling_at_small_eps():
             eta**2 * classical_opt_asym(n, epsilon, 1.0), rel=0.015
         )
     # direct mixed evaluation of the best split mechanism scales the same way
-    k = classical_sym_argmax(4, epsilon)
+    k = max(range(5), key=lambda k: classical_sym_term(4, k, epsilon))
     mech = subset_mechanism(4, k, epsilon)
     assert sym_exponent(mech, eta) == pytest.approx(eta**2 * sym_exponent(mech, 1.0), rel=0.015)
 
@@ -294,11 +293,10 @@ def test_ratio_sweep_small_eps_limit():
         lambda: classical_opt_sym_bound(1, 0.5, 0.5),
         lambda: classical_opt_asym(0, 0.5),
         lambda: classical_opt_asym(1, 0.5),
-        lambda: classical_sym_argmax(1, 0.5),
         lambda: classical_sym_term(1, 0, 0.5),
         lambda: classical_asym_term(1, 1, 0.5),
     ],
-    ids=["sym-1", "sym-0", "sym-bound-1", "asym-0", "asym-1", "argmax-1", "sym-term-1", "asym-term-1"],
+    ids=["sym-1", "sym-0", "sym-bound-1", "asym-0", "asym-1", "sym-term-1", "asym-term-1"],
 )
 def test_classical_optima_need_two_inputs(call):
     with pytest.raises(ValidationError, match="n >= 2"):
@@ -317,7 +315,6 @@ def test_classical_optima_need_two_inputs(call):
         (lambda: quantum_classical_gap(3, 0.5, "both"), "mode must be"),
         (lambda: classical_asym_term(3, 1, -1.0), "privacy level must be positive"),
         (lambda: classical_asym_term(3, 1, 0.5, eta=2.0), "eta must lie in"),
-        (lambda: classical_sym_argmax(3, -1.0), "privacy level must be positive"),
         (lambda: classical_sym_term(3, 1, math.nan), "privacy level must be positive"),
     ],
     ids=[
@@ -330,7 +327,6 @@ def test_classical_optima_need_two_inputs(call):
         "gap-mode",
         "asym-term-eps",
         "asym-term-eta",
-        "argmax-eps",
         "sym-term-nan",
     ],
 )

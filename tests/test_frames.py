@@ -226,6 +226,23 @@ def test_build_returns_one_read_only_frame_per_arguments():
         frame.projections[0][0, 0] = 0.0
 
 
+def test_a_frame_keeps_read_only_copies_of_its_projections():
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    frame = FusionFrame((p0, p1))
+    p0[:] = np.eye(2)
+    assert np.array_equal(frame.projections[0], np.diag([1.0, 0.0])) and (frame.r, frame.c) == (1, 0.0)
+    assert not any(np.shares_memory(p, mine) for p in (p0, p1) for mine in frame.projections)
+    with pytest.raises(ValueError, match="read-only"):
+        frame.projections[1][0, 0] = 1.0
+
+
+def test_a_frame_of_non_square_or_mixed_projections_is_rejected():
+    with pytest.raises(ValidationError, match=r"non-empty square matrix, got shape \(2, 3\)"):
+        FusionFrame((np.ones((2, 3)),) * 2)
+    with pytest.raises(ValidationError, match="projections have mixed dimensions"):
+        FusionFrame((np.diag([1.0, 0.0]), np.eye(3) / 3))
+
+
 def test_default_a_and_explicit_a_share_one_cached_frame():
     frame = build_eitff(3)
     assert build_eitff(3, 0) is frame

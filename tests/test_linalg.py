@@ -13,7 +13,6 @@ from qldp.linalg import (
     matrix_function,
     matrix_to_json,
     min_eigenvalues,
-    norms,
     operator_norm,
     validate_densities,
     validate_density,
@@ -108,13 +107,6 @@ def test_exp_log_roundtrip():
         assert operator_norm(fwd - rho) <= 1e-10
 
 
-def test_norms_examples():
-    assert norms(np.eye(3)) == pytest.approx((1.0, 3.0, math.sqrt(3.0)))
-    assert norms(np.diag([1.0, -2.0])) == pytest.approx((2.0, 3.0, math.sqrt(5.0)))
-    # Pauli-X/2 has eigenvalues +-1/2
-    assert norms(PAULI_X / 2) == pytest.approx((0.5, 1.0, math.sqrt(0.5)))
-
-
 def test_is_psd():
     assert is_psd(np.eye(2), tol=1e-9)
     assert not is_psd(np.diag([1.0, -1e-3]), tol=1e-9)
@@ -152,7 +144,7 @@ def test_hermitian_tolerance_boundary(factor, ok, scale):
     # which eigh/eigvalsh do not read, so ||H|| is that of the unskewed matrix.
     h = scale * random_hermitian(np.random.default_rng(6), 3)
     h[0, 1] += factor * 1e-12 * (1.0 + operator_norm(h))
-    for check in (validate_hermitian, lambda m: validate_hermitians([m]), eigh, norms, is_psd):
+    for check in (validate_hermitian, lambda m: validate_hermitians([m]), eigh, is_psd):
         if ok:
             check(h)
         else:
@@ -372,14 +364,13 @@ EMPTY = np.zeros((0, 0))
         lambda: validate_hermitian(EMPTY),
         lambda: validate_density(EMPTY),
         lambda: eigh(EMPTY),
-        lambda: norms(EMPTY),
         lambda: is_psd(EMPTY),
         lambda: operator_norm(EMPTY),
         lambda: matrix_from_json({"dim": 0, "entries": []}),
         lambda: audit_qldp([EMPTY, EMPTY], 1.0),
         lambda: depolarize_each([EMPTY], 0.3),
     ],
-    ids=["as_matrix", "validate_hermitian", "validate_density", "eigh", "norms", "is_psd", "operator_norm",
+    ids=["as_matrix", "validate_hermitian", "validate_density", "eigh", "is_psd", "operator_norm",
          "matrix_from_json", "audit_qldp", "depolarize_each"],
 )
 def test_an_empty_matrix_is_rejected_at_the_boundary(call):

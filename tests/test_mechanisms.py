@@ -34,7 +34,6 @@ from qldp.mechanisms import (
     _induced_stack,
     induced_mechanism,
     isoclinic_mechanism,
-    jordan_eigenvalues,
     ldp_level,
     load_mechanism,
     mechanism_from_json,
@@ -345,15 +344,11 @@ def test_isoclinic_rejects_mu_outside_interval():
 
 
 def test_jordan_eigenvalues_orthogonal_pair():
-    # e^eps P1 - P2 for orthogonal rank-1 projections in dim 2 at eps = ln 3
+    # e^eps P1 - P2 for orthogonal rank-1 projections (c = 0) in dim 2 at eps = ln 3
     # has spectrum {3, -1}
-    p1 = np.diag([1.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 1.0]).astype(complex)
-    lam_plus, lam_minus = jordan_eigenvalues(p1, p2, math.log(3.0))
+    lam_plus, lam_minus = oracles.isoclinic_pair_spectrum(0.0, math.log(3.0))
     assert lam_plus == pytest.approx(3.0, abs=1e-12)
     assert lam_minus == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(ValidationError, match="projections have mixed dimensions"):
-        jordan_eigenvalues(p1, np.eye(3) / 3, 1.0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 10])
@@ -361,15 +356,15 @@ def test_jordan_eigenvalues_orthogonal_pair():
 def test_jordan_eigenvalues_match_dense_extremes(n, epsilon):
     frame = build_eitff(n)
     grow = math.exp(epsilon)
+    lam_plus, lam_minus = oracles.isoclinic_pair_spectrum(frame.c, epsilon)
+    assert lam_minus < 0.0 < grow - 1.0 < lam_plus
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            lam_plus, lam_minus = jordan_eigenvalues(frame.projections[i], frame.projections[j], epsilon)
             dense = np.linalg.eigvalsh(grow * frame.projections[i] - frame.projections[j])
             assert lam_plus == pytest.approx(dense[-1], abs=1e-10)
             assert lam_minus == pytest.approx(dense[0], abs=1e-10)
-            assert lam_minus < 0.0 < grow - 1.0 < lam_plus
 
 
 def test_binary_mechanism_columns():
@@ -713,6 +708,15 @@ def test_a_mechanism_keeps_its_arrays_when_the_caller_writes_to_its_own():
     ):
         with pytest.raises(ValueError, match="read-only"):
             write()
+
+
+def test_a_mechanism_average_is_read_only():
+    mech = sigma_star(3, 1.0)
+    average = mech.average
+    for array in (average.matrix, average.eigenvalues, average.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    assert mech.average is average and np.array_equal(average.matrix, sum(mech.states) / 3)
 
 
 @pytest.mark.parametrize(

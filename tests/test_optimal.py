@@ -19,13 +19,14 @@ from qldp.metrics import holevo_information
 from qldp.optimal import (
     SublinearUtility,
     asymptotic_prediction,
-    estimate_beta0,
     kairouz_lp,
     kairouz_lp_symmetric,
     mutual_information_utility,
     pairwise_sqrt_utility,
     utility_of_mechanism,
 )
+
+import oracles
 
 
 def per_pattern_lp(n, epsilon, utility):
@@ -115,7 +116,7 @@ def test_batched_evaluate_matches_row_by_row(factory, n):
 def test_beta0_matches_finite_difference(factory):
     for n in (2, 3, 6):
         utility = factory(n)
-        numeric = estimate_beta0(utility.evaluate, n)
+        numeric = oracles.second_difference(utility.evaluate, n)
         assert numeric == pytest.approx(utility.beta0, rel=1e-6)
 
 
@@ -240,9 +241,6 @@ def test_each_lp_evaluates_the_utility_once():
     calls.clear()
     assert isinstance(utility_of_mechanism(binary_mechanism(n, epsilon), utility), float)
     assert len(calls) == 1
-    calls.clear()
-    assert isinstance(estimate_beta0(utility.evaluate, n), float)
-    assert calls == [(3, n)]
 
 
 def scipy_modules_after(code):

@@ -28,14 +28,14 @@ EXPORTS = {
     "isoclinic_constant ratio_sweep sym_exponent",
     "frames": "FrameCertificate FusionFrame build_eitff clifford_generators frame_from_json frame_to_json "
     "radon_hurwitz simplex_vectors verify_eitff",
-    "linalg": "Spectrum eigh is_psd matrix_from_json matrix_function matrix_to_json norms",
+    "linalg": "Spectrum eigh is_psd matrix_from_json matrix_function matrix_to_json",
     "mechanisms": "LdpMechanism QldpMechanism admissible_mu_interval binary_mechanism induced_mechanism "
-    "isoclinic_mechanism jordan_eigenvalues ldp_level load_mechanism mechanism_from_json mechanism_to_json "
+    "isoclinic_mechanism ldp_level load_mechanism mechanism_from_json mechanism_to_json "
     "qldp_level save_mechanism sigma_star subset_mechanism tilde_family",
     "metrics": "BKM KL RLD SLD SQUARE SQUARED_DIFF MetricKind OperatorConvexF chernoff_information "
     "classical_chernoff classical_f_divergence classical_relative_entropy depolarize holevo_information "
     "neg_ratio overlap petz_f_divergence petz_metric relative_entropy von_neumann_entropy wyd",
-    "optimal": "LpSolution SublinearUtility asymptotic_prediction estimate_beta0 kairouz_lp "
+    "optimal": "LpSolution SublinearUtility asymptotic_prediction kairouz_lp "
     "kairouz_lp_symmetric mutual_information_utility pairwise_sqrt_utility utility_of_mechanism",
 }
 HOME = {name: module for module, names in EXPORTS.items() for name in names.split()}
