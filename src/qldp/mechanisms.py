@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (  # MAX_EPSILON is re-exported for callers that import it from here
-    MAX_EPSILON,
+from .errors import (
     PrivacyViolationError,
     SupportMismatchError,
     ValidationError,

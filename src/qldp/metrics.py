@@ -366,13 +366,6 @@ def _positive_vector(p) -> np.ndarray:
     return v
 
 
-def _finite_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValidationError("direction has a non-finite entry")
-    return v
-
-
 def _one_length(*vs: np.ndarray, rows: bool = False) -> tuple[np.ndarray, ...]:
     """``vs`` unchanged after checking that their last axes have one length and, unless ``rows``, that they are 1-D."""
     if len({v.shape[-1:] for v in vs}) > 1:
@@ -398,10 +391,3 @@ def classical_chernoff(p, q) -> float:
     """-ln min_{s in [0,1]} sum_j p_j^s q_j^{1-s}: the commuting case of the quantum kernel."""
     pv, qv = _one_length(_positive_vector(p), _positive_vector(q))
     return _chernoff(qv, pv, np.log(pv) - np.log(qv))
-
-
-def classical_metric(p0, x, y, kind: MetricKind) -> float:
-    """Fisher-type form sum_i x_i y_i / p_i via the diagonal kernel."""
-    pv, xv, yv = _one_length(_positive_vector(p0), _finite_vector(x), _finite_vector(y))
-    kernel = _metric_kernel(kind, pv)
-    return float(np.sum(np.diag(kernel) * xv * yv))

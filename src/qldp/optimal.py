@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, require_epsilon, require_inputs
+from .errors import SupportMismatchError, ValidationError, require_epsilon, require_inputs
 from .exponents import asymptotic_prediction  # re-exported: part of this module's API
 
 if TYPE_CHECKING:  # the LP never builds a mechanism, so it does not load that layer
@@ -139,11 +139,13 @@ class LpSolution:
 
 
 def utility_of_mechanism(mech: LdpMechanism, utility: SublinearUtility) -> float:
-    """Sum of the utility kernel over outputs whose rows are entrywise positive."""
+    """Sum of the utility kernel over the outputs; an all-zero row adds phi(0) = 0 and is skipped."""
     if utility.n != mech.n_inputs:
         raise ValidationError("utility arity does not match the mechanism input size")
-    rows = mech.q[np.all(mech.q > 0, axis=1)]
-    return float(np.sum(utility.evaluate(rows)))
+    positive = mech.q > 0
+    if np.any(positive.any(axis=1) & ~positive.all(axis=1)):
+        raise SupportMismatchError("zero entry in a row with positive entries")
+    return float(np.sum(utility.evaluate(mech.q[positive.all(axis=1)])))
 
 
 class Vertex(NamedTuple):

@@ -11,14 +11,19 @@ digits, the last term only for eps < 1.  e^eps spans eps/2.3 decimal
 digits, which the large-eps forms cancel (1 - 1/root with root -> 1), and
 the small-eps forms cancel 1 - O(eps^2); a fixed precision loses those
 digits at one end or the other.  The Chernoff oracle has no eps and runs at
-DIGITS.  :func:`second_difference` alone is not exact: it differentiates a
-float utility kernel, which has no mpmath form, numerically.
+DIGITS.  Two oracles are not exact: :func:`second_difference` differentiates
+a float utility kernel, which has no mpmath form, numerically, and
+:func:`classical_metric` is the float expression whose bits a pinned hash
+records.
 """
 
 import itertools
 import math
 
 import mpmath as mp
+import numpy as np
+
+from qldp.metrics import _metric_kernel
 
 DIGITS = 40
 
@@ -164,6 +169,17 @@ def mutual_information(q) -> float:
             n = len(row)
             total += -xlogx(mp.fsum(mp.mpf(v) for v in row) / n) + mp.fsum(xlogx(v) for v in row) / n
         return float(total)
+
+
+# Monotone metrics.
+
+
+def classical_metric(p, x, y, kind) -> float:
+    """sum_i x_i y_i / p_i, the commuting case of petz_metric, through the diagonal of the package's metric kernel.
+
+    In floats: ``sum(x * y / p)`` is the same number but differs in the last bit in about half of all cases.
+    """
+    return float(np.sum(np.diag(_metric_kernel(kind, p)) * x * y))
 
 
 # Utility kernels.

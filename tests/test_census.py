@@ -4,45 +4,55 @@ The census runs about thirty in-process ``cli.main`` calls, covering every subco
 and records the code object of each Python call.  Every ``def`` that ``ast`` finds in the package is keyed by
 its module, name and first line, the line of its first decorator when it has one: that is the
 ``co_firstlineno`` of a decorated function's code.  A function that no call reaches must be named in
-``UNREACHED`` with a one-line reason; a name there that runs, or that no longer exists, fails the test too, so
-the list cannot go stale.
+``UNREACHED``; a name there that runs, or that no longer exists, fails the test too, so the list cannot go
+stale.  Each reason there starts with a claim that :func:`claim_faults` checks, so a false reason fails too.
 """
 
 import ast
+import functools
 import importlib
 import json
 import pathlib
+import re
 import sys
+
+import pytest
 
 import qldp
 from qldp import cli
 
 PACKAGE = pathlib.Path(qldp.__file__).resolve().parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
-# Functions that no command reaches, by module and qualified name, with why each stays.
+# Functions that no command reaches, by module and qualified name.  Each reason starts with a claim:
+#   "export:"    qldp exports it under its own name;
+#   "bench:"     its name is a word of a bench/*.py file (the census reads them and never writes them);
+#   "via F:"     the source of F, a module and qualified name, names it, and F's own chain of claims ends
+#                in export, bench or namespace;
+#   "namespace:" it is the package's module __getattr__ or __dir__.
 UNREACHED = {
-    "__init__.__dir__": "package namespace: dir(qldp)",
-    "__init__.__getattr__": "package namespace: lazy `from qldp import name`; the CLI imports submodules",
-    "expansions.ExpansionReport.ratio_error_at": "bench/ suites workload: its expansion check",
-    "exponents.asym_exponent": "bench/ audit workload, acceptance criterion 3, demo 04",
-    "exponents.golden_min": "isoclinic_bound's search",
-    "exponents._refine_max": "isoclinic_bound's search",
-    "exponents.isoclinic_bound": "documented loose-privacy bound, demo 04; its removal waits on ROADMAP D4",
-    "exponents.isoclinic_bound.<locals>.pair_at": "isoclinic_bound's objective",
-    "exponents.sym_exponent": "bench/ audit workload, acceptance criterion 3, demo 04",
-    "linalg.is_psd": "public helper",
-    "mechanisms.LdpMechanism.average": "asym_exponent of a classical mechanism",
-    "mechanisms.QldpMechanism.average": "asym_exponent (bench/ audit workload)",
-    "mechanisms.induced_mechanism": "bench/ audit workload: one pair of the measurement suite's stack",
-    "mechanisms.tilde_family": "sym_exponent and asym_exponent (bench/ audit workload), demo 02",
-    "metrics._finite_vector": "classical_metric's check of its directions",
-    "metrics.classical_chernoff": "LdpMechanism.chernoff, read by sym_exponent of a classical mechanism",
-    "metrics.classical_metric": "public helper: the commuting case of petz_metric",
-    "metrics.classical_relative_entropy": "LdpMechanism.divergence, read by asym_exponent of a classical mechanism",
-    "metrics.depolarize": "public helper",
-    "metrics.relative_entropy": "QldpMechanism.divergence, read by asym_exponent (bench/ audit workload)",
-    "sampling.random_unitary": "public helper",
+    "__init__.__dir__": "namespace: dir(qldp)",
+    "__init__.__getattr__": "namespace: lazy `from qldp import name`; the CLI imports submodules",
+    "expansions.ExpansionReport.ratio_error_at": "bench: suites workload: its expansion check",
+    "exponents.asym_exponent": "export: bench/ audit workload, acceptance criterion 3, demo 04",
+    "exponents.golden_min": "via exponents._refine_max: isoclinic_bound's search",
+    "exponents._refine_max": "via exponents.isoclinic_bound: isoclinic_bound's search",
+    "exponents.isoclinic_bound": "export: documented loose-privacy bound, demo 04; its removal waits on ROADMAP D4",
+    "exponents.isoclinic_bound.<locals>.pair_at": "via exponents.isoclinic_bound: isoclinic_bound's objective",
+    "exponents.sym_exponent": "export: bench/ audit workload, acceptance criterion 3, demo 04",
+    "linalg.is_psd": "export: public helper",
+    "mechanisms.LdpMechanism.average": "via mechanisms.tilde_family: asym_exponent of a classical mechanism",
+    "mechanisms.QldpMechanism.average": "via exponents.asym_exponent: bench/ audit workload",
+    "mechanisms.induced_mechanism": "export: bench/ audit workload: one pair of the measurement suite's stack",
+    "mechanisms.tilde_family": "export: sym_exponent and asym_exponent (bench/ audit workload), demo 02",
+    "metrics.classical_chernoff": "export: LdpMechanism.chernoff, read by sym_exponent of a classical mechanism",
+    "metrics.classical_relative_entropy": "export: LdpMechanism.divergence: asym_exponent of a classical mechanism",
+    "metrics.depolarize": "export: public helper",
+    "metrics.relative_entropy": "export: QldpMechanism.divergence, read by asym_exponent (bench/ audit workload)",
+    "sampling.random_unitary": "bench: sampling.draw's span",
 }
+CLAIM = re.compile(r"(export|bench|namespace|via (\S+)):")
+NAMESPACE = ("__init__.__getattr__", "__init__.__dir__")
 
 
 def census_calls(tmp):
@@ -91,8 +101,9 @@ def census_calls(tmp):
     ]
 
 
+@functools.cache
 def package_functions() -> dict:
-    """(file, first line, name) of every def in the package -> its module and qualified name."""
+    """(file, first line, name) of every def in the package -> its module and qualified name, and its ast node."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
@@ -101,7 +112,7 @@ def package_functions() -> dict:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     first = child.decorator_list[0].lineno if child.decorator_list else child.lineno
-                    found[(str(path), first, child.name)] = f"{module}.{prefix}{child.name}"
+                    found[(str(path), first, child.name)] = (f"{module}.{prefix}{child.name}", child)
                     visit(child, f"{prefix}{child.name}.<locals>.")
                 elif isinstance(child, ast.ClassDef):
                     visit(child, f"{prefix}{child.name}.")
@@ -138,9 +149,53 @@ def reached(calls) -> set:
     return {(code.co_filename, code.co_firstlineno, code.co_name) for code in codes}
 
 
+def claim_faults(unreached: dict) -> list:
+    """One message for each false claim in ``unreached``, starting with the name of its entry."""
+    nodes = dict(package_functions().values())
+    bench_words = {word for path in BENCH.glob("*.py") for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    faults = []
+    for name, reason in unreached.items():
+        module, _, qualname = name.partition(".")
+        short = qualname.rpartition(".")[2]
+        claim = CLAIM.match(reason)
+        if claim is None:
+            faults.append(f"{name}: its reason {reason!r} starts with no claim")
+        elif claim[1] == "export":
+            value = getattr(qldp, short) if short in qldp.__all__ else None
+            home = (getattr(value, "__module__", None), getattr(value, "__qualname__", None))
+            if home != (f"qldp.{module}", qualname):
+                faults.append(f"{name}: qldp does not export it")
+        elif claim[1] == "bench":
+            if short not in bench_words:
+                faults.append(f"{name}: no bench/*.py file names it")
+        elif claim[1] == "namespace":
+            if name not in NAMESPACE:
+                faults.append(f"{name}: it is not the package's __getattr__ or __dir__")
+        else:
+            caller = claim[2]
+            if caller not in nodes or not any(
+                getattr(node, "id", None) == short or getattr(node, "attr", None) == short
+                for node in ast.walk(nodes[caller])
+            ):
+                faults.append(f"{name}: {caller} does not name it")
+            chain = [name]
+            while caller not in chain:
+                chain.append(caller)
+                link = CLAIM.match(unreached.get(caller, ""))
+                if link is None:
+                    faults.append(f"{name}: its chain {' -> '.join(chain)} ends in no claim")
+                    break
+                if link[2] is None:
+                    break
+                caller = link[2]
+            else:
+                faults.append(f"{name}: its chain {' -> '.join(chain)} -> {caller} is a cycle")
+    return faults
+
+
 def test_every_package_function_is_reached_or_allowlisted(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    functions = package_functions()
+    functions = {key: name for key, (name, _) in package_functions().items()}
     ran = {functions[key] for key in reached(census_calls(tmp_path)) if key in functions}
     unlisted = sorted(set(functions.values()) - ran - set(UNREACHED))
     assert not unlisted, f"no command reaches {unlisted}"
@@ -148,3 +203,25 @@ def test_every_package_function_is_reached_or_allowlisted(tmp_path, monkeypatch)
     assert not listed_but_ran, f"allowlisted but reached: {listed_but_ran}"
     gone = sorted(set(UNREACHED) - set(functions.values()))
     assert not gone, f"allowlisted but not in the package: {gone}"
+
+
+def test_every_unreached_reason_holds():
+    assert not claim_faults(UNREACHED)
+
+
+@pytest.mark.parametrize(
+    "name,reason,fault",
+    [
+        ("exponents.golden_min", "export: a search", "qldp does not export it"),
+        ("linalg.is_psd", "bench: a check", "no bench/*.py file names it"),
+        ("metrics.depolarize", "namespace: a channel", "not the package's __getattr__ or __dir__"),
+        ("exponents.golden_min", "via exponents.sym_exponent: a search", "exponents.sym_exponent does not name it"),
+        ("exponents.golden_min", "via exponents.missing: a search", "exponents.missing does not name it"),
+        ("exponents._refine_max", "via exponents.closed_form_exponents: a search", "ends in no claim"),
+        ("exponents.isoclinic_bound", "via exponents.golden_min: a bound", "is a cycle"),
+        ("linalg.is_psd", "public helper", "starts with no claim"),
+    ],
+)
+def test_a_false_claim_fails_naming_its_entry(name, reason, fault):
+    faults = claim_faults({**UNREACHED, name: reason})
+    assert any(f.startswith(f"{name}: ") and fault in f for f in faults), faults

@@ -14,8 +14,9 @@ import warnings
 import numpy as np
 import pytest
 
+from qldp.errors import MAX_EPSILON
 from qldp.linalg import RANK_TOL
-from qldp.mechanisms import MAX_EPSILON, binary_mechanism, subset_mechanism
+from qldp.mechanisms import binary_mechanism, subset_mechanism
 from qldp.metrics import chernoff_information, classical_chernoff
 from qldp.sampling import random_density, random_traceless_hermitian, random_unitary
 

@@ -454,7 +454,7 @@ def _metric_values():
             x, y = random_traceless_hermitian(rng, d), random_traceless_hermitian(rng, d)
             for kind in kinds:
                 yield metrics.petz_metric(rho, x, y, kind)
-                yield metrics.classical_metric(spectrum, x.diagonal().real, y.diagonal().real, kind)
+                yield oracles.classical_metric(spectrum, x.diagonal().real, y.diagonal().real, kind)
             for f in fs:
                 yield metrics.induced_metric(rho, x, y, f)
 

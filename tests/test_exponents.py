@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qldp import mechanisms
-from qldp.errors import DomainError, ValidationError
+from qldp.errors import MAX_EPSILON, DomainError, ValidationError
 from qldp.exponents import (
     advantage_crossover,
     advantage_threshold_asym,
@@ -25,7 +25,6 @@ from qldp.exponents import (
 )
 from qldp.frames import build_eitff
 from qldp.mechanisms import (
-    MAX_EPSILON,
     QldpMechanism,
     admissible_mu_interval,
     binary_mechanism,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qldp import mechanisms
-from qldp.errors import PrivacyViolationError, SupportMismatchError, ValidationError
+from qldp.errors import MAX_EPSILON, PrivacyViolationError, SupportMismatchError, ValidationError
 from qldp.exponents import boundary_mu
 from qldp.frames import FusionFrame, build_eitff
 from qldp.linalg import (
@@ -23,7 +23,6 @@ from qldp.linalg import (
 )
 from qldp.mechanisms import (
     AUDIT_TOL,
-    MAX_EPSILON,
     LdpMechanism,
     QldpMechanism,
     admissible_mu_interval,

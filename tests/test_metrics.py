@@ -17,7 +17,6 @@ from qldp.metrics import (
     chernoff_information,
     classical_chernoff,
     classical_f_divergence,
-    classical_metric,
     classical_relative_entropy,
     depolarize,
     depolarize_each,
@@ -87,7 +86,6 @@ def test_petz_metric_commuting_reduction():
         reference = float(np.sum(x * x / p))
         for kind in ALL_KINDS:
             assert petz_metric(rho0, xm, xm, kind) == pytest.approx(reference, abs=1e-10)
-            assert classical_metric(p, x, x, kind) == pytest.approx(reference, abs=1e-10)
 
 
 def test_metric_sandwich_property():
@@ -433,12 +431,7 @@ def test_classical_distributions_reject_non_finite_entries(fn, bad):
             fn(p, q)
 
 
-@pytest.mark.parametrize(
-    "fn",
-    CLASSICAL_PAIR_FUNCTIONS
-    + [lambda p, q: classical_metric(p, q, p, SLD), lambda p, q: classical_metric(p, p, q, SLD)],
-    ids=["chernoff", "relative_entropy", "f_divergence", "metric_x", "metric_y"],
-)
+@pytest.mark.parametrize("fn", CLASSICAL_PAIR_FUNCTIONS, ids=["chernoff", "relative_entropy", "f_divergence"])
 @pytest.mark.parametrize(
     "p,q",
     [
@@ -455,11 +448,7 @@ def test_classical_distributions_of_different_lengths_are_rejected(fn, p, q):
     assert str(np.shape(p)) in str(info.value) and str(np.shape(q)) in str(info.value)
 
 
-@pytest.mark.parametrize(
-    "fn",
-    [classical_chernoff, classical_relative_entropy, lambda p, q: classical_metric(p, q, q, SLD)],
-    ids=["chernoff", "relative_entropy", "metric"],
-)
+@pytest.mark.parametrize("fn", [classical_chernoff, classical_relative_entropy], ids=["chernoff", "relative_entropy"])
 @pytest.mark.parametrize(
     "p,q",
     [([[0.5, 0.5], [0.9, 0.1]], [[0.5, 0.5], [0.5, 0.5]]), (0.5, 0.7), ([0.5, 0.5], [[0.5, 0.5]])],
@@ -471,15 +460,6 @@ def test_classical_functions_but_the_f_divergence_take_only_vectors(fn, p, q):
     with pytest.raises(ValidationError, match="expected 1-D vectors, got shapes") as info:
         fn(p, q)
     assert str(np.shape(p)) in str(info.value) and str(np.shape(q)) in str(info.value)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
-def test_classical_metric_rejects_non_finite_directions(bad):
-    # only p0 was checked: a NaN direction read as nan and an infinite one as inf or nan
-    p0 = [0.25, 0.75]
-    for x, y in (([bad, 0.5], [0.5, -0.5]), ([0.5, -0.5], [0.5, bad])):
-        with pytest.raises(ValidationError, match="non-finite"):
-            classical_metric(p0, x, y, SLD)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1])

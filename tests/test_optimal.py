@@ -12,9 +12,9 @@ import pytest
 from scipy.optimize import linprog
 
 from qldp import optimal
-from qldp.errors import ValidationError
+from qldp.errors import MAX_EPSILON, SupportMismatchError, ValidationError
 from qldp.exponents import classical_opt_asym
-from qldp.mechanisms import MAX_EPSILON, LdpMechanism, binary_mechanism, sigma_star
+from qldp.mechanisms import LdpMechanism, binary_mechanism, sigma_star
 from qldp.metrics import holevo_information
 from qldp.optimal import (
     SublinearUtility,
@@ -149,6 +149,21 @@ def test_mi_utility_equals_holevo_of_diagonal_embedding():
         states = [np.diag(column.astype(complex)) for column in mech.members]
         chi = holevo_information(np.full(n, 1.0 / n), states)
         assert utility_of_mechanism(mech, mutual_information_utility(n)) == pytest.approx(chi, abs=1e-10)
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+def test_a_zero_beside_a_positive_entry_is_rejected(factory):
+    # the whole row was dropped: this q's mutual information read 0.04247, though with a uniform prior it is 0.21576
+    mech = LdpMechanism(q=[[1.0, 0.5], [0.0, 0.5]], epsilon=1.0)
+    with pytest.raises(SupportMismatchError, match="zero entry in a row with positive entries"):
+        utility_of_mechanism(mech, factory(2))
+
+
+@pytest.mark.parametrize("factory", [mutual_information_utility, pairwise_sqrt_utility])
+def test_an_all_zero_row_adds_nothing(factory):
+    mech = binary_mechanism(3, 0.5)
+    padded = LdpMechanism(q=np.insert(mech.q, 1, 0.0, axis=0), epsilon=0.5)
+    assert utility_of_mechanism(padded, factory(3)) == utility_of_mechanism(mech, factory(3))
 
 
 def test_lp_two_inputs_reference_value():
